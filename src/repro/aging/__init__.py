@@ -37,7 +37,7 @@ from repro.aging.lifetime import (
 )
 from repro.aging.lut import LifetimeLUT
 from repro.aging.nbti import NBTIModel
-from repro.aging.snm import butterfly_curves, read_snm
+from repro.aging.snm import butterfly_curves, read_snm, read_snm_batch
 
 __all__ = [
     "SRAMCellSpec",
@@ -48,6 +48,7 @@ __all__ = [
     "pmos_current",
     "NBTIModel",
     "read_snm",
+    "read_snm_batch",
     "butterfly_curves",
     "LifetimeLUT",
     "LinearizedLifetimeModel",

@@ -23,17 +23,29 @@ follow ``(α·t)^n`` with different α), so SNM depends on time only through
 a single monotone scale. The framework therefore bisects over that scale
 once per ``p0`` and converts sleep fractions analytically — this is exact
 under the drift law, not an approximation.
+
+The bisections run in lockstep: :meth:`CharacterizationFramework.failing_scales`
+advances every row (one ``p0``, or one Vth offset) through the same
+bracketing and bisection steps, each step one batched butterfly solve
+(:func:`~repro.aging.snm.read_snm_batch`), with rows that are already
+bracketed masked out of the doubling search. Each row follows exactly
+the arithmetic of a bisection run on its own, so results do not depend
+on the batch. :meth:`CharacterizationFramework.critical_shifts` memoizes
+its results on the framework by ``(p0, time exponent)`` — the prefactor
+does not enter the critical shift — so calibration's p0 = 0.5 solve is
+reused by its self-check and by the lifetime table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.aging.devices import MOSFETParams
 from repro.aging.nbti import NBTIModel
-from repro.aging.snm import HalfCell, read_snm
+from repro.aging.snm import HalfCell, read_snm_batch
 from repro.errors import CalibrationError, ModelError
 from repro.utils.units import seconds_to_years, years_to_seconds
 
@@ -118,6 +130,7 @@ class CharacterizationFramework:
         self.cell = cell if cell is not None else SRAMCellSpec()
         self.snm_samples = snm_samples
         self.nbti = nbti if nbti is not None else NBTIModel()
+        self._critical: dict[tuple[float, float], tuple[float, float]] = {}
         self._snm_fresh = self.snm(0.0, 0.0)
         if self._snm_fresh <= 0:
             raise ModelError(
@@ -141,8 +154,19 @@ class CharacterizationFramework:
 
     def snm(self, delta_vth_a: float, delta_vth_b: float) -> float:
         """Read SNM with the given pull-up degradations annotated."""
-        half_a, half_b = self.cell.half_cells(delta_vth_a, delta_vth_b)
-        return read_snm(half_a, half_b, self.cell.vdd, samples=self.snm_samples)
+        return float(self.snms([delta_vth_a], [delta_vth_b])[0])
+
+    def snms(
+        self,
+        deltas_a: Sequence[float] | np.ndarray,
+        deltas_b: Sequence[float] | np.ndarray,
+    ) -> np.ndarray:
+        """Read SNM for each pair of pull-up degradations, in one batch."""
+        cells = [
+            self.cell.half_cells(float(delta_a), float(delta_b))
+            for delta_a, delta_b in zip(deltas_a, deltas_b, strict=True)
+        ]
+        return read_snm_batch(cells, self.cell.vdd, samples=self.snm_samples)
 
     # ------------------------------------------------------------------
     # Pre-stress phase
@@ -159,13 +183,18 @@ class CharacterizationFramework:
             raise ModelError(f"p0 must be in [0,1], got {p0}")
         return 1.0 - p0, p0
 
-    def snm_at(self, t_years: float, p0: float = 0.5, psleep: float = 0.0) -> float:
-        """Read SNM after ``t_years`` of operation under the given profile."""
+    def _shifts_at(self, t_years: float, p0: float, psleep: float) -> tuple[float, float]:
+        """Pull-up shifts after ``t_years`` of operation under the profile."""
         duty_a, duty_b = self.device_duties(p0)
         t = years_to_seconds(t_years)
-        shift_a = self.nbti.delta_vth(t, duty_a, psleep)
-        shift_b = self.nbti.delta_vth(t, duty_b, psleep)
-        return self.snm(float(shift_a), float(shift_b))
+        return (
+            float(self.nbti.delta_vth(t, duty_a, psleep)),
+            float(self.nbti.delta_vth(t, duty_b, psleep)),
+        )
+
+    def snm_at(self, t_years: float, p0: float = 0.5, psleep: float = 0.0) -> float:
+        """Read SNM after ``t_years`` of operation under the given profile."""
+        return self.snm(*self._shifts_at(t_years, p0, psleep))
 
     def aging_curve(
         self,
@@ -174,12 +203,15 @@ class CharacterizationFramework:
         horizon_years: float = 12.0,
         points: int = 25,
     ) -> CellAgingCurve:
-        """Sample SNM(t) and report the lifetime for one stress profile."""
+        """Sample SNM(t) and report the lifetime for one stress profile.
+
+        Every time sample is solved in one batch.
+        """
         times = np.linspace(0.0, horizon_years, points)
-        snms = np.array([self.snm_at(float(t), p0, psleep) for t in times])
+        shifts = [self._shifts_at(float(t), p0, psleep) for t in times]
         return CellAgingCurve(
             times_years=times,
-            snm_volts=snms,
+            snm_volts=self.snms([a for a, _ in shifts], [b for _, b in shifts]),
             snm_fresh=self._snm_fresh,
             lifetime_years=self.lifetime_years(p0, psleep),
         )
@@ -187,11 +219,11 @@ class CharacterizationFramework:
     # ------------------------------------------------------------------
     # Lifetime
     # ------------------------------------------------------------------
-    def critical_shift(self, p0: float = 0.5) -> tuple[float, float]:
-        """Pull-up shifts (ΔVth_a, ΔVth_b) at which the SNM hits −20%.
+    def _shift_ratios(self, p0: float) -> tuple[float, float]:
+        """Fixed ratio of the two pull-up shifts at ``p0``, the larger 1.
 
         Because both devices follow ``(α·t)^n``, their shifts stay in the
-        fixed ratio ``(duty_a/duty_b)^n``; this bisects the common scale.
+        ratio ``(duty_a/duty_b)^n`` at every time.
         """
         duty_a, duty_b = self.device_duties(p0)
         n = self.nbti.time_exponent
@@ -200,28 +232,79 @@ class CharacterizationFramework:
         norm = max(ratio_a, ratio_b)
         if norm == 0.0:
             raise ModelError("both devices unstressed; lifetime is infinite")
-        ratio_a /= norm
-        ratio_b /= norm
-        target = self.snm_failure_threshold
+        return ratio_a / norm, ratio_b / norm
 
-        # Bracket the failing scale.
-        hi = 0.05
-        while self.snm(hi * ratio_a, hi * ratio_b) > target:
-            hi *= 2.0
-            if hi > self.cell.vdd:
+    def failing_scales(
+        self,
+        ratio_a: np.ndarray,
+        ratio_b: np.ndarray,
+        *,
+        offset: np.ndarray | float = 0.0,
+        hi: float = 0.05,
+        bracket: bool = True,
+        iters: int = 60,
+    ) -> np.ndarray:
+        """Scale at which each row's read SNM falls to the failure threshold.
+
+        Row ``r`` annotates the pull-up shifts ``offset[r] + s·ratio_a[r]``
+        and ``offset[r] + s·ratio_b[r]``; its SNM must decrease in ``s``.
+        All rows bisect ``[0, hi]`` ``iters`` times in lockstep, one
+        batched SNM solve per step. With ``bracket``, each row's upper
+        end first doubles from ``hi`` until the row fails there; rows
+        already bracketed are masked out of later doubling solves.
+        """
+        target = self.snm_failure_threshold
+        offsets = np.broadcast_to(np.asarray(offset, dtype=float), ratio_a.shape)
+
+        def survives(scale: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            shift_a = offsets[rows] + scale * ratio_a[rows]
+            shift_b = offsets[rows] + scale * ratio_b[rows]
+            return self.snms(shift_a, shift_b) > target
+
+        upper = np.full(ratio_a.shape, hi)
+        pending = np.arange(upper.size) if bracket else np.arange(0)
+        while pending.size:
+            pending = pending[survives(upper[pending], pending)]
+            upper[pending] *= 2.0
+            if np.any(upper > self.cell.vdd):
                 raise CalibrationError(
                     "SNM never degrades to the failure threshold; "
                     "cell model is insensitive to pull-up Vth"
                 )
-        lo = 0.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self.snm(mid * ratio_a, mid * ratio_b) > target:
-                lo = mid
-            else:
-                hi = mid
-        scale = 0.5 * (lo + hi)
-        return scale * ratio_a, scale * ratio_b
+        every = np.arange(upper.size)
+        lower = np.zeros_like(upper)
+        for _ in range(iters):
+            mid = 0.5 * (lower + upper)
+            alive = survives(mid, every)
+            lower = np.where(alive, mid, lower)
+            upper = np.where(alive, upper, mid)
+        return 0.5 * (lower + upper)
+
+    def critical_shifts(
+        self, p0s: Sequence[float] | np.ndarray
+    ) -> list[tuple[float, float]]:
+        """Pull-up shifts (ΔVth_a, ΔVth_b) at which the SNM hits −20%, per p0.
+
+        The shifts at one ``p0`` keep the fixed ratio of
+        :meth:`_shift_ratios`, so each ``p0`` needs one common scale,
+        bracketed by doubling from 0.05 V and bisected 60 times. Every
+        ``p0`` not yet memoized is solved together by
+        :meth:`failing_scales`; results are memoized by
+        ``(p0, time exponent)``.
+        """
+        exponent = self.nbti.time_exponent
+        keys = [(float(p0), exponent) for p0 in p0s]
+        todo = [key for key in dict.fromkeys(keys) if key not in self._critical]
+        if todo:
+            ratios = np.array([self._shift_ratios(p0) for p0, _ in todo])
+            scales = self.failing_scales(ratios[:, 0], ratios[:, 1])
+            for key, (ratio_a, ratio_b), scale in zip(todo, ratios, scales):
+                self._critical[key] = (float(scale * ratio_a), float(scale * ratio_b))
+        return [self._critical[key] for key in keys]
+
+    def critical_shift(self, p0: float = 0.5) -> tuple[float, float]:
+        """Pull-up shifts (ΔVth_a, ΔVth_b) at which the SNM hits −20%."""
+        return self.critical_shifts([p0])[0]
 
     def lifetime_years(self, p0: float = 0.5, psleep: float = 0.0) -> float:
         """Years until the read SNM has degraded by 20%.

@@ -12,11 +12,17 @@ any common current factor.
 
 All functions broadcast over their voltage arguments (gate and drain may
 both be numpy arrays), so the butterfly solver can bisect hundreds of
-bias points at once.
+bias points at once. They also accept :class:`MOSFETRows` — one device
+per row of a ``(rows, samples)`` bias array — so the solver can bisect
+the transfer curves of many differently-aged devices in lockstep. The
+currents are computed element-wise with the same float operations either
+way, so a row of a batched evaluation is bit-identical to evaluating
+that row's :class:`MOSFETParams` alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +64,29 @@ class MOSFETParams:
         return MOSFETParams(k=self.k, vth=self.vth + delta)
 
 
+@dataclass(frozen=True)
+class MOSFETRows:
+    """Square-law parameters of several devices, one per solver row.
+
+    ``k`` and ``vth`` are ``(rows, 1)`` columns, so they broadcast against
+    ``(rows, samples)`` bias arrays: row ``r`` of a current is the current
+    of device ``r`` at that row's biases.
+    """
+
+    k: np.ndarray
+    vth: np.ndarray
+
+    @classmethod
+    def stack(cls, devices: Sequence[MOSFETParams]) -> "MOSFETRows":
+        """Stack validated devices into per-row parameter columns."""
+        return cls(
+            k=np.array([device.k for device in devices], dtype=float)[:, None],
+            vth=np.array([device.vth for device in devices], dtype=float)[:, None],
+        )
+
+
 def nmos_current(
-    params: MOSFETParams,
+    params: MOSFETParams | MOSFETRows,
     vgs: np.ndarray | float,
     vds: np.ndarray | float,
 ) -> np.ndarray:
@@ -68,18 +95,15 @@ def nmos_current(
     Square-law: cut-off for ``vgs <= vth``; triode for ``vds < vgs - vth``;
     saturation otherwise. Broadcasts over both arguments.
     """
-    vgs_arr, vds_arr = np.broadcast_arrays(
-        np.asarray(vgs, dtype=float), np.asarray(vds, dtype=float)
-    )
-    vov = np.clip(vgs_arr - params.vth, 0.0, None)
-    vds_c = np.clip(vds_arr, 0.0, None)
+    vov = np.maximum(np.asarray(vgs, dtype=float) - params.vth, 0.0)
+    vds_c = np.maximum(np.asarray(vds, dtype=float), 0.0)
     triode = params.k * (vov * vds_c - 0.5 * vds_c**2)
     sat = 0.5 * params.k * vov**2
     return np.where(vds_c < vov, triode, sat)
 
 
 def pmos_current(
-    params: MOSFETParams,
+    params: MOSFETParams | MOSFETRows,
     vdd: float,
     vg: np.ndarray | float,
     vd: np.ndarray | float,
@@ -91,18 +115,15 @@ def pmos_current(
     current flowing *into* the output node (from the supply). Broadcasts
     over both voltage arguments.
     """
-    vg_arr, vd_arr = np.broadcast_arrays(
-        np.asarray(vg, dtype=float), np.asarray(vd, dtype=float)
-    )
-    vov = np.clip((vdd - vg_arr) - params.vth, 0.0, None)
-    vsd = np.clip(vdd - vd_arr, 0.0, None)
+    vov = np.maximum((vdd - np.asarray(vg, dtype=float)) - params.vth, 0.0)
+    vsd = np.maximum(vdd - np.asarray(vd, dtype=float), 0.0)
     triode = params.k * (vov * vsd - 0.5 * vsd**2)
     sat = 0.5 * params.k * vov**2
     return np.where(vsd < vov, triode, sat)
 
 
 def access_nmos_current(
-    params: MOSFETParams,
+    params: MOSFETParams | MOSFETRows,
     vbl: float,
     vnode: np.ndarray | float,
 ) -> np.ndarray:
@@ -115,6 +136,5 @@ def access_nmos_current(
     exceeds ``vgs - vth`` for any positive threshold), source-referenced
     at the storage node.
     """
-    vnode_arr = np.asarray(vnode, dtype=float)
-    vov = np.clip(vbl - vnode_arr - params.vth, 0.0, None)
+    vov = np.maximum(vbl - np.asarray(vnode, dtype=float) - params.vth, 0.0)
     return 0.5 * params.k * vov**2

@@ -104,24 +104,16 @@ class VariationModel:
         fw = self.framework
         span = max(4.0 * self.sigma_vth, 0.04)
         offsets = np.linspace(0.0, span, points)
-        target = fw.snm_failure_threshold
 
-        crits = []
-        for offset in offsets:
-            # Bisect the additional NBTI shift that kills a cell whose
-            # pull-ups start at vth + offset.
-            lo, hi = 0.0, 1.0
-            if fw.snm(offset, offset) <= target:
-                crits.append(0.0)
-                continue
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if fw.snm(offset + mid, offset + mid) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            crits.append(0.5 * (lo + hi))
-        crits_arr = np.asarray(crits)
+        # Bisect, for every offset at once, the additional NBTI shift that
+        # kills a cell whose pull-ups start at vth + offset; a cell already
+        # below the threshold at birth has none left.
+        alive = fw.snms(offsets, offsets) > fw.snm_failure_threshold
+        both = np.ones(int(alive.sum()))
+        crits_arr = np.zeros(points)
+        crits_arr[alive] = fw.failing_scales(
+            both, both, offset=offsets[alive], hi=1.0, bracket=False, iters=40
+        )
         reference = crits_arr[0]
         if reference <= 0:
             raise ModelError("nominal cell fails at time zero")

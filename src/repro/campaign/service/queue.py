@@ -33,12 +33,17 @@ the tests assert exactly that across concurrent drains.
 delegates to; ``workers > 1`` fans complete claim→simulate→commit loops
 out over a process pool (state shipped via the pool initializer, as
 everywhere else in the tree), while each worker may additionally use
-``parallel=M`` to shard its own streaming passes.
+``parallel=M`` to shard its own streaming passes. The pool forks, except
+from a process with other threads running — the campaign server, whose
+handler threads query the SQLite index — where it spawns: a forked
+child inherits every lock held at that instant, including SQLite's own
+mutexes, and would block on the first one forever.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import socket
 import threading
@@ -511,8 +516,10 @@ def drain_campaign(
     from repro.core.engine import custom_engines
     from repro.core.metrics import custom_metrics, custom_templates
 
+    threaded = threading.active_count() > 1
     with ProcessPoolExecutor(
         max_workers=workers,
+        mp_context=multiprocessing.get_context("spawn") if threaded else None,
         initializer=_init_drain_worker,
         initargs=(
             spec.to_dict(),

@@ -721,7 +721,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_eval.add_argument(
         "--benchmarks",
-        default="dijkstra,susan,adpcm.dec",
+        default="dijkstra,sha,adpcm.dec",
         help="comma-separated benchmark workloads",
     )
     p_eval.add_argument("--size", type=int, default=16, help="cache size in kB")

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The lifetime LUT and characterization framework are expensive to build
-(butterfly-curve bisection), so they are session-scoped; everything else
-is cheap and constructed per test.
+The characterization framework and lifetime LUT cost about a second to
+build (lockstep butterfly-curve bisection), so they are session-scoped
+and the LUT reuses the framework's memoized critical shifts; everything
+else is cheap and constructed per test.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from repro.aging.cell import CharacterizationFramework
 from repro.aging.lut import LifetimeLUT
 from repro.cache.geometry import CacheGeometry
 from repro.trace.trace import Trace
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: an end-to-end run of a full --quick table (tens of seconds)"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.aging.lifetime import (
     cache_lifetime_years,
 )
 from repro.aging.lut import LifetimeLUT
+from repro.aging.variation import VariationModel
 from repro.errors import ModelError
 
 
@@ -120,6 +123,73 @@ class TestLifetimeLUT:
 
     def test_default_is_memoised(self):
         assert LifetimeLUT.default() is LifetimeLUT.default()
+
+
+class TestCharacterizationPins:
+    """The lockstep characterization reproduces the one-p0-at-a-time
+    bisection bit for bit: lifetimes derived from the LUT are written
+    into store records and the SQLite index."""
+
+    LUT_SHA256 = "3832f1152ca565ad020b01a18a59651da18f2b0d18c0e5d2c3524a52c3174483"
+    PREFACTOR = "0x1.beba60b1302ebp-7"
+    VARIATION_SCALES = (
+        "0x1.0000000000000p+0",
+        "0x1.b5a62c3399916p-1",
+        "0x1.7485ad797a79ep-1",
+        "0x1.3bae1ab60d0f5p-1",
+        "0x1.0a41e2f5a7ebbp-1",
+        "0x1.beea94e9dd485p-2",
+        "0x1.751adda0d360cp-2",
+    )
+    AGING_CURVE_SNM = (
+        "0x1.c62f6a1a3cccdp-3",
+        "0x1.7be925afb0ccdp-3",
+        "0x1.718c49359e666p-3",
+        "0x1.6adafb5878000p-3",
+        "0x1.6497b40ca2667p-3",
+        "0x1.6150f2150199ap-3",
+        "0x1.5e2f536184000p-3",
+        "0x1.5ac68d7370ccdp-3",
+        "0x1.579d409db8000p-3",
+        "0x1.54846c42f6667p-3",
+        "0x1.5223cef750000p-3",
+        "0x1.50d9482728000p-3",
+        "0x1.4da0217623333p-3",
+    )
+
+    def test_default_lut_table_bytes(self):
+        table = LifetimeLUT.default().table
+        assert hashlib.sha256(table.tobytes()).hexdigest() == self.LUT_SHA256
+
+    def test_calibrated_prefactor(self, framework):
+        assert framework.nbti.prefactor.hex() == self.PREFACTOR
+
+    def test_variation_scales(self, framework):
+        model = VariationModel(framework)
+        # The default grid: 7 offsets over [0, 40 mV]; interpolation at
+        # the grid points returns the tabulated scales exactly.
+        scales = model.lifetime_scale(np.linspace(0.0, 0.04, 7))
+        assert tuple(float(s).hex() for s in scales) == self.VARIATION_SCALES
+
+    def test_aging_curve_snm(self, framework):
+        curve = framework.aging_curve(points=13)
+        assert tuple(float(s).hex() for s in curve.snm_volts) == self.AGING_CURVE_SNM
+
+    def test_default_lut_bisects_balanced_p0_once(self, monkeypatch):
+        """Calibration's p0 = 0.5 bisection is reused by its self-check
+        and by the table row: 11 bisections for 11 p0 values."""
+        rows = []
+        bisect = CharacterizationFramework.failing_scales
+
+        def spy(self, ratio_a, ratio_b, **kwargs):
+            rows.extend(zip(ratio_a.tolist(), ratio_b.tolist()))
+            return bisect(self, ratio_a, ratio_b, **kwargs)
+
+        monkeypatch.setattr(CharacterizationFramework, "failing_scales", spy)
+        lut = LifetimeLUT()
+        # p0 = 0.5 is the only profile whose two pull-ups age alike.
+        assert rows.count((1.0, 1.0)) == 1
+        assert len(rows) == lut.p0_grid.size
 
 
 class TestLinearizedModel:

@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aging.cell import SRAMCellSpec
-from repro.aging.snm import butterfly_curves, read_snm
+from repro.aging.devices import MOSFETParams
+from repro.aging.snm import butterfly_curves, read_snm, read_snm_batch
 from repro.errors import ModelError
 
 SPEC = SRAMCellSpec()
+#: A non-default cell: lower supply, weaker pull-up, stronger driver.
+ALT_SPEC = SRAMCellSpec(
+    vdd=1.0,
+    pull_up=MOSFETParams(k=0.8, vth=0.35),
+    pull_down=MOSFETParams(k=3.0, vth=0.28),
+    access=MOSFETParams(k=1.2, vth=0.31),
+)
 
 
 class TestButterflyCurves:
@@ -89,3 +99,25 @@ class TestReadSNM:
         coarse = read_snm(*SPEC.half_cells(0.1, 0.1), SPEC.vdd, samples=161)
         fine = read_snm(*SPEC.half_cells(0.1, 0.1), SPEC.vdd, samples=321)
         assert coarse == pytest.approx(fine, abs=1.5e-3)
+
+
+class TestBatchSolver:
+    shifts = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(shifts, shifts), min_size=1, max_size=5),
+        samples=st.sampled_from([101, 161, 201, 321]),
+        spec=st.sampled_from([SPEC, ALT_SPEC]),
+    )
+    def test_batch_rows_equal_one_row_solves(self, pairs, samples, spec):
+        """Row r of a k-cell batch is bit-identical to solving cell r alone."""
+        cells = [spec.half_cells(a, b) for a, b in pairs]
+        batch = read_snm_batch(cells, spec.vdd, samples=samples)
+        alone = [read_snm(*cell, spec.vdd, samples=samples) for cell in cells]
+        assert [float(v).hex() for v in batch] == [v.hex() for v in alone]
+
+    def test_empty_batch(self):
+        assert read_snm_batch([], SPEC.vdd).shape == (0,)
+        with pytest.raises(ModelError):
+            read_snm_batch([], SPEC.vdd, samples=4)

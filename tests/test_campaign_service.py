@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+import repro.campaign.service.queue as queue_module
 from repro.campaign import (
     CampaignSpec,
     CampaignStore,
@@ -351,6 +352,33 @@ class TestDrain:
     def test_workers_require_directory(self):
         with pytest.raises(ConfigurationError, match="directory-backed"):
             run_campaign(small_campaign(), workers=1)
+
+    def test_pool_spawns_while_other_threads_run(self, tmp_path, monkeypatch):
+        """A forked worker would inherit locks (SQLite's among them) held
+        by the caller's other threads; with threads running the pool
+        spawns, and its records equal a single-threaded drain's."""
+        contexts = []
+        pool = queue_module.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(queue_module, "ProcessPoolExecutor", spy)
+        spec = small_campaign()
+        drain_campaign(spec, tmp_path / "plain.d", workers=2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            drain_campaign(spec, tmp_path / "threaded.d", workers=2)
+        finally:
+            release.set()
+            other.join()
+        assert contexts[-1].get_start_method() == "spawn"
+        assert CampaignStore(tmp_path / "threaded.d").where() == (
+            CampaignStore(tmp_path / "plain.d").where()
+        )
 
     def test_streaming_traces_drain_through_the_queue(self, tmp_path):
         streaming = CampaignSpec(

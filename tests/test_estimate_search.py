@@ -491,6 +491,13 @@ class TestCli:
         assert report["points_per_workload"] == 4
         assert "hit_rate" in report["overall"]
 
+    def test_estimate_validate_default_benchmarks(self, capsys):
+        """The default --benchmarks list names only known workloads."""
+        assert main(["estimate", "validate", "--windows", "10", "--banks", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["workloads"]) == 3
+        assert report["points_per_workload"] == 1
+
     def test_campaign_run_strategy_flag(self, tmp_path, capsys):
         spec = guided_spec()
         path = tmp_path / "spec.json"
