@@ -23,7 +23,6 @@ setup(
     package_data={"repro": ["py.typed"], "repro.kernels": ["*.c"]},
     install_requires=["numpy"],
     extras_require={
-        "compiled": ["numba"],
         "lint": ["mypy>=1.8"],
         "test": ["pytest", "hypothesis"],
     },

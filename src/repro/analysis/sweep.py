@@ -356,15 +356,15 @@ def stream_sweep(
     never the trace length — and every result is bit-identical to
     :func:`sweep` on the materialized trace (the streaming fuzz suite
     holds the two together). Engines join via the streaming
-    capabilities documented on :class:`~repro.core.engine.Engine`.
+    capability documented on :class:`~repro.core.engine.Engine`.
 
     ``parallel=N`` shards the single pass across ``N`` worker
     processes by set/bank partition (see
     :func:`repro.core.streamsim.stream_selected`); results stay
     bit-identical to the serial pass. When the pass cannot be sharded
-    (engine without shard support, or a stream that neither pickles
-    nor came from a factory) a :class:`~repro.errors.ReproWarning` is
-    emitted and the serial single pass runs instead.
+    (a stream that neither pickles nor came from a factory) a
+    :class:`~repro.errors.ReproWarning` is emitted and the serial
+    single pass runs instead.
     """
     from repro.core.streamsim import stream_selected
 

@@ -154,7 +154,14 @@ def _cmd_arch(args: argparse.Namespace) -> int:
 
 def _cmd_engines(args: argparse.Namespace) -> int:
     from repro.core.engine import registered_engines, supports_streaming
+    from repro.errors import SimulationError
+    from repro.kernels import dispatch
 
+    try:
+        active = dispatch.active_backend()
+    except SimulationError as error:  # e.g. a bogus REPRO_KERNELS value
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print("registered simulation engines (select with --engine):")
     print(f"  {'auto':<12} highest-priority auto-eligible engine "
           "supporting the configuration")
@@ -172,19 +179,16 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         requires = getattr(engine, "requires", "")
         if requires:
             print(f"  {'':<12} requires {requires}")
-    from repro.kernels import dispatch
-
-    compiled = dispatch.compiled_backend()
-    print("kernel backends (compiled engine dispatch):")
+    print("kernel backends (compiled engine dispatch; pin with REPRO_KERNELS):")
     for name, reason in dispatch.backend_status().items():
         if reason is None:
-            marker = " (selected)" if name == (compiled or "numpy") else ""
+            marker = " (selected)" if name == active else ""
             print(f"  {name:<12} available{marker}")
         else:
             print(f"  {name:<12} unavailable: {reason}")
-    if compiled is None:
+    if dispatch.compiled_backend() is None:
         print("  no compiled backend loadable; the 'compiled' engine "
-              "falls back to numpy")
+              "runs on numpy")
     return 0
 
 

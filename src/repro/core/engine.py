@@ -81,18 +81,16 @@ class Engine:
     ``run_group(configs, trace, lut=None, plan=None)`` (see
     :class:`~repro.core.fastsim.FastEngine`).
 
-    Engines that can simulate chunked (out-of-core) traces expose
-    *streaming capabilities*, likewise duck-typed and
-    ``supports()``-gated at dispatch:
-
-    * ``run_streaming(config, stream, lut=None)`` — simulate one
-      configuration from a :class:`~repro.trace.stream.TraceStream`;
-    * ``run_streaming_group(configs, stream, lut=None)`` — one pass for
-      a breakeven-only group;
-    * ``open_stream_cursor(configs, plan)`` — a carried-state cursor
-      (``process(plan)`` per chunk, ``finalize(horizon, name, lut)``)
-      letting :func:`~repro.core.streamsim.stream_selected` evaluate
-      many grid points in a single pass over the stream.
+    Engines that can simulate chunked (out-of-core) traces expose one
+    *streaming capability*, likewise duck-typed and ``supports()``-gated
+    at dispatch: ``open_stream_cursor(configs, plan, shard=None)``
+    returns a carried-state cursor for a breakeven-only group
+    (``process(plan)`` per chunk, then ``finalize(horizon, name, lut)``,
+    or ``finalize_partial(horizon)`` for a ``(index, count)`` shard of
+    a parallel pass). :func:`~repro.core.streamsim.simulate_stream` and
+    :func:`~repro.core.streamsim.stream_selected` drive every streamed
+    simulation through it, the latter evaluating many grid points in a
+    single pass over the stream.
 
     :func:`supports_streaming` is the capability query; engines without
     it fail loudly on streaming entry points instead of silently
@@ -266,8 +264,8 @@ def validate_engine(engine: str) -> None:
 
 
 def supports_streaming(engine: Engine) -> bool:
-    """Whether ``engine`` exposes the ``run_streaming`` capability."""
-    return callable(getattr(engine, "run_streaming", None))
+    """Whether ``engine`` exposes the ``open_stream_cursor`` capability."""
+    return callable(getattr(engine, "open_stream_cursor", None))
 
 
 def result_family(engine: str) -> str:

@@ -307,27 +307,32 @@ def run_breakeven_group(
 class FastEngine(Engine):
     """Registry adapter for :class:`FastSimulator`.
 
-    Highest-priority ``auto`` candidate: it covers every
-    :class:`~repro.core.config.ArchitectureConfig` and is bit-identical
-    to the reference oracle. Also exposes the breakeven-group batched
-    fast path through ``run_group``, which the sweep engine uses to
-    evaluate a whole ``breakeven_override`` axis from one gap
-    computation.
+    Covers every :class:`~repro.core.config.ArchitectureConfig` and is
+    bit-identical to the reference oracle. Also exposes the
+    breakeven-group batched fast path through ``run_group``, which the
+    sweep engine uses to evaluate a whole ``breakeven_override`` axis
+    from one gap computation, and the streaming capability
+    ``open_stream_cursor`` (see :mod:`repro.core.streamsim`).
+
+    The kernel backend is plain data: ``backend`` is passed to every
+    kernel call, and ``None`` means the dispatcher's active backend
+    (``REPRO_KERNELS``, else the best available). Two instances are
+    registered: ``fast`` on ``backend="numpy"`` — the stable
+    differential anchor — and ``compiled`` on ``backend=None`` (see
+    :mod:`repro.kernels.engine`).
     """
 
-    name = "fast"
-    description = "vectorized numpy engine, bit-identical to the reference"
-    priority = 10
-
-    #: The fast engine always runs the pure-numpy kernels — it is the
-    #: stable differential anchor the compiled engine is pinned
-    #: against (see repro.kernels.engine.CompiledEngine).
-    backend = "numpy"
-
-    #: Streaming passes of this engine can be sharded across worker
-    #: processes by set/bank partition (see
-    #: repro.core.streamsim.stream_selected).
-    supports_stream_shards = True
+    def __init__(
+        self,
+        name: str = "fast",
+        backend: str | None = "numpy",
+        priority: int = 10,
+        description: str = "vectorized numpy engine, bit-identical to the reference",
+    ) -> None:
+        self.name = name
+        self.backend = backend
+        self.priority = priority
+        self.description = description
 
     def supports(self, config) -> bool:
         return isinstance(config, ArchitectureConfig)
@@ -335,33 +340,17 @@ class FastEngine(Engine):
     def run(self, config, trace, lut=None, plan=None):
         return FastSimulator(config, lut, plan=plan, backend=self.backend).run(trace)
 
-    @staticmethod
-    def run_group(configs, trace, lut=None, plan=None):
+    def run_group(self, configs, trace, lut=None, plan=None):
         """Batched evaluation of a breakeven-only config group."""
-        return run_breakeven_group(configs, trace, lut=lut, plan=plan, backend="numpy")
+        return run_breakeven_group(
+            configs, trace, lut=lut, plan=plan, backend=self.backend
+        )
 
-    # -- streaming capabilities (see repro.core.streamsim) -------------
-    @staticmethod
-    def run_streaming(config, stream, lut=None, plan=None):
-        """Out-of-core simulation from a chunked trace stream."""
-        from repro.core.streamsim import run_streaming
-
-        return run_streaming(config, stream, lut=lut, plan=plan, backend="numpy")
-
-    @staticmethod
-    def run_streaming_group(configs, stream, lut=None, plan=None):
-        """One streamed pass for a whole breakeven-only group."""
-        from repro.core.streamsim import run_streaming_group
-
-        return run_streaming_group(configs, stream, lut=lut, plan=plan, backend="numpy")
-
-    @staticmethod
-    def open_stream_cursor(configs, plan, shard=None):
+    def open_stream_cursor(self, configs, plan, shard=None):
         """Carried-state cursor for single-pass multi-group evaluation."""
         from repro.core.streamsim import StreamCursor
 
-        return StreamCursor(configs, plan, backend="numpy", shard=shard)
+        return StreamCursor(configs, plan, backend=self.backend, shard=shard)
 
 
 register_engine(FastEngine())
-

@@ -31,11 +31,13 @@ breakevens and adversarial chunk sizes), while peak memory is bounded
 by the chunk size, not the trace length
 (``benchmarks/bench_stream.py`` measures it).
 
-Entry points: :func:`run_streaming` / :func:`run_streaming_group`
-(exposed as capabilities on the fast engine — see
-:class:`~repro.core.fastsim.FastEngine`), :func:`simulate_stream` (the
-dispatching front-end mirroring
-:func:`~repro.core.simulator.simulate`), and
+An engine streams through one capability,
+``open_stream_cursor(configs, plan, shard=None)``, which returns a
+:class:`StreamCursor` (the fast engine's — see
+:class:`~repro.core.fastsim.FastEngine`). Entry points:
+:func:`run_streaming` / :func:`run_streaming_group` (one pass on a
+given kernel backend), :func:`simulate_stream` (the dispatching
+front-end mirroring :func:`~repro.core.simulator.simulate`), and
 :func:`stream_selected` (single-pass evaluation of many grid points,
 used by :func:`~repro.analysis.sweep.stream_sweep` and the campaign
 runner).
@@ -51,8 +53,7 @@ counters reconstruct the serial pass **bit-identically** (the fuzz
 suite pins it). Every worker re-opens the stream (the
 :class:`~repro.trace.stream.TraceStream` contract makes ``chunks()``
 repeatable) and advances its own policy/epoch cursors; when the stream
-cannot travel to workers or an engine lacks the sharding capability,
-the pass falls back to serial with a
+cannot travel to workers, the pass falls back to serial with a
 :class:`~repro.errors.ReproWarning`.
 """
 
@@ -67,7 +68,7 @@ import numpy as np
 
 from repro.aging.lut import LifetimeLUT
 from repro.cache.stats import CacheStats
-from repro.core.engine import resolve_engine, validate_engine
+from repro.core.engine import resolve_engine, supports_streaming, validate_engine
 from repro.core.plan import StreamingPlan, TracePlan
 from repro.core.results import SimulationResult
 from repro.core.simulator import assemble_result
@@ -77,14 +78,12 @@ from repro.power.idleness import BankIdleStats, StreamingGapAccumulator
 from repro.trace.stream import TraceStream
 
 
-class _DirectMappedTracker:
-    """Carried cache-content state of a direct-mapped geometry.
+class _CarriedTracker:
+    """Carried cache-content state, advanced chunk by chunk.
 
-    One tag (plus a valid bit) per set — exactly what a direct-mapped
-    cache remembers — so the adjacent-tag hit rule of the one-shot
-    engine extends across chunk boundaries: the first access of a set
-    within a chunk compares against the carried tag, later ones against
-    their in-chunk predecessor.
+    Subclasses hold the per-set state and implement ``flush`` (an
+    update fired: count the surviving lines, start the epoch cold) and
+    ``_segment`` (advance through one epoch segment's accesses).
 
     ``shard`` is an optional ``(index, count)`` pair restricting the
     tracker to the sets with ``set % count == index`` — the set
@@ -94,14 +93,8 @@ class _DirectMappedTracker:
     """
 
     def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        backend: str | None = None,
-        shard: tuple[int, int] | None = None,
+        self, backend: str | None = None, shard: tuple[int, int] | None = None
     ) -> None:
-        self.tags = np.zeros(num_sets, dtype=np.int64)
-        self.valid = np.zeros(num_sets, dtype=bool)
         self.backend = backend
         self.shard = shard
         self.hits = 0
@@ -109,7 +102,57 @@ class _DirectMappedTracker:
         self._chunk_id = -1
 
     def flush(self) -> None:
-        """An update fired: count surviving lines, start the epoch cold."""
+        raise NotImplementedError
+
+    def _segment(self, index: np.ndarray, tag: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def process_chunk(self, plan: StreamingPlan, config) -> None:
+        """Advance through the current chunk (idempotent per chunk)."""
+        if plan.chunk_id == self._chunk_id:
+            return
+        self._chunk_id = plan.chunk_id
+        geometry = config.geometry
+        index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
+        keep = None
+        if self.shard is not None:
+            worker, count = self.shard
+            keep = (index % count) == worker
+        _, starts = plan.epoch_segments(config)
+        for segment in range(len(starts) - 1):
+            if segment > 0:
+                self.flush()
+            lo, hi = int(starts[segment]), int(starts[segment + 1])
+            if lo < hi:
+                if keep is None:
+                    self._segment(index[lo:hi], tag[lo:hi])
+                else:
+                    mask = keep[lo:hi]
+                    self._segment(index[lo:hi][mask], tag[lo:hi][mask])
+
+
+class _DirectMappedTracker(_CarriedTracker):
+    """Carried cache-content state of a direct-mapped geometry.
+
+    One tag (plus a valid bit) per set — exactly what a direct-mapped
+    cache remembers — so the adjacent-tag hit rule of the one-shot
+    engine extends across chunk boundaries: the first access of a set
+    within a chunk compares against the carried tag, later ones against
+    their in-chunk predecessor.
+    """
+
+    def __init__(
+        self,
+        num_sets: int,
+        ways: int,
+        backend: str | None = None,
+        shard: tuple[int, int] | None = None,
+    ) -> None:
+        super().__init__(backend, shard)
+        self.tags = np.zeros(num_sets, dtype=np.int64)
+        self.valid = np.zeros(num_sets, dtype=bool)
+
+    def flush(self) -> None:
         self.flush_invalidations += int(np.count_nonzero(self.valid))
         self.valid[:] = False
 
@@ -140,31 +183,8 @@ class _DirectMappedTracker:
         self.tags[idx_sorted[last_pos]] = tag_sorted[last_pos]
         self.valid[idx_sorted[last_pos]] = True
 
-    def process_chunk(self, plan: StreamingPlan, config) -> None:
-        """Advance through the current chunk (idempotent per chunk)."""
-        if plan.chunk_id == self._chunk_id:
-            return
-        self._chunk_id = plan.chunk_id
-        geometry = config.geometry
-        index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
-        keep = None
-        if self.shard is not None:
-            worker, count = self.shard
-            keep = (index % count) == worker
-        _, starts = plan.epoch_segments(config)
-        for segment in range(len(starts) - 1):
-            if segment > 0:
-                self.flush()
-            lo, hi = int(starts[segment]), int(starts[segment + 1])
-            if lo < hi:
-                if keep is None:
-                    self._segment(index[lo:hi], tag[lo:hi])
-                else:
-                    mask = keep[lo:hi]
-                    self._segment(index[lo:hi][mask], tag[lo:hi][mask])
 
-
-class _LruTracker:
+class _LruTracker(_CarriedTracker):
     """Carried LRU stacks of a set-associative geometry.
 
     The full ``(num_sets, ways)`` recency stacks are the carried state;
@@ -175,9 +195,6 @@ class _LruTracker:
     from the carried contents instead of cold. Exact for the same
     reason the one-shot walk is: an LRU set's contents are a
     history-independent function of its most recent distinct tags.
-
-    ``shard`` restricts the tracker to its set partition exactly like
-    :class:`_DirectMappedTracker`.
     """
 
     def __init__(
@@ -187,13 +204,8 @@ class _LruTracker:
         backend: str | None = None,
         shard: tuple[int, int] | None = None,
     ) -> None:
-        self.ways = ways
+        super().__init__(backend, shard)
         self.stacks = np.full((num_sets, ways), -1, dtype=np.int64)
-        self.backend = backend
-        self.shard = shard
-        self.hits = 0
-        self.flush_invalidations = 0
-        self._chunk_id = -1
 
     def flush(self) -> None:
         self.flush_invalidations += int(np.count_nonzero(self.stacks != -1))
@@ -206,29 +218,6 @@ class _LruTracker:
         self.hits += kernels.lru_segment(
             index[order], tag[order], self.stacks, backend=self.backend
         )
-
-    def process_chunk(self, plan: StreamingPlan, config) -> None:
-        """Advance through the current chunk (idempotent per chunk)."""
-        if plan.chunk_id == self._chunk_id:
-            return
-        self._chunk_id = plan.chunk_id
-        geometry = config.geometry
-        index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
-        keep = None
-        if self.shard is not None:
-            worker, count = self.shard
-            keep = (index % count) == worker
-        _, starts = plan.epoch_segments(config)
-        for segment in range(len(starts) - 1):
-            if segment > 0:
-                self.flush()
-            lo, hi = int(starts[segment]), int(starts[segment + 1])
-            if lo < hi:
-                if keep is None:
-                    self._segment(index[lo:hi], tag[lo:hi])
-                else:
-                    mask = keep[lo:hi]
-                    self._segment(index[lo:hi][mask], tag[lo:hi][mask])
 
 
 def _hit_tracker(
@@ -485,7 +474,12 @@ def merge_shard_partials(
     return results
 
 
-def _finished_horizon(stream: TraceStream) -> int:
+def _run_pass(stream: TraceStream, plan: StreamingPlan, cursors) -> int:
+    """Advance every cursor over one pass of ``stream``; return its horizon."""
+    for chunk in stream.chunks():
+        plan.begin_chunk(chunk)
+        for cursor in cursors:
+            cursor.process(plan)
     horizon = stream.horizon
     if horizon is None:
         raise SimulationError(
@@ -513,10 +507,7 @@ def run_streaming_group(
         return []
     plan = plan if plan is not None else StreamingPlan()
     cursor = StreamCursor(configs, plan, backend=backend)
-    for chunk in stream.chunks():
-        plan.begin_chunk(chunk)
-        cursor.process(plan)
-    return cursor.finalize(_finished_horizon(stream), stream.name, lut)
+    return cursor.finalize(_run_pass(stream, plan, [cursor]), stream.name, lut)
 
 
 def run_streaming(
@@ -540,20 +531,21 @@ def simulate_stream(
 
     Mirrors :func:`~repro.core.simulator.simulate`, but takes a
     :class:`~repro.trace.stream.TraceStream`. The resolved engine must
-    expose the ``run_streaming`` capability (the fast engine does;
+    expose the ``open_stream_cursor`` capability (the fast engines do;
     ``auto`` therefore streams for every banked configuration); engines
     without it fail loudly rather than silently materializing the
     trace.
     """
     chosen = resolve_engine(engine, config)
-    run = getattr(chosen, "run_streaming", None)
-    if run is None:
+    if not supports_streaming(chosen):
         raise SimulationError(
             f"engine {chosen.name!r} does not support streaming simulation; "
             "materialize the trace (repro.trace.stream.stream_to_trace) or "
-            "pick an engine with the run_streaming capability"
+            "pick an engine with the open_stream_cursor capability"
         )
-    return run(config, stream, lut=lut)
+    plan = StreamingPlan()
+    cursor = chosen.open_stream_cursor([config], plan)
+    return cursor.finalize(_run_pass(stream, plan, [cursor]), stream.name, lut)[0]
 
 
 #: Per-worker shared state for the sharded streaming pass, installed
@@ -616,11 +608,7 @@ def _shard_pass(payload):
         cursors.append(
             (group_id, chosen.open_stream_cursor(configs, plan, shard=(shard_index, shard_count)))
         )
-    for chunk in stream.chunks():
-        plan.begin_chunk(chunk)
-        for _, cursor in cursors:
-            cursor.process(plan)
-    horizon = _finished_horizon(stream)
+    horizon = _run_pass(stream, plan, [cursor for _, cursor in cursors])
     return (
         stream.name,
         horizon,
@@ -628,13 +616,8 @@ def _shard_pass(payload):
     )
 
 
-def _shardable(groups, base, names, combos, engine: str, stream) -> str | None:
+def _shardable(stream) -> str | None:
     """Why the pass cannot shard across processes (``None`` = it can)."""
-    for members in groups.values():
-        config = replace(base, **dict(zip(names, combos[members[0]])))
-        chosen = resolve_engine(engine, config)
-        if not getattr(chosen, "supports_stream_shards", False):
-            return f"engine {chosen.name!r} does not support sharded streaming"
     if not callable(stream):
         try:
             pickle.dumps(stream)
@@ -675,19 +658,17 @@ def stream_selected(
     set/bank partition — each worker runs the full pass over its own
     re-opened stream but tracks only its partition's counters, and the
     parent merges the shard set back into full results, bit-identical
-    to the serial pass. When sharding is impossible (an engine without
-    the capability, or a stream that cannot travel to workers) the
-    pass emits a :class:`~repro.errors.ReproWarning` and runs serially
-    instead of silently ignoring the flag.
+    to the serial pass. When sharding is impossible (a stream that
+    cannot travel to workers) the pass emits a
+    :class:`~repro.errors.ReproWarning` and runs serially instead of
+    silently ignoring the flag.
 
-    The single-pass path requires the resolved engine to expose the
-    ``open_stream_cursor`` capability (the fast engine's). A group
-    whose engine only exposes ``run_streaming`` gets its own pass over
-    the stream — semantically its own engine's, just without the
-    shared-pass economy; an engine with neither capability fails
-    loudly. Results come back in ``combos`` order, bit-identical to
-    the in-memory path, and ``on_result(position, result)`` fires per
-    point after its group finalizes.
+    Every group's resolved engine must expose the
+    ``open_stream_cursor`` capability (the fast engines'); an engine
+    without it fails loudly. Results come back in ``combos`` order,
+    bit-identical to the in-memory path, and
+    ``on_result(position, result)`` fires per point after its group
+    finalizes.
     """
     validate_engine(engine)
     if parallel is not None and parallel < 1:
@@ -699,24 +680,40 @@ def stream_selected(
     groups: dict[int, list[int]] = {}
     for position, group_id in enumerate(group_ids):
         groups.setdefault(group_id, []).append(position)
+    group_configs = {
+        group_id: [
+            replace(base, **dict(zip(names, combos[position])))
+            for position in members
+        ]
+        for group_id, members in groups.items()
+    }
+    engines = {}
+    for group_id, configs in group_configs.items():
+        chosen = resolve_engine(engine, configs[0])
+        if not supports_streaming(chosen):
+            raise SimulationError(
+                f"engine {chosen.name!r} does not support streaming simulation"
+            )
+        engines[group_id] = chosen
 
     shared_lut = lut if lut is not None else LifetimeLUT.default()
+    results: list[SimulationResult | None] = [None] * len(combos)
+
+    def emit(group_id: int, group_results: list[SimulationResult]) -> None:
+        for position, result in zip(groups[group_id], group_results):
+            results[position] = result
+            if on_result is not None:
+                on_result(position, result)
 
     workers = parallel or 1
     if workers > 1:
-        reason = _shardable(groups, base, names, combos, engine, stream)
+        reason = _shardable(stream)
         if reason is None:
-            return _stream_selected_parallel(
-                base,
-                stream,
-                names,
-                combos,
-                groups,
-                shared_lut,
-                engine,
-                on_result,
-                workers,
+            _stream_selected_parallel(
+                base, stream, names, combos, groups, group_configs,
+                shared_lut, engine, emit, workers,
             )
+            return results
         warnings.warn(
             f"parallel={parallel} requested but the streaming pass cannot "
             f"be sharded ({reason}); running the serial single pass",
@@ -726,54 +723,13 @@ def stream_selected(
 
     stream = stream() if callable(stream) else stream
     plan = StreamingPlan()
-    cursors: list[tuple[list[int], StreamCursor]] = []
-    own_pass: list[tuple[list[int], list, object]] = []
-    for members in groups.values():
-        configs = [
-            replace(base, **dict(zip(names, combos[position])))
-            for position in members
-        ]
-        chosen = resolve_engine(engine, configs[0])
-        opener = getattr(chosen, "open_stream_cursor", None)
-        if opener is not None:
-            cursors.append((members, opener(configs, plan)))
-        elif getattr(chosen, "run_streaming", None) is not None:
-            own_pass.append((members, configs, chosen))
-        else:
-            raise SimulationError(
-                f"engine {chosen.name!r} does not support streaming simulation"
-            )
-
-    results: list[SimulationResult | None] = [None] * len(combos)
-
-    def emit(position: int, result: SimulationResult) -> None:
-        results[position] = result
-        if on_result is not None:
-            on_result(position, result)
-
-    if cursors:
-        for chunk in stream.chunks():
-            plan.begin_chunk(chunk)
-            for _, cursor in cursors:
-                cursor.process(plan)
-        horizon = _finished_horizon(stream)
-        for members, cursor in cursors:
-            for position, result in zip(
-                members, cursor.finalize(horizon, stream.name, shared_lut)
-            ):
-                emit(position, result)
-
-    for members, configs, chosen in own_pass:
-        run_group = getattr(chosen, "run_streaming_group", None)
-        if run_group is not None:
-            group_results = run_group(configs, stream, lut=shared_lut)
-        else:
-            group_results = [
-                chosen.run_streaming(config, stream, lut=shared_lut)
-                for config in configs
-            ]
-        for position, result in zip(members, group_results):
-            emit(position, result)
+    cursors = {
+        group_id: engines[group_id].open_stream_cursor(configs, plan)
+        for group_id, configs in group_configs.items()
+    }
+    horizon = _run_pass(stream, plan, cursors.values())
+    for group_id, cursor in cursors.items():
+        emit(group_id, cursor.finalize(horizon, stream.name, shared_lut))
     return results
 
 
@@ -783,20 +739,21 @@ def _stream_selected_parallel(
     names,
     combos,
     groups: dict[int, list[int]],
+    group_configs: dict[int, list],
     lut: LifetimeLUT,
     engine: str,
-    on_result,
+    emit,
     workers: int,
-) -> list[SimulationResult]:
+) -> None:
     """Sharded fan-out of one streaming pass (see :func:`stream_selected`).
 
     Worker ``w`` of ``workers`` runs the full pass but tracks hits
     only for sets with ``set % workers == w`` and gaps only for banks
     with ``bank % workers == w``; the parent merges each group's shard
-    set with :func:`merge_shard_partials` and emits results in
-    ``combos`` order. The stream (or its factory) and the grid travel
-    once per worker through the pool initializer; shard payloads carry
-    only the coordinates and combos.
+    set with :func:`merge_shard_partials` and hands each group's
+    results to ``emit``. The stream (or its factory) and the grid
+    travel once per worker through the pool initializer; shard
+    payloads carry only the coordinates and combos.
     """
     from repro.core.engine import custom_engines
     from repro.core.metrics import custom_metrics, custom_templates
@@ -835,17 +792,10 @@ def _stream_selected_parallel(
         for group_id, partial in items:
             partials_by_group[group_id].append(partial)
 
-    results: list[SimulationResult | None] = [None] * len(combos)
-    for group_id, members in groups.items():
-        configs = [
-            replace(base, **dict(zip(names, combos[position])))
-            for position in members
-        ]
-        merged = merge_shard_partials(
-            configs, partials_by_group[group_id], horizon, stream_name, lut
+    for group_id, configs in group_configs.items():
+        emit(
+            group_id,
+            merge_shard_partials(
+                configs, partials_by_group[group_id], horizon, stream_name, lut
+            ),
         )
-        for position, result in zip(members, merged):
-            results[position] = result
-            if on_result is not None:
-                on_result(position, result)
-    return results

@@ -1,8 +1,8 @@
 """Compiled simulation kernels with a pure-numpy fallback.
 
 Public surface is :mod:`repro.kernels.dispatch` re-exported here; the
-backend modules (``_numpy``, ``_numba``, ``_cext``) are private —
-reprolint REPRO009 rejects importing them outside this package.
+two backend modules (``_numpy`` and ``_cext``) are private — reprolint
+REPRO009 rejects importing them outside this package.
 """
 
 from repro.kernels.dispatch import (

@@ -1,11 +1,11 @@
 """Pure-numpy kernel backend — the always-available fallback.
 
 These are the vectorized implementations the library shipped before the
-compiled backends existed, extracted behind the
+compiled backend existed, extracted behind the
 :mod:`repro.kernels.dispatch` contract so every caller reaches them
-through the same shim as the numba/C variants. They are the *semantic
-anchor*: the differential fuzz suite pins every other backend
-bit-identical to this one, and this one is pinned (transitively,
+through the same shim as the C variants. They are the *semantic
+anchor*: the differential fuzz suite pins the C backend bit-identical
+to this one, and this one is pinned (transitively,
 through :mod:`repro.power.idleness` and the engine tests) to the
 reference simulator.
 

@@ -4,19 +4,20 @@ Every caller outside :mod:`repro.kernels` reaches the kernels through
 this module (reprolint REPRO009 enforces it), so the numpy fallback
 stays load-bearing and backend selection stays a one-line concern:
 
-- ``numba`` — JIT loops, preferred when the optional dependency is
-  importable (install extra ``repro[compiled]``).
-- ``cext`` — the same loops as a C shared library built on demand with
-  the system compiler and loaded via ctypes; preferred when numba is
-  absent but a compiler is present.
+- ``cext`` — the kernels' loops as a C shared library built on demand
+  with the system compiler and loaded via ctypes; preferred whenever
+  it loads.
 - ``numpy`` — the vectorized fallback and semantic anchor; always
   available.
 
 The default backend is the best available, overridable globally with
-the ``REPRO_KERNELS`` environment variable (read at import), with
-:func:`set_backend` / :func:`use_backend`, or per call via each
-kernel's ``backend=`` parameter. All counters are int64 in and out;
-the differential fuzz suite pins every backend bit-identical to numpy.
+the ``REPRO_KERNELS`` environment variable (read on first use, an
+unknown value fails fast), with :func:`set_backend` /
+:func:`use_backend`, or per call via each kernel's ``backend=``
+parameter. The ``compiled`` engine (and so ``auto``) runs on that
+default; the ``fast`` engine always passes ``backend="numpy"``. All
+counters are int64 in and out; the differential fuzz suite pins the
+C backend bit-identical to numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.errors import SimulationError
 from repro.kernels import _numpy
 
 #: Probe order doubles as preference order.
-_PREFERENCE: tuple[str, ...] = ("numba", "cext", "numpy")
+_PREFERENCE: tuple[str, ...] = ("cext", "numpy")
 
 _modules: dict[str, ModuleType] = {"numpy": _numpy}
 _failures: dict[str, str] = {}
@@ -42,17 +43,11 @@ _active: str | None = None
 
 
 def _probe() -> None:
-    """Import optional backends once, recording why each is absent."""
+    """Load the C backend once, recording why it is absent."""
     global _probed
     if _probed:
         return
     _probed = True
-    try:
-        from repro.kernels import _numba
-
-        _modules["numba"] = _numba
-    except Exception as exc:  # numba missing or broken — fall through
-        _failures["numba"] = f"{type(exc).__name__}: {exc}"
     try:
         from repro.kernels import _cext
 
@@ -77,12 +72,9 @@ def backend_status() -> dict[str, str | None]:
 
 
 def compiled_backend() -> str | None:
-    """Best available *compiled* backend name, or ``None``."""
+    """``"cext"`` when the C backend loads, else ``None``."""
     _probe()
-    for name in _PREFERENCE[:-1]:
-        if name in _modules:
-            return name
-    return None
+    return "cext" if "cext" in _modules else None
 
 
 def _default_backend() -> str:

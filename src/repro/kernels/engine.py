@@ -1,77 +1,34 @@
-"""The ``compiled`` engine: fast-engine semantics on compiled kernels.
+"""The ``compiled`` engine: the fast engine on the active kernel backend.
 
+A second :class:`~repro.core.fastsim.FastEngine` instance with
+``backend=None``, so every kernel call goes to the dispatcher's active
+backend: ``REPRO_KERNELS`` when set (an unknown value fails on the
+first simulation), else the C extension when it loads, else numpy.
 Registered unconditionally so the name always resolves; its ``auto``
-priority depends on whether a compiled backend (numba or the on-demand
-C extension) is actually loadable:
+priority depends on whether the C backend loads:
 
-* compiled backend available → priority 20, above ``fast`` (10), so
+* C backend available → priority 20, above ``fast`` (10), so
   ``engine="auto"`` picks it up;
 * numpy-only environment → priority 5, below ``fast``: the engine
-  still runs (graceful fallback through the dispatch shim) but
-  ``auto`` keeps selecting the plain numpy engine.
+  still runs, but ``auto`` keeps selecting the plain numpy engine.
 
 Same ``family="banked"`` as ``fast``/``reference`` — the differential
-fuzz suite pins every backend bit-identical, so results share store
+fuzz suite pins both backends bit-identical, so results share store
 records.
 """
 
 from __future__ import annotations
 
 from repro.core.engine import register_engine
-from repro.core.fastsim import FastEngine, FastSimulator, run_breakeven_group
+from repro.core.fastsim import FastEngine
 from repro.kernels import dispatch
 
-#: Best available compiled backend at import, or ``None``. Resolved
-#: once per process; worker processes re-resolve on their own import.
-BACKEND: str | None = dispatch.compiled_backend()
-
-
-class CompiledEngine(FastEngine):
-    """Fast-engine adapter running on the best compiled kernel backend."""
-
-    name = "compiled"
-    description = (
-        f"fast-engine semantics on compiled kernels (backend: {BACKEND})"
-        if BACKEND
-        else "fast-engine semantics on compiled kernels (no compiled "
-        "backend available; falling back to numpy)"
+register_engine(
+    FastEngine(
+        name="compiled",
+        backend=None,
+        priority=20 if dispatch.compiled_backend() else 5,
+        description="fast-engine semantics on the active kernel backend "
+        "(REPRO_KERNELS, else the best available)",
     )
-    priority = 20 if BACKEND else 5
-    family = "banked"
-
-    def run(self, config, trace, lut=None, plan=None):
-        return FastSimulator(config, lut, plan=plan, backend=BACKEND).run(trace)
-
-    @staticmethod
-    def run_group(configs, trace, lut=None, plan=None):
-        """Batched evaluation of a breakeven-only config group."""
-        return run_breakeven_group(
-            configs, trace, lut=lut, plan=plan, backend=BACKEND
-        )
-
-    # -- streaming capabilities (see repro.core.streamsim) -------------
-    @staticmethod
-    def run_streaming(config, stream, lut=None, plan=None):
-        """Out-of-core simulation from a chunked trace stream."""
-        from repro.core.streamsim import run_streaming
-
-        return run_streaming(config, stream, lut=lut, plan=plan, backend=BACKEND)
-
-    @staticmethod
-    def run_streaming_group(configs, stream, lut=None, plan=None):
-        """One streamed pass for a whole breakeven-only group."""
-        from repro.core.streamsim import run_streaming_group
-
-        return run_streaming_group(
-            configs, stream, lut=lut, plan=plan, backend=BACKEND
-        )
-
-    @staticmethod
-    def open_stream_cursor(configs, plan, shard=None):
-        """Carried-state cursor for single-pass multi-group evaluation."""
-        from repro.core.streamsim import StreamCursor
-
-        return StreamCursor(configs, plan, backend=BACKEND, shard=shard)
-
-
-register_engine(CompiledEngine())
+)

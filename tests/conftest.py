@@ -33,6 +33,27 @@ def pytest_configure(config: pytest.Config) -> None:
     )
 
 
+@pytest.fixture()
+def kernels_env(monkeypatch: pytest.MonkeyPatch):
+    """Set (or, with ``None``, unset) ``REPRO_KERNELS`` for one test.
+
+    Each call drops the dispatcher's cached active backend, so the next
+    kernel call derives it from the variable; teardown drops it again
+    after the test, so later tests see the variable they started with.
+    """
+    from repro.kernels import dispatch
+
+    def pin(value: str | None) -> None:
+        if value is None:
+            monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_KERNELS", value)
+        dispatch.set_backend(None)
+
+    yield pin
+    dispatch.set_backend(None)
+
+
 @pytest.fixture(scope="session")
 def framework() -> CharacterizationFramework:
     """Calibrated 45nm-like characterization framework."""

@@ -35,6 +35,20 @@ class TestCLI:
         assert "probing" in out
         assert "scrambling" in out
 
+    def test_engines_marks_the_pinned_backend_selected(self, capsys, kernels_env):
+        kernels_env("numpy")
+        assert main(["engines"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        selected = [line.split()[0] for line in lines if "(selected)" in line]
+        assert selected == ["numpy"]
+
+    def test_engines_rejects_a_bogus_backend(self, capsys, kernels_env):
+        kernels_env("bogus")
+        assert main(["engines"]) == 2
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err
+        assert "registered simulation engines" not in captured.out
+
     def test_engine_flag_rejects_unknown(self, capsys):
         with pytest.raises(SystemExit):
             main(["--engine", "warp", "cell"])

@@ -226,12 +226,12 @@ class TestRegistryMisuse:
 
 class TestDispatch:
     def test_auto_resolves_to_best_banked_engine(self, config):
-        # With a compiled kernel backend loadable the compiled engine
+        # With the C kernel backend loadable the compiled engine
         # outranks fast (priority 20 vs 10); numpy-only environments
         # keep resolving to fast (compiled drops to priority 5).
-        from repro.kernels.engine import BACKEND
+        from repro.kernels import dispatch
 
-        expected = "compiled" if BACKEND else "fast"
+        expected = "compiled" if dispatch.compiled_backend() else "fast"
         assert resolve_engine("auto", config).name == expected
 
     def test_auto_never_picks_non_eligible_engines(self, config):

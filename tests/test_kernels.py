@@ -2,9 +2,9 @@
 
 The load-bearing property is **bit-identity across backends**: every
 kernel in :mod:`repro.kernels` must produce exactly the numpy
-backend's integer counters whichever compiled backend (numba, on-demand
-C extension) serves it — including error behavior, carry-state
-streaming, and the sharded parallel pass. The hypothesis classes below
+backend's integer counters when the on-demand C extension serves it —
+including error behavior, carry-state streaming, and the sharded
+parallel pass. The hypothesis classes below
 pin that across banks, ways > 1, breakeven vectors (including
 infinite), one-cycle chunk alignment and shard merge order.
 """
@@ -44,7 +44,7 @@ COMPILED_BACKENDS = [
 
 needs_compiled = pytest.mark.skipif(
     not COMPILED_BACKENDS,
-    reason="no compiled kernel backend available (numba missing, no C compiler)",
+    reason="no compiled kernel backend available (no C compiler)",
 )
 
 
@@ -322,6 +322,33 @@ class TestDispatch:
 # The compiled engine in the registry.
 # ---------------------------------------------------------------------------
 
+@pytest.fixture()
+def reached(monkeypatch):
+    """Names of the backend modules every kernel call resolves to."""
+    seen: set[str] = set()
+    real = dispatch._resolve
+
+    def spy(name):
+        module = real(name)
+        seen.add(module.NAME)
+        return module
+
+    monkeypatch.setattr(dispatch, "_resolve", spy)
+    return seen
+
+
+def _env_case():
+    rng = np.random.default_rng(5)
+    trace = random_trace(rng, 400)
+    base = ArchitectureConfig(
+        CacheGeometry(8 * 1024, 16, ways=2),
+        num_banks=4,
+        policy="probing",
+        update_period_cycles=256,
+    )
+    return trace, base
+
+
 class TestCompiledEngine:
     def test_registered_and_banked(self):
         assert "compiled" in engine_names()
@@ -329,19 +356,20 @@ class TestCompiledEngine:
         assert getattr(engine, "family", "banked") == "banked"
 
     def test_auto_priority_tracks_backend_availability(self):
-        from repro.kernels.engine import BACKEND
-
         engine = get_engine("compiled")
         fast = get_engine("fast")
-        if BACKEND:
+        if dispatch.compiled_backend():
             assert engine.priority > fast.priority
         else:
             assert engine.priority < fast.priority
 
-    def test_fast_engine_stays_pinned_to_numpy(self):
+    def test_fast_engine_stays_pinned_to_numpy(self, reached):
         # "fast" is the stable differential anchor: whatever backends
         # exist, it must keep meaning the pure-numpy kernels.
         assert get_engine("fast").backend == "numpy"
+        trace, base = _env_case()
+        simulate(base, trace, engine="fast")
+        assert reached == {"numpy"}
 
     @needs_compiled
     def test_engine_differential_vs_fast(self):
@@ -381,6 +409,57 @@ class TestCompiledEngine:
         )
         assert fast.bank_stats == compiled.bank_stats
         assert fast.cache_stats.hits == compiled.cache_stats.hits
+
+
+# ---------------------------------------------------------------------------
+# REPRO_KERNELS pins the compiled (and so the auto) engine's kernels.
+# ---------------------------------------------------------------------------
+
+class TestKernelsEnvironment:
+    def test_numpy_pin_reaches_only_numpy(self, kernels_env, reached):
+        from repro.analysis.sweep import stream_sweep, sweep
+
+        trace, base = _env_case()
+        kernels_env("numpy")
+        expected = "compiled" if dispatch.compiled_backend() else "fast"
+        assert resolve_engine("auto", base).name == expected
+        simulate(base, trace, engine="auto")
+        axes = {"num_banks": [2, 4], "breakeven_override": [None, 40]}
+        sweep(base, trace, axes)
+        stream_sweep(base, InMemoryTraceStream(trace, 97), axes)
+        assert reached == {"numpy"}
+
+    @needs_compiled
+    def test_auto_runs_the_c_backend_by_default(self, kernels_env, reached):
+        trace, base = _env_case()
+        kernels_env(None)
+        simulate(base, trace, engine="auto")
+        assert reached == {"cext"}
+
+    def test_bogus_value_fails_the_first_simulation(self, kernels_env):
+        trace, base = _env_case()
+        kernels_env("bogus")
+        with pytest.raises(SimulationError, match="bogus"):
+            simulate(base, trace)
+
+    def test_compiled_campaign_shares_auto_record_keys(self, tmp_path):
+        from repro.campaign import CampaignSpec, TraceSpec, run_campaign
+        from repro.campaign.store import CampaignStore
+
+        trace, base = _env_case()
+        stores = {}
+        for engine in ("compiled", "auto"):
+            spec = CampaignSpec(
+                name="pin",
+                traces=(TraceSpec.synthetic("sha", num_windows=30),),
+                base=base,
+                axes={"num_banks": [2, 4]},
+                engine=engine,
+            )
+            assert run_campaign(spec, directory=tmp_path / engine).simulated == 2
+            stores[engine] = CampaignStore(tmp_path / engine)
+        assert list(stores["compiled"].keys()) == list(stores["auto"].keys())
+        assert stores["compiled"].records() == stores["auto"].records()
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +530,6 @@ class TestParallelStreaming:
                 base, Unpicklable(trace, 200), names, combos, parallel=2
             )
         self.assert_identical(serial, fell_back)
-
-    def test_engine_without_shard_support_warns(self, monkeypatch):
-        trace, base, names, combos = _stream_case()
-        fast = get_engine("fast")
-        monkeypatch.setattr(
-            type(fast), "supports_stream_shards", False, raising=False
-        )
-        with pytest.warns(ReproWarning, match="cannot be sharded"):
-            stream_selected(
-                base,
-                lambda: InMemoryTraceStream(trace, 200),
-                names,
-                combos[:1],
-                engine="fast",
-                parallel=2,
-            )
 
     def test_invalid_worker_count_rejected(self):
         trace, base, names, combos = _stream_case()

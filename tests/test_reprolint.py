@@ -204,11 +204,11 @@ RULE_FIXTURES = [
         "REPRO009",
         "core/fastsim.py",
         # Bypassing the dispatch layer pins one backend and crashes
-        # numpy-only environments when that backend is numba/cext.
-        "from repro.kernels import _numba\n"
-        "import repro.kernels._cext as cext\n"
+        # numpy-only environments when that backend is cext.
+        "from repro.kernels import _cext\n"
+        "import repro.kernels._numpy as fallback\n"
         "def kernel(tags, starts, ways):\n"
-        "    return _numba.lru_walk(tags, starts, ways)\n",
+        "    return _cext.lru_walk(tags, starts, ways)\n",
         # The dispatch layer owns backend selection and fallback.
         "from repro.kernels import dispatch as kernels\n"
         "def kernel(tags, starts, ways, backend=None):\n"

@@ -774,26 +774,26 @@ class KernelBackendEncapsulation(_ScopedVisitorRule):
     """REPRO009 — compiled kernel backends are private to the package.
 
     ``repro.kernels`` guarantees bit-identical results across its
-    numpy/numba/C backends *through the dispatch layer*: the public
+    numpy and C backends *through the dispatch layer*: the public
     functions validate inputs, honor ``REPRO_KERNELS`` and the
-    ``set_backend``/``use_backend`` overrides, and fall back when a
-    compiled backend is unavailable. An import of ``_numba``/``_cext``/
-    ``_numpy`` elsewhere bypasses all of that — it crashes on machines
-    without the dependency and silently pins one backend.
+    ``set_backend``/``use_backend`` overrides, and fall back when the
+    C backend is unavailable. An import of ``_cext``/``_numpy``
+    elsewhere bypasses all of that — it crashes on machines without a
+    C compiler and silently pins one backend.
     """
 
     rule_id = "REPRO009"
     title = "no direct imports of compiled kernel backends outside repro.kernels"
     rationale = (
         "PR 7: the dispatch layer (repro.kernels) owns backend "
-        "selection and fallback; a direct _numba/_cext import breaks "
+        "selection and fallback; a direct _cext import breaks "
         "numpy-only environments"
     )
     scope = ("*.py",)
     #: The package itself wires its backends together.
     exclude = ("kernels/*.py",)
 
-    _PRIVATE_BACKENDS = frozenset({"_numpy", "_numba", "_cext", "_ckernels"})
+    _PRIVATE_BACKENDS = frozenset({"_numpy", "_cext", "_ckernels"})
 
     def _is_private_kernel_module(self, dotted: str) -> bool:
         parts = dotted.split(".")
