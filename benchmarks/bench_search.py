@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -144,6 +145,7 @@ def run_bench(tiny: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
         "trace_accesses": len(trace),
         "trace_cycles": trace.horizon,
         "tiny": tiny,
+        "host_cpus": os.cpu_count(),
         "strategy": "estimator-pruned",
         "objectives": list(search.objectives),
         "headline_metrics": list(HEADLINE_METRICS),

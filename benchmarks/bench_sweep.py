@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -116,6 +117,7 @@ def run_bench(tiny: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
         "trace_accesses": len(trace),
         "trace_cycles": trace.horizon,
         "tiny": tiny,
+        "host_cpus": os.cpu_count(),
         "old_seconds": round(old_seconds, 4),
         "plan_seconds": round(plan_seconds, 4),
         "speedup": round(old_seconds / plan_seconds, 2),

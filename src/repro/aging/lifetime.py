@@ -91,9 +91,14 @@ def bank_lifetimes_years(
     lut: LifetimeLUT | None = None,
     p0: float = 0.5,
 ) -> list[float]:
-    """Map per-bank sleep fractions to per-bank lifetimes via the LUT."""
+    """Map per-bank sleep fractions to per-bank lifetimes via the LUT.
+
+    One vectorised LUT query for all banks; each lifetime equals
+    ``lut.lifetime_years(p0, ps)`` bit for bit (see
+    :meth:`~repro.aging.lut.LifetimeLUT.lifetime_years_batch`).
+    """
     table = lut if lut is not None else LifetimeLUT.default()
-    return [table.lifetime_years(p0, float(ps)) for ps in sleep_fractions]
+    return table.lifetime_years_batch(p0, sleep_fractions).tolist()
 
 
 def cache_lifetime_years(

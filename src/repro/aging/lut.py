@@ -8,21 +8,28 @@ and thus, of the entire cache."*
 
 :class:`LifetimeLUT` tabulates lifetime over a (p0, Psleep) grid using a
 :class:`~repro.aging.cell.CharacterizationFramework` and answers queries
-with bilinear interpolation. Filling the table needs one critical-shift
-bisection per p0 value; all of them run in lockstep, one batched
-butterfly solve per step, and the framework memoizes each result, so the
-p0 = 0.5 row reuses the bisection its calibration already ran. The
-table is bit-identical to bisecting each p0 on its own, at a fraction of
-the per-call overhead, and :meth:`LifetimeLUT.default` builds it once
-per process.
+with bilinear interpolation, one vectorised formula
+(:meth:`LifetimeLUT.lifetime_years_batch`) for a single sleep fraction
+and for a whole cache's banks or lines alike. Filling the table needs
+one critical-shift bisection per p0 value; all of them run in lockstep,
+one batched butterfly solve per step, and the framework memoizes each
+result, so the p0 = 0.5 row reuses the bisection its calibration
+already ran. The table is bit-identical to bisecting each p0 on its
+own, at a fraction of the per-call overhead, and
+:meth:`LifetimeLUT.default` builds it once per process.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.aging.cell import CharacterizationFramework
 from repro.errors import ModelError
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 _DEFAULT_LUT: "LifetimeLUT | None" = None
 
@@ -84,49 +91,59 @@ class LifetimeLUT:
 
     def lifetime_years(self, p0: float, psleep: float) -> float:
         """Interpolate the lifetime for the given stress profile."""
-        if not 0.0 <= p0 <= 1.0:
-            raise ModelError(f"p0 must be in [0,1], got {p0}")
-        if not 0.0 <= psleep <= 1.0:
-            raise ModelError(f"psleep must be in [0,1], got {psleep}")
-        ps = min(psleep, float(self.psleep_grid[-1]))
+        return float(self.lifetime_years_batch(p0, [psleep])[0])
 
-        i = int(np.clip(np.searchsorted(self.p0_grid, p0) - 1, 0, self.p0_grid.size - 2))
-        j = int(
-            np.clip(np.searchsorted(self.psleep_grid, ps) - 1, 0, self.psleep_grid.size - 2)
-        )
-        x0, x1 = self.p0_grid[i], self.p0_grid[i + 1]
-        y0, y1 = self.psleep_grid[j], self.psleep_grid[j + 1]
-        tx = (p0 - x0) / (x1 - x0)
-        ty = (ps - y0) / (y1 - y0)
-        f00, f01 = self.table[i, j], self.table[i, j + 1]
-        f10, f11 = self.table[i + 1, j], self.table[i + 1, j + 1]
-        return float(
-            f00 * (1 - tx) * (1 - ty)
-            + f10 * tx * (1 - ty)
-            + f01 * (1 - tx) * ty
-            + f11 * tx * ty
-        )
+    def lifetime_years_batch(self, p0: float, psleep: ArrayLike) -> np.ndarray:
+        """Bilinear lifetimes for many sleep fractions at one p0.
 
-    def lifetime_years_batch(self, p0: float, psleep: np.ndarray) -> np.ndarray:
-        """Vectorized lifetime query for many sleep fractions at one p0.
+        The one query formula of the table: :meth:`lifetime_years` is a
+        one-element call of it, and bank- and line-level lifetimes
+        (:func:`repro.aging.lifetime.bank_lifetimes_years`, the
+        fine-grain simulator) ask it once per result. Each element goes
+        through the scalar recipe's operations in the scalar's order:
+        clip to ``psleep_max``, bracket with ``searchsorted``, then
+        ``f00*(1-tx)*(1-ty) + f10*tx*(1-ty) + f01*(1-tx)*ty + f11*tx*ty``
+        left to right. numpy's elementwise float64 ``+ - * /`` round
+        exactly like Python float arithmetic (no fused multiply-add), so
+        element ``k`` equals the scalar expression evaluated at
+        ``psleep[k]`` bit for bit.
 
-        Used by the fine-grain simulator, which needs one lifetime per
-        cache *line*. Interpolates linearly along the Psleep axis of the
-        row pair bracketing ``p0`` (same arithmetic as
-        :meth:`lifetime_years`, batched).
+        Raises
+        ------
+        ModelError
+            If ``p0`` or any sleep fraction lies outside [0, 1] (NaN
+            included).
         """
         if not 0.0 <= p0 <= 1.0:
             raise ModelError(f"p0 must be in [0,1], got {p0}")
         values = np.asarray(psleep, dtype=float)
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise ModelError("psleep values must be in [0,1]")
-        clipped = np.minimum(values, self.psleep_grid[-1])
+        # Written so that NaN fails it: every comparison with NaN is False.
+        inside = (values >= 0.0) & (values <= 1.0)
+        if not inside.all():
+            bad = values[~inside][0]
+            raise ModelError(f"psleep must be in [0,1], got {bad}")
+        ps = np.minimum(values, self.psleep_grid[-1])
 
-        i = int(np.clip(np.searchsorted(self.p0_grid, p0) - 1, 0, self.p0_grid.size - 2))
+        # Bracketing cells, clamped to the grid's last cell (integer
+        # min/max: the same indices np.clip would give, without its
+        # per-call wrapper overhead).
+        i = min(max(int(np.searchsorted(self.p0_grid, p0)) - 1, 0), self.p0_grid.size - 2)
+        j = np.minimum(
+            np.maximum(np.searchsorted(self.psleep_grid, ps) - 1, 0),
+            self.psleep_grid.size - 2,
+        )
+        j1 = j + 1
         x0, x1 = self.p0_grid[i], self.p0_grid[i + 1]
+        y0, y1 = self.psleep_grid[j], self.psleep_grid[j1]
         tx = (p0 - x0) / (x1 - x0)
-        row = (1.0 - tx) * self.table[i, :] + tx * self.table[i + 1, :]
-        return np.interp(clipped, self.psleep_grid, row)
+        ty = (ps - y0) / (y1 - y0)
+        row0, row1 = self.table[i], self.table[i + 1]
+        f00, f01 = row0[j], row0[j1]
+        f10, f11 = row1[j], row1[j1]
+        # (1 - tx) and (1 - ty) are each one rounding, so naming them
+        # once changes no bit of the expression below.
+        sx, sy = 1 - tx, 1 - ty
+        return f00 * sx * sy + f10 * tx * sy + f01 * sx * ty + f11 * tx * ty
 
     @classmethod
     def default(cls) -> "LifetimeLUT":

@@ -22,6 +22,16 @@ Two templates share the substrate:
 Metrics are template-agnostic unless they consult the energy model, in
 which case :func:`energy_breakdowns` dispatches on the template.
 
+Energy and lifetime are derived once per measurement, not once per
+domain: the energy coefficients are computed once
+(:meth:`~repro.power.energy.EnergyModel.bank_energies`) and each
+component stays one integer counter times one float coefficient, and all domain
+lifetimes come from one vectorised LUT query that applies the scalar
+bilinear expression's operations in the scalar's order
+(:meth:`~repro.aging.lut.LifetimeLUT.lifetime_years_batch`). Both are
+therefore bit-identical to the per-domain scalar derivation, which is
+what keeps values recomputed from stored records unchanged.
+
 Built-in metrics
 ----------------
 ``energy`` (total/baseline/savings), ``lifetime`` (worst-domain years +
@@ -181,13 +191,8 @@ def template_names() -> tuple[str, ...]:
 
 def _banked_breakdowns(measurement: "Measurement") -> tuple[BankEnergyBreakdown, ...]:
     model = measurement.config.make_energy_model()
-    return tuple(
-        model.bank_energy(
-            accesses=s.accesses,
-            active_cycles=s.active_cycles,
-            sleep_cycles=s.sleep_cycles,
-            transitions=s.transitions,
-        )
+    return model.bank_energies(
+        (s.accesses, s.active_cycles, s.sleep_cycles, s.transitions)
         for s in measurement.bank_stats
     )
 

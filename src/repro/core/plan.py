@@ -47,7 +47,8 @@ class BankOrder:
     ----------
     sorted_cycles:
         The trace cycles reordered by (physical bank, arrival) — the
-        stable argsort of the routed stream.
+        stable argsort of the routed stream (a radix sort of narrow
+        bank ids; see :meth:`TracePlan._compute_bank_order`).
     splits:
         Segment boundaries: bank ``b`` owns
         ``sorted_cycles[splits[b]:splits[b + 1]]``.
@@ -171,7 +172,12 @@ class TracePlan:
         """Route the trace through ``config`` and sort by (bank, arrival).
 
         With a single bank the stream is already sorted and the stable
-        argsort is skipped outright.
+        argsort is skipped outright. Otherwise the physical bank ids are
+        held in the narrowest unsigned dtype that fits them (uint8 up to
+        256 banks, uint16 above), for which numpy's stable argsort is an
+        O(n) radix sort instead of a timsort of int64 keys. A stable
+        sort has exactly one valid result, so the permutation — and
+        everything derived from it — is identical to sorting int64 ids.
         """
         trace = self.trace
         cycles = trace.cycles
@@ -185,7 +191,7 @@ class TracePlan:
         logical_bank = index >> line_bits
         _, starts = self.epoch_starts(config)
         policy = config.make_policy()
-        physical = np.empty(n, dtype=np.int64)
+        physical = np.empty(n, dtype=np.min_scalar_type(num_banks - 1))
         for epoch in range(len(starts) - 1):
             if epoch > 0:
                 policy.update()

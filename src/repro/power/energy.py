@@ -31,6 +31,7 @@ switched, Section III-A1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.cache.geometry import CacheGeometry
 from repro.errors import ConfigurationError
@@ -211,14 +212,37 @@ class EnergyModel:
         transitions: int,
     ) -> BankEnergyBreakdown:
         """Energy of one bank given its activity counters."""
-        if min(accesses, active_cycles, sleep_cycles, transitions) < 0:
-            raise ConfigurationError("activity counters must be non-negative")
-        return BankEnergyBreakdown(
-            dynamic=accesses * self.access_energy(),
-            leakage_active=active_cycles * self.bank_leakage_power(),
-            leakage_drowsy=sleep_cycles * self.drowsy_leakage_power(),
-            transitions=transitions * self.transition_energy(),
-        )
+        return self.bank_energies([(accesses, active_cycles, sleep_cycles, transitions)])[0]
+
+    def bank_energies(
+        self, counters: Iterable[tuple[int, int, int, int]]
+    ) -> tuple[BankEnergyBreakdown, ...]:
+        """Energy of each bank given its activity counters.
+
+        ``counters`` yields one ``(accesses, active_cycles, sleep_cycles,
+        transitions)`` tuple per bank. The four coefficients are computed
+        once per call, not once per bank; each component is one integer
+        counter times one float coefficient either way, so the values do
+        not depend on how many banks share a call.
+        """
+        access = self.access_energy()
+        leak = self.bank_leakage_power()
+        drowsy = self.drowsy_leakage_power()
+        transition = self.transition_energy()
+        breakdowns: list[BankEnergyBreakdown] = []
+        for bank in counters:
+            if min(bank) < 0:
+                raise ConfigurationError("activity counters must be non-negative")
+            accesses, active_cycles, sleep_cycles, transitions = bank
+            breakdowns.append(
+                BankEnergyBreakdown(
+                    dynamic=accesses * access,
+                    leakage_active=active_cycles * leak,
+                    leakage_drowsy=sleep_cycles * drowsy,
+                    transitions=transitions * transition,
+                )
+            )
+        return tuple(breakdowns)
 
     def unmanaged_energy(self, total_accesses: int, total_cycles: int) -> float:
         """Energy of this cache with power management disabled (pJ).
