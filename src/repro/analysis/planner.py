@@ -7,9 +7,11 @@ place that product is *planned*: :func:`plan_grid` validates the axes,
 enumerates the combos and derives the breakeven group ids every
 execution path batches on.
 
-On top of the grid sits the **search strategy** layer. A strategy
-decides *which* grid points deserve full simulation, optionally guided
-by the closed-form ``estimate`` fidelity tier (:mod:`repro.estimate`):
+On top of the grid sits the **search strategy** layer, driven by
+:func:`run_search` for guided sweeps and guided campaigns alike. A
+strategy decides *which* grid points deserve full simulation, optionally
+guided by the closed-form ``estimate`` fidelity tier
+(:mod:`repro.estimate`):
 
 ``exhaustive``
     Simulate every point — today's behavior, bit-identical.
@@ -37,7 +39,7 @@ import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Protocol
 
 from repro.analysis.pareto import pareto_front
 from repro.core.config import ArchitectureConfig
@@ -54,6 +56,7 @@ __all__ = [
     "get_strategy",
     "plan_grid",
     "register_strategy",
+    "run_search",
     "strategy_names",
 ]
 
@@ -129,9 +132,9 @@ def plan_grid(
     ------
     ConfigurationError
         For an axis name that is not an :class:`ArchitectureConfig`
-        field, or an empty axes mapping unless ``allow_empty`` (a
-        campaign with no axes runs exactly its base config; a sweep of
-        nothing is a mistake).
+        field, an axis with no values, or an empty axes mapping unless
+        ``allow_empty`` (a campaign with no axes runs exactly its base
+        config; a sweep of nothing is a mistake).
     """
     if not axes and not allow_empty:
         raise ConfigurationError("sweep needs at least one axis")
@@ -139,6 +142,8 @@ def plan_grid(
     for name in axes:
         if name not in field_names:
             raise ConfigurationError(f"{name!r} is not an ArchitectureConfig field")
+        if len(axes[name]) == 0:
+            raise ConfigurationError(f"axis {name!r} has no values")
     names = list(axes)
     combos = cartesian(axes, names)
     ids = breakeven_group_ids(names, axes)
@@ -491,6 +496,67 @@ class ParetoActiveStrategy(SearchStrategy):
             estimated=tuple(indices),
             rounds=rounds,
         )
+
+
+# ----------------------------------------------------------------------
+# Guided search over a planned grid
+# ----------------------------------------------------------------------
+class ResultCache(Protocol):
+    """Results by grid index: a dict, or a view over a campaign store."""
+
+    def __contains__(self, index: object) -> bool: ...
+
+    def __getitem__(self, index: int) -> Any: ...
+
+    def __setitem__(self, index: int, result: Any) -> None: ...
+
+
+def run_search(
+    grid: PlannedGrid,
+    search: SearchSpec,
+    simulate: Callable[[list[int], Callable[[int, Any], None]], object],
+    estimate: Callable[[int], Any],
+    simulated: ResultCache,
+    estimated: ResultCache,
+) -> SearchOutcome:
+    """Run ``search``'s strategy over ``grid``, evaluating through caches.
+
+    ``simulate(indices, on_result)`` simulates the grid points at
+    ``indices`` as one batch and reports each result as
+    ``on_result(position, result)``; it is called only for points not
+    already in ``simulated``, whose entries are written as results
+    arrive. ``estimate(index)`` estimates one point missing from
+    ``estimated``. A sweep passes dicts; a campaign passes views of its
+    store keyed by each point's simulate- and estimate-fidelity keys,
+    so a rerun reuses every stored result and persists every new one.
+    """
+
+    def run_simulate(indices: Sequence[int]) -> list[Any]:
+        chosen = [int(i) for i in indices]
+        fresh = [i for i in chosen if i not in simulated]
+        if fresh:
+
+            def record(position: int, result: Any) -> None:
+                simulated[fresh[position]] = result
+
+            simulate(fresh, record)
+        return [simulated[i] for i in chosen]
+
+    def run_estimate(indices: Sequence[int]) -> list[Any]:
+        results: list[Any] = []
+        for index in (int(i) for i in indices):
+            if index in estimated:
+                result = estimated[index]
+            else:
+                result = estimate(index)
+                estimated[index] = result
+            results.append(result)
+        return results
+
+    context = PlanContext(
+        grid=grid, search=search, simulate=run_simulate, estimate=run_estimate
+    )
+    return get_strategy(search.strategy).select(context)
 
 
 # ----------------------------------------------------------------------

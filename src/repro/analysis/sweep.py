@@ -8,6 +8,13 @@ and any geometry, including set-associative ones — works). Results come
 back as :class:`SweepResult`, a small query-friendly container used by
 the ablation benches and the exploration example.
 
+:func:`simulate_selected` is the one executor under :func:`sweep`,
+:func:`stream_sweep`, :func:`search_sweep` and the campaign runner,
+each of which plans its grid with
+:func:`~repro.analysis.planner.plan_grid`. It runs an in-memory
+:class:`~repro.trace.trace.Trace` here and hands a stream or stream
+factory to :func:`repro.core.streamsim.stream_selected`.
+
 The grid does not pay the full per-point cost: a shared
 :class:`~repro.core.plan.TracePlan` memoizes the address decode, epoch
 boundaries and bank-sorted access stream across points, and points that
@@ -17,35 +24,36 @@ for the whole breakeven axis. Every result stays bit-identical to an
 independent per-point simulation (the tests hold the two together).
 
 Large grids can be fanned out over processes with ``parallel=N``: the
-cartesian product is split into contiguous chunks, simulated by a
-:class:`~concurrent.futures.ProcessPoolExecutor`, and reassembled in
-the exact order the serial path would have produced. The trace and LUT
-travel to each worker once, through the pool initializer; chunk payloads
-carry only the parameter combinations, so fanning out a big trace no
-longer re-pickles it per chunk.
+points are split into contiguous chunks, simulated on the shared worker
+pool (:func:`repro.core.pool.worker_pool`), and reassembled in the
+exact order the serial path would have produced. The trace plan and
+LUT travel to each worker once, as the pool's state; chunk payloads
+carry only the parameter combinations, so fanning out a big trace never
+re-pickles it per chunk.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from repro.aging.lut import LifetimeLUT
 from repro.analysis.planner import (
-    PlanContext,
     PlannedGrid,
     SearchOutcome,
     SearchSpec,
-    breakeven_group_ids,
-    get_strategy,
     plan_grid,
+    run_search,
 )
 from repro.core.config import ArchitectureConfig
-from repro.core.engine import resolve_engine, validate_engine
+from repro.core.engine import get_engine, resolve_engine, validate_engine
 from repro.core.plan import TracePlan
+from repro.core.pool import worker_pool, worker_state
 from repro.core.results import SimulationResult
 from repro.core.simulator import simulate
+from repro.core.streamsim import stream_selected
 from repro.errors import ConfigurationError
+from repro.trace.stream import TraceStream
 from repro.trace.trace import Trace
 
 
@@ -112,66 +120,25 @@ def _axis_sort_key(value) -> tuple:
     return (3, 0.0, f"{type(value).__name__}:{value!r}")
 
 
-#: Per-worker shared state, installed once by :func:`_init_worker` so
-#: chunk payloads never carry the trace or the LUT.
-_worker_trace: Trace | None = None
-_worker_lut: LifetimeLUT | None = None
-_worker_plan: TracePlan | None = None
-
-
-def _init_worker(
-    trace: Trace,
-    lut: LifetimeLUT,
-    engines: tuple = (),
-    metrics: tuple = (),
-    templates: tuple = (),
-) -> None:
-    """Pool initializer: shared trace/LUT plus the parent's plugins.
-
-    Built-in engines/metrics/templates re-register themselves in every
-    process via imports, but plugin registrations only exist in the
-    parent — under a ``spawn``/``forkserver`` start method a worker
-    would otherwise not know a custom engine name (crash) or silently
-    drop a custom metric's values. The parent's custom registry entries
-    therefore travel here, once per worker (they must pickle).
-    """
-    from repro.core.engine import install_engines
-    from repro.core.metrics import install_metrics, install_templates
-
-    install_templates(templates)
-    install_metrics(metrics)
-    install_engines(engines)
-    global _worker_trace, _worker_lut, _worker_plan
-    _worker_trace = trace
-    _worker_lut = lut
-    _worker_plan = TracePlan(trace)
-
-
 def _simulate_chunk(payload) -> list[SimulationResult]:
-    """Worker for the parallel sweep: simulate one chunk of the grid.
+    """Pool task: simulate one chunk of the grid.
 
     Module-level (not a closure) so it pickles into pool workers; the
-    trace, LUT and plan come from :func:`_init_worker`, not the payload.
+    trace plan and LUT are the pool's state, not part of the payload.
     """
+    plan, lut = worker_state()
     base, names, combos, group_ids, engine = payload
     return _simulate_combos(
-        base, _worker_trace, names, combos, group_ids, _worker_lut, engine, _worker_plan
+        base, plan.trace, names, combos, group_ids, lut, engine, plan
     )
-
-
-#: Historical alias: the group-id derivation moved to the planner layer
-#: (:func:`repro.analysis.planner.breakeven_group_ids`) so campaigns and
-#: sweeps can never disagree about batching; existing imports keep
-#: working.
-_breakeven_group_ids = breakeven_group_ids
 
 
 def _simulate_combos(
     base: ArchitectureConfig,
     trace: Trace,
-    names: list[str],
-    combos: list[tuple],
-    group_ids: list[int] | None,
+    names: Sequence[str],
+    combos: Sequence[tuple],
+    group_ids: Sequence[int] | None,
     lut: LifetimeLUT | None,
     engine: str,
     plan: TracePlan | None,
@@ -191,24 +158,14 @@ def _simulate_combos(
     batch completes.
     """
     if group_ids is None:
-        results = []
-        for position, combo in enumerate(combos):
-            result = simulate(
-                replace(base, **dict(zip(names, combo))),
-                trace,
-                lut,
-                engine=engine,
-                plan=plan,
-            )
-            results.append(result)
-            if on_result is not None:
-                on_result(position, result)
-        return results
-    groups: dict[int, list[int]] = {}
-    for position, group_id in enumerate(group_ids):
-        groups.setdefault(group_id, []).append(position)
+        groups = [[position] for position in range(len(combos))]
+    else:
+        by_id: dict[int, list[int]] = {}
+        for position, group_id in enumerate(group_ids):
+            by_id.setdefault(group_id, []).append(position)
+        groups = list(by_id.values())
     results: list[SimulationResult | None] = [None] * len(combos)
-    for members in groups.values():
+    for members in groups:
         configs = [
             replace(base, **dict(zip(names, combos[position])))
             for position in members
@@ -217,17 +174,17 @@ def _simulate_combos(
         # count, ...) vary across groups and may resolve "auto" — or an
         # explicit engine's supports() — differently; within a group,
         # configs differ only in breakeven_override.
-        run_group = getattr(resolve_engine(engine, configs[0]), "run_group", None)
-        if run_group is None:
-            for position, config in zip(members, configs):
-                result = simulate(config, trace, lut, engine=engine, plan=plan)
-                results[position] = result
-                if on_result is not None:
-                    on_result(position, result)
-            continue
-        for position, result in zip(
-            members, run_group(configs, trace, lut=lut, plan=plan)
-        ):
+        run_group = None
+        if group_ids is not None:
+            run_group = getattr(resolve_engine(engine, configs[0]), "run_group", None)
+        if run_group is not None:
+            batch = run_group(configs, trace, lut=lut, plan=plan)
+        else:
+            batch = (
+                simulate(config, trace, lut, engine=engine, plan=plan)
+                for config in configs
+            )
+        for position, result in zip(members, batch):
             results[position] = result
             if on_result is not None:
                 on_result(position, result)
@@ -236,9 +193,9 @@ def _simulate_combos(
 
 def _chunk_payloads(
     base: ArchitectureConfig,
-    names: list[str],
-    combos: list[tuple],
-    group_ids: list[int] | None,
+    names: Sequence[str],
+    combos: Sequence[tuple],
+    group_ids: Sequence[int] | None,
     engine: str,
     workers: int,
 ) -> list[tuple]:
@@ -262,32 +219,53 @@ def _chunk_payloads(
 
 def simulate_selected(
     base: ArchitectureConfig,
-    trace: Trace,
-    names: list[str],
-    combos: list[tuple],
-    group_ids: list[int] | None = None,
+    trace: Trace | TraceStream | Callable[[], TraceStream],
+    names: Sequence[str],
+    combos: Sequence[tuple],
+    group_ids: Sequence[int] | None = None,
     lut: LifetimeLUT | None = None,
     engine: str = "auto",
     parallel: int | None = None,
     plan: TracePlan | None = None,
     on_result=None,
 ) -> list[SimulationResult]:
-    """Simulate an explicit list of grid points on one trace.
+    """Simulate an explicit list of grid points on one workload.
 
-    The reusable core of :func:`sweep`: ``combos`` need not be a full
-    cartesian product — the campaign layer passes only the points its
-    store is missing — yet every batching lever still applies: a shared
-    :class:`TracePlan`, the breakeven-group fast path (points sharing a
-    ``group_ids`` entry differ only in ``breakeven_override`` and are
-    evaluated from one gap computation), and the ``parallel`` process
-    fan-out with trace-free chunk payloads. Results come back in
-    ``combos`` order, bit-identical to per-point :func:`simulate` calls.
+    The one executor under :func:`sweep`, :func:`stream_sweep`,
+    :func:`search_sweep` and the campaign runner: ``combos`` need not
+    be a full cartesian product — the campaign layer passes only the
+    points its store is missing — yet every batching lever still
+    applies: a shared :class:`TracePlan`, the breakeven-group fast path
+    (points sharing a ``group_ids`` entry differ only in
+    ``breakeven_override`` and are evaluated from one gap computation),
+    and the ``parallel`` process fan-out with trace-free chunk payloads.
+    Results come back in ``combos`` order, bit-identical to per-point
+    :func:`simulate` calls.
+
+    ``trace`` is the source: an in-memory
+    :class:`~repro.trace.trace.Trace` runs here (``plan``, when given,
+    must be its plan), while a :class:`~repro.trace.stream.TraceStream`
+    or a zero-argument factory producing one runs as a single pass
+    through :func:`repro.core.streamsim.stream_selected`, where
+    ``parallel`` shards the pass instead of chunking the grid.
 
     ``on_result(position, result)`` fires as results become available —
     per point or breakeven group serially, per finished chunk in
     parallel mode — so callers can persist progress incrementally
     instead of waiting for the whole batch.
     """
+    if not isinstance(trace, Trace):
+        return stream_selected(
+            base,
+            trace,
+            names,
+            combos,
+            group_ids=group_ids,
+            lut=lut,
+            engine=engine,
+            on_result=on_result,
+            parallel=parallel,
+        )
     # Validate up front: the breakeven-grouped path never reaches
     # simulate()'s own engine check, and a typo'd engine must not
     # silently fall through to the fast engine.
@@ -299,21 +277,8 @@ def simulate_selected(
     shared_lut = lut if lut is not None else LifetimeLUT.default()
     workers = min(parallel or 1, len(combos))
     if workers > 1:
-        from repro.core.engine import custom_engines
-        from repro.core.metrics import custom_metrics, custom_templates
-
         payloads = _chunk_payloads(base, names, combos, group_ids, engine, workers)
-        with ProcessPoolExecutor(
-            max_workers=len(payloads),
-            initializer=_init_worker,
-            initargs=(
-                trace,
-                shared_lut,
-                custom_engines(),
-                custom_metrics(),
-                custom_templates(),
-            ),
-        ) as pool:
+        with worker_pool(len(payloads), (TracePlan(trace), shared_lut)) as pool:
             results: list[SimulationResult] = []
             # pool.map yields chunks in submission order as they
             # finish; reporting per chunk keeps progress durable even
@@ -331,12 +296,6 @@ def simulate_selected(
     )
 
 
-def _grid(axes: dict[str, list]) -> tuple[list[str], list[tuple]]:
-    """Validated axis names and their cartesian product (planner-backed)."""
-    grid = plan_grid(axes)
-    return list(grid.names), list(grid.combos)
-
-
 def stream_sweep(
     base: ArchitectureConfig,
     stream,
@@ -347,48 +306,25 @@ def stream_sweep(
 ) -> SweepResult:
     """Out-of-core :func:`sweep`: the whole grid in one pass over a stream.
 
-    ``stream`` is a :class:`~repro.trace.stream.TraceStream` — or a
-    zero-argument callable producing one, which is what ``parallel=N``
-    wants: each worker re-opens its own stream. Every grid point's
-    carried state (one cursor per breakeven group) advances chunk by
-    chunk through a shared :class:`~repro.core.plan.StreamingPlan`, so
-    peak memory is bounded by the chunk size plus per-point state —
-    never the trace length — and every result is bit-identical to
-    :func:`sweep` on the materialized trace (the streaming fuzz suite
-    holds the two together). Engines join via the streaming
-    capability documented on :class:`~repro.core.engine.Engine`.
-
-    ``parallel=N`` shards the single pass across ``N`` worker
-    processes by set/bank partition (see
-    :func:`repro.core.streamsim.stream_selected`); results stay
-    bit-identical to the serial pass. When the pass cannot be sharded
-    (a stream that neither pickles nor came from a factory) a
-    :class:`~repro.errors.ReproWarning` is emitted and the serial
-    single pass runs instead.
+    ``stream`` is a :class:`~repro.trace.stream.TraceStream` or a
+    zero-argument callable producing one (what ``parallel=N`` wants:
+    each worker re-opens its own stream). One cursor per breakeven group
+    advances chunk by chunk through a shared
+    :class:`~repro.core.plan.StreamingPlan`, so peak memory is bounded
+    by the chunk size plus per-point state, never the trace length, and
+    every result is bit-identical to :func:`sweep` on the materialized
+    trace (the streaming fuzz suite holds the two together).
+    ``parallel=N`` shards the single pass by set/bank partition (see
+    :func:`repro.core.streamsim.stream_selected`); a stream that cannot
+    travel to workers emits a :class:`~repro.errors.ReproWarning` and
+    runs the serial pass instead.
     """
-    from repro.core.streamsim import stream_selected
-
-    names, combos = _grid(axes)
-    results = stream_selected(
-        base,
-        stream,
-        names,
-        combos,
-        group_ids=_breakeven_group_ids(names, axes),
-        lut=lut,
-        engine=engine,
-        parallel=parallel,
-    )
-    points = tuple(
-        SweepPoint(parameters=dict(zip(names, combo)), result=result)
-        for combo, result in zip(combos, results)
-    )
-    return SweepResult(points=points)
+    return sweep(base, stream, axes, lut=lut, engine=engine, parallel=parallel)
 
 
 def sweep(
     base: ArchitectureConfig,
-    trace: Trace,
+    trace: Trace | TraceStream | Callable[[], TraceStream],
     axes: dict[str, list],
     lut: LifetimeLUT | None = None,
     engine: str = "auto",
@@ -403,7 +339,8 @@ def sweep(
         :class:`ArchitectureConfig` (e.g. ``num_banks``, ``policy``,
         ``breakeven_override``, ``update_period_cycles``, ``geometry``).
     trace:
-        Shared workload.
+        Shared workload (a stream or stream factory sweeps out of core,
+        see :func:`stream_sweep`).
     axes:
         Mapping of field name to the values to explore.
     engine:
@@ -413,28 +350,34 @@ def sweep(
         Fan the grid out over up to this many worker processes
         (contiguous chunks, results reassembled in deterministic grid
         order). ``None`` or ``1`` runs serially. The trace and LUT are
-        shipped once per worker via the pool initializer; chunk
-        payloads carry only parameter combinations.
+        shipped once per worker as the pool's state; chunk payloads
+        carry only parameter combinations.
 
     >>> # doctest-style sketch (not executed here):
     >>> # result = sweep(cfg, trace, {"num_banks": [2, 4, 8]}, parallel=4)
     """
-    names, combos = _grid(axes)
+    grid = plan_grid(axes)
     results = simulate_selected(
         base,
         trace,
-        names,
-        combos,
-        group_ids=_breakeven_group_ids(names, axes),
+        grid.names,
+        grid.combos,
+        group_ids=grid.group_ids,
         lut=lut,
         engine=engine,
         parallel=parallel,
     )
-    points = tuple(
-        SweepPoint(parameters=dict(zip(names, combo)), result=result)
-        for combo, result in zip(combos, results)
+    return _sweep_result(grid, range(len(grid)), results)
+
+
+def _sweep_result(grid: PlannedGrid, indices, results) -> SweepResult:
+    """The points at grid ``indices``, paired with their results."""
+    return SweepResult(
+        points=tuple(
+            SweepPoint(parameters=grid.parameters(i), result=result)
+            for i, result in zip(indices, results)
+        )
     )
-    return SweepResult(points=points)
 
 
 @dataclass(frozen=True)
@@ -485,58 +428,40 @@ def search_sweep(
     else:
         spec = search
     validate_engine(engine)
-    grid: PlannedGrid = plan_grid(axes)
+    grid = plan_grid(axes)
     shared_lut = lut if lut is not None else LifetimeLUT.default()
     plan = TracePlan(trace)
     simulated: dict[int, SimulationResult] = {}
     estimated: dict[int, SimulationResult] = {}
 
-    def run_simulate(indices):
-        chosen = [int(i) for i in indices]
-        results = simulate_selected(
+    def simulate_points(indices, on_result):
+        simulate_selected(
             base,
             trace,
-            list(grid.names),
-            [grid.combos[i] for i in chosen],
-            group_ids=grid.subset_group_ids(chosen),
+            grid.names,
+            [grid.combos[i] for i in indices],
+            group_ids=grid.subset_group_ids(indices),
             lut=shared_lut,
             engine=engine,
             parallel=parallel,
             plan=plan,
+            on_result=on_result,
         )
-        for index, result in zip(chosen, results):
-            simulated[index] = result
-        return results
 
-    def run_estimate(indices):
-        from repro.core.engine import get_engine
+    def estimate_point(index):
+        config = replace(base, **grid.parameters(index))
+        return get_engine("estimate").run(config, trace, lut=shared_lut, plan=plan)
 
-        estimator = get_engine("estimate")
-        results = []
-        for index in (int(i) for i in indices):
-            config = replace(base, **grid.parameters(index))
-            result = estimator.run(config, trace, lut=shared_lut, plan=plan)
-            estimated[index] = result
-            results.append(result)
-        return results
-
-    context = PlanContext(
-        grid=grid, search=spec, simulate=run_simulate, estimate=run_estimate
+    outcome = run_search(
+        grid, spec, simulate_points, estimate_point, simulated, estimated
     )
-    outcome = get_strategy(spec.strategy).select(context)
     return SearchSweepResult(
         search=spec,
-        simulated=SweepResult(
-            points=tuple(
-                SweepPoint(parameters=grid.parameters(i), result=simulated[i])
-                for i in outcome.simulated
-            )
+        simulated=_sweep_result(
+            grid, outcome.simulated, [simulated[i] for i in outcome.simulated]
         ),
-        estimates=SweepResult(
-            points=tuple(
-                SweepPoint(parameters=grid.parameters(i), result=estimated[i])
-                for i in outcome.estimated
-            )
+        estimates=_sweep_result(
+            grid, outcome.estimated, [estimated[i] for i in outcome.estimated]
         ),
         outcome=outcome,
     )

@@ -4,14 +4,19 @@
 point by point, asks the :class:`~repro.campaign.store.CampaignStore`
 for each ``(trace_hash, config_hash)`` identity, and simulates *only*
 the missing points — through
-:func:`repro.analysis.sweep.simulate_selected`, so missing points on
-one trace still share a single :class:`~repro.core.plan.TracePlan`,
-points differing only in ``breakeven_override`` collapse into one
-batched gap computation, and ``parallel=N`` fans chunks out over
-processes. Chunked (streaming) traces run through
-:func:`repro.core.streamsim.stream_selected` instead, where
-``parallel=N`` shards the single shared pass by set/bank partition —
-still bit-identical to the serial and in-memory paths.
+:func:`repro.analysis.sweep.simulate_selected`, the same executor as a
+sweep, over the spec's :class:`~repro.analysis.planner.PlannedGrid`.
+Missing points on one trace therefore still share a single
+:class:`~repro.core.plan.TracePlan`, points differing only in
+``breakeven_override`` collapse into one batched gap computation, and
+``parallel=N`` fans chunks out over processes. A trace that opts into
+chunked loading is handed over as its stream factory instead, and
+``parallel=N`` then shards the single shared pass by set/bank
+partition — still bit-identical to the serial and in-memory paths.
+Guided campaigns run the planner's one guided-search loop,
+:func:`~repro.analysis.planner.run_search`, with the store as its
+result cache; ``workers=N`` drains through the claim queue
+(:mod:`repro.campaign.service.queue`).
 
 Consequences (pinned by the tests):
 
@@ -29,13 +34,14 @@ import os
 from dataclasses import dataclass
 
 from repro.aging.lut import LifetimeLUT
-from repro.analysis.planner import PlanContext, SearchSpec, get_strategy, plan_grid
-from repro.analysis.sweep import _breakeven_group_ids, simulate_selected
-from repro.campaign.spec import CampaignSpec
+from repro.analysis.planner import PlannedGrid, SearchSpec, run_search
+from repro.analysis.sweep import simulate_selected
+from repro.campaign.spec import CampaignPointSpec, CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.campaign.tracespec import TraceSpec
 from repro.core.plan import TracePlan
 from repro.core.serialize import ResultRecord, write_json_atomic
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -114,18 +120,16 @@ def _streaming_source(spec: CampaignSpec, trace_spec: TraceSpec):
     opened stream so a ``parallel=N`` sharded pass can re-open the
     stream once per worker.
     """
-    stream_factory = getattr(trace_spec, "stream", None)
-    if stream_factory is None:
-        return None
     from repro.campaign.tracespec import trace_source
     from repro.core.engine import resolve_engine, supports_streaming
 
-    source = trace_source(trace_spec.kind)
-    if source.stream_build is None or not trace_spec.params.get("chunk_cycles", 0):
+    if (
+        trace_source(trace_spec.kind).stream_build is None
+        or not trace_spec.params.get("chunk_cycles", 0)
+        or not supports_streaming(resolve_engine(spec.engine, spec.base))
+    ):
         return None
-    if not supports_streaming(resolve_engine(spec.engine, spec.base)):
-        return None
-    return stream_factory
+    return trace_spec.stream
 
 
 def campaign_status(spec: CampaignSpec, store: CampaignStore) -> CampaignStatus:
@@ -175,22 +179,48 @@ def _write_manifest(spec: CampaignSpec, store: CampaignStore) -> None:
     )
 
 
-def _collect_points(spec: CampaignSpec, store: CampaignStore) -> tuple[CampaignPoint, ...]:
-    """Materialize every grid point's stored record, in grid order."""
+def _stored_points(
+    store: CampaignStore,
+    trace_spec: TraceSpec,
+    points: list[CampaignPointSpec],
+    keys: list[tuple[str, str]],
+) -> list[CampaignPoint]:
+    """The points of one trace that hold a stored record, in grid order."""
     collected: list[CampaignPoint] = []
-    for trace_spec in spec.traces:
-        for point in spec.trace_points(trace_spec):
-            key = point.key()
-            collected.append(
-                CampaignPoint(
-                    trace=trace_spec,
-                    parameters=point.parameters,
-                    trace_hash=key[0],
-                    config_hash=key[1],
-                    record=store.get_record(key),
-                )
+    for point, key in zip(points, keys):
+        record = store.get_record(key)
+        if record is None:
+            continue  # pruned by a guided search — no simulated record
+        collected.append(
+            CampaignPoint(
+                trace=trace_spec,
+                parameters=point.parameters,
+                trace_hash=key[0],
+                config_hash=key[1],
+                record=record,
             )
-    return tuple(collected)
+        )
+    return collected
+
+
+class _StoreView:
+    """One trace's store records by grid index (a ``run_search`` cache)."""
+
+    def __init__(
+        self, store: CampaignStore, keys: list[tuple[str, str]], lut: LifetimeLUT
+    ) -> None:
+        self.store = store
+        self.keys = keys
+        self.lut = lut
+
+    def __contains__(self, index: int) -> bool:
+        return self.keys[index] in self.store
+
+    def __getitem__(self, index: int):
+        return self.store.get_result(self.keys[index], lut=self.lut)
+
+    def __setitem__(self, index: int, result) -> None:
+        self.store.put(self.keys[index], result)
 
 
 def _resolve_search(
@@ -211,23 +241,9 @@ def _resolve_search(
     return search
 
 
-def _run_guided(
-    spec: CampaignSpec,
-    store: CampaignStore,
-    search: SearchSpec,
-    lut: LifetimeLUT,
-    parallel: int | None,
-) -> CampaignResult:
-    """Strategy-guided execution: estimate the grid, simulate survivors.
-
-    Every estimator evaluation is persisted under the point's
-    *estimate*-fidelity key and every simulation under its plain
-    simulated key, so a guided run and an exhaustive run of the same
-    spec share simulated records — and a later exhaustive run only
-    fills in the points the strategy pruned.
-    """
-    from repro.core.engine import get_engine, result_family, result_fidelity
-    from repro.errors import ConfigurationError
+def _check_guided(spec: CampaignSpec) -> None:
+    """Reject engines a guided search cannot screen for."""
+    from repro.core.engine import result_family, result_fidelity
 
     if result_family(spec.engine) != "banked":
         raise ConfigurationError(
@@ -243,88 +259,74 @@ def _run_guided(
             "estimator has nothing to prune — use strategy 'exhaustive'"
         )
 
-    grid = plan_grid(spec.axes, allow_empty=True)
-    estimator = get_engine("estimate")
 
-    all_points: list[CampaignPoint] = []
-    simulated = 0
-    estimated = 0
-    reused = 0
-    for trace_spec in spec.traces:
-        points = spec.trace_points(trace_spec)
-        keys = [point.key() for point in points]
-        present = {i for i, key in enumerate(keys) if key in store}
-        reused += len(present)
-        if len(present) < len(points):
-            trace = trace_spec.build()
-            plan = TracePlan(trace)
-            est_keys = [point.key_at("estimate") for point in points]
-            counters = {"simulated": 0, "estimated": 0}
+def _simulate_points(
+    spec: CampaignSpec,
+    grid: PlannedGrid,
+    source,
+    indices: list[int],
+    lut: LifetimeLUT,
+    parallel: int | None,
+    on_result,
+    plan: TracePlan | None = None,
+) -> None:
+    """Simulate the grid points at ``indices`` from one trace's source."""
+    simulate_selected(
+        spec.base,
+        source,
+        grid.names,
+        [grid.combos[i] for i in indices],
+        group_ids=grid.subset_group_ids(indices),
+        lut=lut,
+        engine=spec.engine,
+        parallel=parallel,
+        plan=plan,
+        on_result=on_result,
+    )
 
-            def run_estimate(indices, _trace=trace, _plan=plan,
-                             _points=points, _est_keys=est_keys,
-                             _counters=counters):
-                out = []
-                for i in indices:
-                    result = store.get_result(_est_keys[i], lut=lut)
-                    if result is None:
-                        result = estimator.run(
-                            _points[i].config, _trace, lut=lut, plan=_plan
-                        )
-                        store.put(_est_keys[i], result)
-                        _counters["estimated"] += 1
-                    out.append(result)
-                return out
 
-            def run_simulate(indices, _trace=trace, _plan=plan,
-                             _keys=keys, _counters=counters):
-                fresh = [i for i in indices if _keys[i] not in store]
-                if fresh:
-                    simulate_selected(
-                        spec.base,
-                        _trace,
-                        list(grid.names),
-                        [grid.combos[i] for i in fresh],
-                        group_ids=grid.subset_group_ids(fresh),
-                        lut=lut,
-                        engine=spec.engine,
-                        parallel=parallel,
-                        plan=_plan,
-                        on_result=lambda j, result: store.put(
-                            _keys[fresh[j]], result
-                        ),
-                    )
-                    _counters["simulated"] += len(fresh)
-                return [store.get_result(_keys[i], lut=lut) for i in indices]
+def _search_trace(
+    spec: CampaignSpec,
+    grid: PlannedGrid,
+    store: CampaignStore,
+    search: SearchSpec,
+    points: list[CampaignPointSpec],
+    keys: list[tuple[str, str]],
+    lut: LifetimeLUT,
+    parallel: int | None,
+    counts: dict[str, int],
+) -> None:
+    """Guided search over one trace, with the store as the result cache.
 
-            context = PlanContext(
-                grid=grid,
-                search=search,
-                simulate=run_simulate,
-                estimate=run_estimate,
-            )
-            get_strategy(search.strategy).select(context)
-            simulated += counters["simulated"]
-            estimated += counters["estimated"]
-        for point, key in zip(points, keys):
-            record = store.get_record(key)
-            if record is None:
-                continue  # pruned by the strategy — no simulated record
-            all_points.append(
-                CampaignPoint(
-                    trace=trace_spec,
-                    parameters=point.parameters,
-                    trace_hash=key[0],
-                    config_hash=key[1],
-                    record=record,
-                )
-            )
-    return CampaignResult(
-        spec=spec,
-        points=tuple(all_points),
-        simulated=simulated,
-        reused=reused,
-        estimated=estimated,
+    Every estimate is persisted under the point's *estimate*-fidelity
+    key and every simulation under its plain key, so guided and
+    exhaustive runs of one spec share simulated records, and a later
+    exhaustive run only fills in the points the strategy pruned.
+    ``counts`` accumulates the fresh simulations and estimates.
+    """
+    from repro.core.engine import get_engine
+
+    if all(key in store for key in keys):
+        return
+    trace = points[0].trace.build()
+    plan = TracePlan(trace)
+
+    def simulate(indices: list[int], on_result) -> None:
+        _simulate_points(spec, grid, trace, indices, lut, parallel, on_result, plan)
+        counts["simulated"] += len(indices)
+
+    def estimate(index: int):
+        counts["estimated"] += 1
+        estimator = get_engine("estimate")
+        return estimator.run(points[index].config, trace, lut=lut, plan=plan)
+
+    run_search(
+        grid,
+        search,
+        simulate,
+        estimate,
+        _StoreView(store, keys, lut),
+        _StoreView(store, [point.key_at("estimate") for point in points], lut),
     )
 
 
@@ -380,10 +382,10 @@ def run_campaign(
         :class:`~repro.analysis.planner.SearchSpec`, a strategy name,
         or ``None`` to use the spec's own ``search`` block (and
         exhaustive execution when the spec has none). Anything other
-        than exhaustive routes through :func:`_run_guided`: the whole
-        grid is estimated (records persisted under estimate-fidelity
-        keys), the strategy picks survivors, and only those are
-        simulated.
+        than exhaustive runs the planner's guided-search loop per
+        trace: the whole grid is estimated (records persisted under
+        estimate-fidelity keys), the strategy picks survivors, and
+        only those are simulated.
 
     Returns
     -------
@@ -391,13 +393,19 @@ def run_campaign(
         Every point of the grid (reused and new alike) in grid order,
         with ``simulated``/``reused`` counting what this call did.
     """
+    if parallel is not None and parallel < 1:
+        raise ConfigurationError("parallel must be a positive worker count")
+    if workers is not None and workers < 1:
+        raise ConfigurationError("workers must be a positive worker count")
     if store is None:
         store = CampaignStore(directory)
     shared_lut = lut if lut is not None else LifetimeLUT.default()
     _write_manifest(spec, store)
 
-    effective_search = _resolve_search(spec, search)
-    if effective_search is not None:
+    search = _resolve_search(spec, search)
+    counts = {"simulated": 0, "estimated": 0}
+    if search is not None:
+        _check_guided(spec)
         if workers is not None:
             import warnings
 
@@ -413,105 +421,52 @@ def run_campaign(
                 ReproWarning,
                 stacklevel=2,
             )
-        return _run_guided(spec, store, effective_search, shared_lut, parallel)
-
-    if workers is not None:
+    elif workers is not None:
         from repro.campaign.service.queue import drain_campaign
-        from repro.errors import ConfigurationError
 
         if store.directory is None:
             raise ConfigurationError(
                 "run_campaign(workers=...) needs a directory-backed store; "
                 "claims and commit logs live beside results/"
             )
-        simulated = drain_campaign(
+        counts["simulated"] = drain_campaign(
             spec,
             store.directory,
             lut=shared_lut,
             workers=workers,
             parallel=parallel,
         )
-        points = _collect_points(spec, store)
-        return CampaignResult(
-            spec=spec,
-            points=points,
-            simulated=simulated,
-            reused=len(points) - simulated,
-        )
 
-    names = spec.axis_names
-    combos = spec.combos()
-    group_ids = _breakeven_group_ids(names, spec.axes)
-
+    grid = spec.grid()
     all_points: list[CampaignPoint] = []
-    simulated = 0
-    reused = 0
     for trace_spec in spec.traces:
         points = spec.trace_points(trace_spec)
         keys = [point.key() for point in points]
-        missing = [i for i, key in enumerate(keys) if key not in store]
-        if missing:
-            missing_combos = [combos[i] for i in missing]
-            missing_groups = (
-                [group_ids[i] for i in missing] if group_ids is not None else None
+        if search is not None:
+            _search_trace(
+                spec, grid, store, search, points, keys, shared_lut, parallel, counts
             )
-            # Persist each result the moment it exists (per point /
-            # breakeven group / parallel chunk): an interruption
-            # loses at most the in-flight batch, and the rerun
-            # resumes from everything already stored.
-            on_result = lambda j, result: store.put(keys[missing[j]], result)
-            stream = _streaming_source(spec, trace_spec)
-            if stream is not None:
-                # Chunked loading: the trace is never materialized;
-                # every missing point advances through one shared pass
-                # over the stream (results — and therefore stored
-                # records — are bit-identical to the in-memory path,
-                # so chunked and unchunked runs resume each other).
-                from repro.core.streamsim import stream_selected
-
-                stream_selected(
-                    spec.base,
-                    stream,
-                    names,
-                    missing_combos,
-                    group_ids=missing_groups,
-                    lut=shared_lut,
-                    engine=spec.engine,
-                    on_result=on_result,
-                    parallel=parallel,
+        elif workers is None:
+            missing = [i for i, key in enumerate(keys) if key not in store]
+            if missing:
+                # A chunked trace runs as one shared pass over its stream
+                # (records are bit-identical to the in-memory path, so
+                # chunked and unchunked runs resume each other); any
+                # other trace is materialized only now, so a covered
+                # trace costs nothing to resume. Each result is stored
+                # the moment it exists: an interruption loses at most
+                # the in-flight batch.
+                source = _streaming_source(spec, trace_spec) or trace_spec.build()
+                _simulate_points(
+                    spec, grid, source, missing, shared_lut, parallel,
+                    lambda j, result: store.put(keys[missing[j]], result),
                 )
-            else:
-                # Materialize the trace only now — a fully covered
-                # trace costs nothing to resume.
-                trace = trace_spec.build()
-                simulate_selected(
-                    spec.base,
-                    trace,
-                    names,
-                    missing_combos,
-                    group_ids=missing_groups,
-                    lut=shared_lut,
-                    engine=spec.engine,
-                    parallel=parallel,
-                    plan=TracePlan(trace),
-                    on_result=on_result,
-                )
-            simulated += len(missing)
-        reused += len(combos) - len(missing)
-        for point, key in zip(points, keys):
-            record = store.get_record(key)
-            all_points.append(
-                CampaignPoint(
-                    trace=trace_spec,
-                    parameters=point.parameters,
-                    trace_hash=key[0],
-                    config_hash=key[1],
-                    record=record,
-                )
-            )
+                counts["simulated"] += len(missing)
+        all_points.extend(_stored_points(store, trace_spec, points, keys))
     return CampaignResult(
         spec=spec,
         points=tuple(all_points),
-        simulated=simulated,
-        reused=reused,
+        simulated=counts["simulated"],
+        reused=len(all_points) - counts["simulated"],
+        estimated=counts["estimated"],
     )

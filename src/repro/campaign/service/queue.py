@@ -31,33 +31,35 @@ the tests assert exactly that across concurrent drains.
 
 :func:`drain_campaign` is the entry point ``run_campaign(workers=N)``
 delegates to; ``workers > 1`` fans complete claim→simulate→commit loops
-out over a process pool (state shipped via the pool initializer, as
-everywhere else in the tree), while each worker may additionally use
-``parallel=M`` to shard its own streaming passes. The pool forks, except
-from a process with other threads running — the campaign server, whose
-handler threads query the SQLite index — where it spawns: a forked
-child inherits every lock held at that instant, including SQLite's own
-mutexes, and would block on the first one forever.
+out over the shared worker pool (:func:`repro.core.pool.worker_pool`,
+which ships the drain parameters and the parent's plugins to each
+worker once), while each worker simulates its batches through the same
+:func:`~repro.analysis.sweep.simulate_selected` as the plain runner and
+may use ``parallel=M`` for its own fan-out. Started from the campaign
+server, whose handler threads query the SQLite index, the pool spawns
+rather than forks (see :mod:`repro.core.pool`); so do the nested pools
+of a drain worker, whose lease heartbeat is a running thread.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import socket
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any
 
 from repro.aging.lut import LifetimeLUT
-from repro.analysis.sweep import _breakeven_group_ids, simulate_selected
-from repro.campaign.run import _streaming_source, _write_manifest, campaign_status
+from repro.campaign.run import (
+    _simulate_points,
+    _streaming_source,
+    _write_manifest,
+    campaign_status,
+)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, point_hash
 from repro.core.plan import TracePlan
+from repro.core.pool import worker_pool, worker_state
 from repro.core.results import SimulationResult
 from repro.errors import ServiceError
 
@@ -279,16 +281,13 @@ def _drain_pass(
     with ``parallel``. Points leased by other live workers are left
     alone; the caller loops until the campaign is covered.
     """
-    names = spec.axis_names
-    combos = spec.combos()
-    group_ids = _breakeven_group_ids(names, spec.axes)
+    grid = spec.grid()
     simulated = 0
     for trace_spec in spec.traces:
-        points = spec.trace_points(trace_spec)
-        keys = [point.key() for point in points]
+        keys = [point.key() for point in spec.trace_points(trace_spec)]
         stream = _streaming_source(spec, trace_spec)
-        trace = None
-        plan = None
+        source = stream
+        plan: TracePlan | None = None
         while True:
             missing = [i for i, key in enumerate(keys) if key not in store]
             if not missing:
@@ -312,10 +311,6 @@ def _drain_pass(
             if not batch:
                 break  # everything left is leased to live workers
             try:
-                batch_combos = [combos[i] for i in batch]
-                batch_groups = (
-                    [group_ids[i] for i in batch] if group_ids is not None else None
-                )
 
                 def on_result(
                     j: int,
@@ -328,36 +323,14 @@ def _drain_pass(
                     queue.log_commit(key)
                     queue.release(key)
 
-                if stream is not None:
-                    from repro.core.streamsim import stream_selected
-
-                    stream_selected(
-                        spec.base,
-                        stream,
-                        names,
-                        batch_combos,
-                        group_ids=batch_groups,
-                        lut=lut,
-                        engine=spec.engine,
-                        on_result=on_result,
-                        parallel=parallel,
-                    )
-                else:
-                    if trace is None:
-                        trace = trace_spec.build()
-                        plan = TracePlan(trace)
-                    simulate_selected(
-                        spec.base,
-                        trace,
-                        names,
-                        batch_combos,
-                        group_ids=batch_groups,
-                        lut=lut,
-                        engine=spec.engine,
-                        parallel=parallel,
-                        plan=plan,
-                        on_result=on_result,
-                    )
+                if source is None:
+                    # Materialized once per pass, on its first claimed
+                    # batch; the plan is shared by every later batch.
+                    source = trace_spec.build()
+                    plan = TracePlan(source)
+                _simulate_points(
+                    spec, grid, source, batch, lut, parallel, on_result, plan
+                )
                 simulated += len(batch)
             finally:
                 # Normally a no-op (on_result released each lease);
@@ -407,73 +380,23 @@ def drain_worker(
             time.sleep(poll_interval)
 
 
-@dataclass
-class _DrainState:
-    """Per-worker drain parameters shipped via the pool initializer."""
+def _drain_task(ordinal: int) -> int:
+    """Pool task: run one full drain worker (module-level, picklable).
 
-    spec: CampaignSpec
-    directory: str
-    lut: LifetimeLUT
-    lease_ttl: float
-    claim_batch: int
-    parallel: int | None
-    timeout: float | None
-
-
-#: Installed once by the pool initializer so task payloads carry only
-#: the worker ordinal.
-_drain_state: _DrainState | None = None
-
-
-def _init_drain_worker(
-    spec_payload: dict[str, Any],
-    directory: str,
-    lut: LifetimeLUT,
-    lease_ttl: float,
-    claim_batch: int,
-    parallel: int | None,
-    timeout: float | None,
-    engines: tuple[Any, ...] = (),
-    metrics: tuple[Any, ...] = (),
-    templates: tuple[Any, ...] = (),
-) -> None:
-    """Pool initializer: the spec, LUT and the parent's plugins.
-
-    Mirrors the sweep pool's initializer — under spawn the worker
-    process knows nothing, so the parent's custom engine/metric/template
-    registrations travel here once per worker, and the spec travels as
-    its payload dict (always picklable) rather than as live objects.
+    The spec travels in the pool's state as its payload dict (always
+    picklable) rather than as live objects.
     """
-    from repro.core.engine import install_engines
-    from repro.core.metrics import install_metrics, install_templates
-
-    install_templates(templates)
-    install_metrics(metrics)
-    install_engines(engines)
-    global _drain_state
-    _drain_state = _DrainState(
-        spec=CampaignSpec.from_dict(spec_payload),
-        directory=directory,
+    spec_payload, directory, lut, lease_ttl, claim_batch, parallel, timeout = (
+        worker_state()
+    )
+    return drain_worker(
+        CampaignSpec.from_dict(spec_payload),
+        directory,
         lut=lut,
         lease_ttl=lease_ttl,
         claim_batch=claim_batch,
         parallel=parallel,
         timeout=timeout,
-    )
-
-
-def _drain_task(ordinal: int) -> int:
-    """Pool task: run one full drain worker (module-level, picklable)."""
-    assert _drain_state is not None  # installed by _init_drain_worker
-    state = _drain_state
-    return drain_worker(
-        state.spec,
-        state.directory,
-        lut=state.lut,
-        lease_ttl=state.lease_ttl,
-        claim_batch=state.claim_batch,
-        parallel=state.parallel,
-        timeout=state.timeout,
         worker_id=f"{socket.gethostname()}-{os.getpid()}-w{ordinal}",
     )
 
@@ -513,26 +436,15 @@ def drain_campaign(
             parallel=parallel,
             timeout=timeout,
         )
-    from repro.core.engine import custom_engines
-    from repro.core.metrics import custom_metrics, custom_templates
-
-    threaded = threading.active_count() > 1
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("spawn") if threaded else None,
-        initializer=_init_drain_worker,
-        initargs=(
-            spec.to_dict(),
-            os.fspath(directory),
-            shared_lut,
-            lease_ttl,
-            claim_batch,
-            parallel,
-            timeout,
-            custom_engines(),
-            custom_metrics(),
-            custom_templates(),
-        ),
-    ) as pool:
+    state = (
+        spec.to_dict(),
+        os.fspath(directory),
+        shared_lut,
+        lease_ttl,
+        claim_batch,
+        parallel,
+        timeout,
+    )
+    with worker_pool(workers, state) as pool:
         counts = list(pool.map(_drain_task, range(workers)))
     return sum(counts)

@@ -27,7 +27,6 @@ simulated.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -44,10 +43,11 @@ from repro.campaign.codec import (
     technology_from_dict,
     technology_to_dict,
 )
-from repro.analysis.planner import SearchSpec
+from repro.analysis.planner import PlannedGrid, SearchSpec, plan_grid
 from repro.campaign.tracespec import TraceSpec
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
+from repro.errors import ConfigurationError
 from repro.power.energy import TechnologyParams
 
 #: Version of the campaign spec file format.
@@ -171,17 +171,11 @@ class CampaignSpec:
         if not self.traces:
             raise CodecError("a campaign needs at least one trace spec")
         object.__setattr__(self, "traces", tuple(self.traces))
-        field_names = set(ArchitectureConfig.__dataclass_fields__)
-        axes = {}
-        for axis_name, values in dict(self.axes).items():
-            if axis_name not in field_names:
-                raise CodecError(
-                    f"{axis_name!r} is not an ArchitectureConfig field"
-                )
-            values = list(values)
-            if not values:
-                raise CodecError(f"axis {axis_name!r} has no values")
-            axes[axis_name] = values
+        axes = {name: list(values) for name, values in dict(self.axes).items()}
+        try:
+            plan_grid(axes, allow_empty=True)
+        except ConfigurationError as exc:
+            raise CodecError(str(exc)) from exc
         object.__setattr__(self, "axes", axes)
         validate_engine(self.engine)
         if self.search is not None and not isinstance(self.search, SearchSpec):
@@ -198,9 +192,13 @@ class CampaignSpec:
         """Axis names in declaration order."""
         return list(self.axes)
 
+    def grid(self) -> PlannedGrid:
+        """The planned grid of the axes (one empty combo when no axes)."""
+        return plan_grid(self.axes, allow_empty=True)
+
     def combos(self) -> list[tuple]:
-        """Cartesian product of the axes (one empty combo when no axes)."""
-        return list(itertools.product(*(self.axes[n] for n in self.axis_names)))
+        """Cartesian product of the axes, in grid order."""
+        return list(self.grid().combos)
 
     def trace_points(self, trace: TraceSpec) -> list[CampaignPointSpec]:
         """The grid points of one trace, in grid order.
@@ -240,10 +238,7 @@ class CampaignSpec:
 
     def num_points(self) -> int:
         """Total grid size across all traces."""
-        combos = 1
-        for values in self.axes.values():
-            combos *= len(values)
-        return combos * len(self.traces)
+        return len(self.grid()) * len(self.traces)
 
     # ------------------------------------------------------------------
     # Codec

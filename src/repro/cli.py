@@ -286,19 +286,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # re-opening its own stream.
             import functools
 
-            from repro.analysis.sweep import stream_sweep
-
-            stream = functools.partial(
-                generator.stream, profile, args.chunk_cycles
-            )
-            result = stream_sweep(
-                base, stream, axes, engine=args.engine, parallel=args.parallel
-            )
+            source = functools.partial(generator.stream, profile, args.chunk_cycles)
         else:
-            trace = generator.generate(profile)
-            result = sweep(
-                base, trace, axes, engine=args.engine, parallel=args.parallel
-            )
+            source = generator.generate(profile)
+        result = sweep(base, source, axes, engine=args.engine, parallel=args.parallel)
     except ReproError as error:
         # e.g. --banks 1 with a dynamic policy axis, or a non-power-of-two
         # bank count: surface the validation message, not a traceback.

@@ -38,9 +38,10 @@ An engine streams through one capability,
 :func:`run_streaming` / :func:`run_streaming_group` (one pass on a
 given kernel backend), :func:`simulate_stream` (the dispatching
 front-end mirroring :func:`~repro.core.simulator.simulate`), and
-:func:`stream_selected` (single-pass evaluation of many grid points,
-used by :func:`~repro.analysis.sweep.stream_sweep` and the campaign
-runner).
+:func:`stream_selected` (single-pass evaluation of many grid points),
+which :func:`~repro.analysis.sweep.simulate_selected` — the one source
+dispatch under sweeps, streamed sweeps and campaigns — runs for every
+stream or stream factory it is given.
 
 **Sharded parallel streaming.** ``stream_selected(parallel=N)`` splits
 one pass over the stream across ``N`` worker processes: worker ``w``
@@ -52,16 +53,17 @@ across partition members — so elementwise
 counters reconstruct the serial pass **bit-identically** (the fuzz
 suite pins it). Every worker re-opens the stream (the
 :class:`~repro.trace.stream.TraceStream` contract makes ``chunks()``
-repeatable) and advances its own policy/epoch cursors; when the stream
-cannot travel to workers, the pass falls back to serial with a
-:class:`~repro.errors.ReproWarning`.
+repeatable) and advances its own policy/epoch cursors. The workers come
+from the shared pool (:func:`repro.core.pool.worker_pool`), which ships
+the stream (or its factory) once per worker as the pool's state; when
+the stream cannot travel to workers, the pass falls back to serial with
+a :class:`~repro.errors.ReproWarning`.
 """
 
 from __future__ import annotations
 
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +72,7 @@ from repro.aging.lut import LifetimeLUT
 from repro.cache.stats import CacheStats
 from repro.core.engine import resolve_engine, supports_streaming, validate_engine
 from repro.core.plan import StreamingPlan, TracePlan
+from repro.core.pool import worker_pool, worker_state
 from repro.core.results import SimulationResult
 from repro.core.simulator import assemble_result
 from repro.errors import ConfigurationError, ReproWarning, SimulationError
@@ -536,54 +539,7 @@ def simulate_stream(
     without it fail loudly rather than silently materializing the
     trace.
     """
-    chosen = resolve_engine(engine, config)
-    if not supports_streaming(chosen):
-        raise SimulationError(
-            f"engine {chosen.name!r} does not support streaming simulation; "
-            "materialize the trace (repro.trace.stream.stream_to_trace) or "
-            "pick an engine with the open_stream_cursor capability"
-        )
-    plan = StreamingPlan()
-    cursor = chosen.open_stream_cursor([config], plan)
-    return cursor.finalize(_run_pass(stream, plan, [cursor]), stream.name, lut)[0]
-
-
-#: Per-worker shared state for the sharded streaming pass, installed
-#: once by :func:`_init_stream_worker` so shard payloads carry only the
-#: shard coordinates and the combos.
-_worker_stream = None
-_worker_base = None
-_worker_names: list | None = None
-_worker_engine: str | None = None
-
-
-def _init_stream_worker(
-    stream,
-    base,
-    names,
-    engine: str,
-    engines: tuple = (),
-    metrics: tuple = (),
-    templates: tuple = (),
-) -> None:
-    """Pool initializer for shard workers (mirrors the sweep pool's).
-
-    ``stream`` is either a :class:`~repro.trace.stream.TraceStream` or
-    a zero-argument factory producing one; plugin engine/metric
-    registrations travel from the parent exactly as in
-    :func:`repro.analysis.sweep._init_worker`.
-    """
-    from repro.core.engine import install_engines
-    from repro.core.metrics import install_metrics, install_templates
-
-    install_templates(templates)
-    install_metrics(metrics)
-    install_engines(engines)
-    global _worker_stream, _worker_base, _worker_names, _worker_engine
-    _worker_stream = stream
-    _worker_base = base
-    _worker_names = names
-    _worker_engine = engine
+    return stream_selected(config, stream, [], [()], lut=lut, engine=engine)[0]
 
 
 def _shard_pass(payload):
@@ -595,38 +551,26 @@ def _shard_pass(payload):
     partition, and returns the raw partial counters — result assembly
     happens in the parent after the merge.
     """
-    shard_index, shard_count, group_items = payload
-    stream = _worker_stream() if callable(_worker_stream) else _worker_stream
+    stream, engine = worker_state()
+    shard_index, shard_count, group_configs = payload
+    stream = stream() if callable(stream) else stream
     plan = StreamingPlan()
-    cursors = []
-    for group_id, group_combos in group_items:
-        configs = [
-            replace(_worker_base, **dict(zip(_worker_names, combo)))
-            for combo in group_combos
-        ]
-        chosen = resolve_engine(_worker_engine, configs[0])
-        cursors.append(
-            (group_id, chosen.open_stream_cursor(configs, plan, shard=(shard_index, shard_count)))
+    shard = (shard_index, shard_count)
+    cursors = [
+        (
+            group_id,
+            resolve_engine(engine, configs[0]).open_stream_cursor(
+                configs, plan, shard=shard
+            ),
         )
+        for group_id, configs in group_configs
+    ]
     horizon = _run_pass(stream, plan, [cursor for _, cursor in cursors])
     return (
         stream.name,
         horizon,
         [(group_id, cursor.finalize_partial(horizon)) for group_id, cursor in cursors],
     )
-
-
-def _shardable(stream) -> str | None:
-    """Why the pass cannot shard across processes (``None`` = it can)."""
-    if not callable(stream):
-        try:
-            pickle.dumps(stream)
-        except Exception:
-            return (
-                "the stream does not pickle and no stream factory was given; "
-                "pass a zero-argument callable producing the stream"
-            )
-    return None
 
 
 def stream_selected(
@@ -675,10 +619,10 @@ def stream_selected(
         raise ConfigurationError("parallel must be a positive worker count")
     if not combos:
         return []
-    if group_ids is None:
-        group_ids = list(range(len(combos)))
     groups: dict[int, list[int]] = {}
-    for position, group_id in enumerate(group_ids):
+    for position, group_id in enumerate(
+        group_ids if group_ids is not None else range(len(combos))
+    ):
         groups.setdefault(group_id, []).append(position)
     group_configs = {
         group_id: [
@@ -687,95 +631,77 @@ def stream_selected(
         ]
         for group_id, members in groups.items()
     }
-    engines = {}
-    for group_id, configs in group_configs.items():
-        chosen = resolve_engine(engine, configs[0])
+    engines = {
+        group_id: resolve_engine(engine, configs[0])
+        for group_id, configs in group_configs.items()
+    }
+    for chosen in engines.values():
         if not supports_streaming(chosen):
             raise SimulationError(
-                f"engine {chosen.name!r} does not support streaming simulation"
+                f"engine {chosen.name!r} does not support streaming simulation; "
+                "materialize the trace (repro.trace.stream.stream_to_trace) or "
+                "pick an engine with the open_stream_cursor capability"
             )
-        engines[group_id] = chosen
 
     shared_lut = lut if lut is not None else LifetimeLUT.default()
+    workers = parallel or 1
+    if workers > 1 and not callable(stream):
+        try:
+            pickle.dumps(stream)
+        except Exception:
+            warnings.warn(
+                f"parallel={parallel} requested but the streaming pass cannot "
+                "be sharded (the stream does not pickle and no stream factory "
+                "was given; pass a zero-argument callable producing the "
+                "stream); running the serial single pass",
+                ReproWarning,
+                stacklevel=2,
+            )
+            workers = 1
+    if workers > 1:
+        group_results = _sharded_pass(
+            stream, engine, group_configs, shared_lut, workers
+        )
+    else:
+        stream = stream() if callable(stream) else stream
+        plan = StreamingPlan()
+        cursors = {
+            group_id: engines[group_id].open_stream_cursor(configs, plan)
+            for group_id, configs in group_configs.items()
+        }
+        horizon = _run_pass(stream, plan, cursors.values())
+        group_results = {
+            group_id: cursor.finalize(horizon, stream.name, shared_lut)
+            for group_id, cursor in cursors.items()
+        }
     results: list[SimulationResult | None] = [None] * len(combos)
-
-    def emit(group_id: int, group_results: list[SimulationResult]) -> None:
-        for position, result in zip(groups[group_id], group_results):
+    for group_id, members in groups.items():
+        for position, result in zip(members, group_results[group_id]):
             results[position] = result
             if on_result is not None:
                 on_result(position, result)
-
-    workers = parallel or 1
-    if workers > 1:
-        reason = _shardable(stream)
-        if reason is None:
-            _stream_selected_parallel(
-                base, stream, names, combos, groups, group_configs,
-                shared_lut, engine, emit, workers,
-            )
-            return results
-        warnings.warn(
-            f"parallel={parallel} requested but the streaming pass cannot "
-            f"be sharded ({reason}); running the serial single pass",
-            ReproWarning,
-            stacklevel=2,
-        )
-
-    stream = stream() if callable(stream) else stream
-    plan = StreamingPlan()
-    cursors = {
-        group_id: engines[group_id].open_stream_cursor(configs, plan)
-        for group_id, configs in group_configs.items()
-    }
-    horizon = _run_pass(stream, plan, cursors.values())
-    for group_id, cursor in cursors.items():
-        emit(group_id, cursor.finalize(horizon, stream.name, shared_lut))
     return results
 
 
-def _stream_selected_parallel(
-    base,
+def _sharded_pass(
     stream,
-    names,
-    combos,
-    groups: dict[int, list[int]],
+    engine: str,
     group_configs: dict[int, list],
     lut: LifetimeLUT,
-    engine: str,
-    emit,
     workers: int,
-) -> None:
+) -> dict[int, list[SimulationResult]]:
     """Sharded fan-out of one streaming pass (see :func:`stream_selected`).
 
     Worker ``w`` of ``workers`` runs the full pass but tracks hits
     only for sets with ``set % workers == w`` and gaps only for banks
     with ``bank % workers == w``; the parent merges each group's shard
-    set with :func:`merge_shard_partials` and hands each group's
-    results to ``emit``. The stream (or its factory) and the grid
-    travel once per worker through the pool initializer; shard
-    payloads carry only the coordinates and combos.
+    set with :func:`merge_shard_partials`. The stream (or its factory)
+    travels once per worker as the pool's state; shard payloads carry
+    the coordinates and the groups' configs.
     """
-    from repro.core.engine import custom_engines
-    from repro.core.metrics import custom_metrics, custom_templates
-
-    group_items = [
-        (group_id, [combos[position] for position in members])
-        for group_id, members in groups.items()
-    ]
-    payloads = [(worker, workers, group_items) for worker in range(workers)]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_stream_worker,
-        initargs=(
-            stream,
-            base,
-            names,
-            engine,
-            custom_engines(),
-            custom_metrics(),
-            custom_templates(),
-        ),
-    ) as pool:
+    items = list(group_configs.items())
+    payloads = [(worker, workers, items) for worker in range(workers)]
+    with worker_pool(workers, (stream, engine)) as pool:
         outputs = list(pool.map(_shard_pass, payloads))
 
     identities = {(name, horizon) for name, horizon, _ in outputs}
@@ -785,17 +711,15 @@ def _stream_selected_parallel(
             "the stream is not replaying identically across workers"
         )
     stream_name, horizon, _ = outputs[0]
-    partials_by_group: dict[int, list[StreamShardPartial]] = {
-        group_id: [] for group_id in groups
+    partials: dict[int, list[StreamShardPartial]] = {
+        group_id: [] for group_id in group_configs
     }
-    for _, _, items in outputs:
-        for group_id, partial in items:
-            partials_by_group[group_id].append(partial)
-
-    for group_id, configs in group_configs.items():
-        emit(
-            group_id,
-            merge_shard_partials(
-                configs, partials_by_group[group_id], horizon, stream_name, lut
-            ),
+    for _, _, shard_items in outputs:
+        for group_id, partial in shard_items:
+            partials[group_id].append(partial)
+    return {
+        group_id: merge_shard_partials(
+            configs, partials[group_id], horizon, stream_name, lut
         )
+        for group_id, configs in group_configs.items()
+    }

@@ -82,9 +82,9 @@ def validate_workload(
     simulated = simulate_selected(
         base,
         trace,
-        list(grid.names),
-        list(grid.combos),
-        group_ids=list(grid.group_ids) if grid.group_ids is not None else None,
+        grid.names,
+        grid.combos,
+        group_ids=grid.group_ids,
         lut=shared_lut,
         engine=engine,
         parallel=parallel,

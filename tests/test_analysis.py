@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import threading
 
 import pytest
 
 from repro.analysis.pareto import pareto_front
-from repro.analysis.sweep import (
-    _breakeven_group_ids,
-    _chunk_payloads,
-    sweep,
-)
+from repro.analysis.planner import breakeven_group_ids
+from repro.analysis.sweep import _chunk_payloads, search_sweep, stream_sweep, sweep
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.errors import ConfigurationError
+from repro.trace.stream import InMemoryTraceStream
 from tests.conftest import make_random_trace
 
 
@@ -92,6 +91,14 @@ class TestSweep:
         base, trace = base_and_trace
         with pytest.raises(ConfigurationError):
             sweep(base, trace, {}, lut)
+        # An axis with no values is an empty grid, never a silent no-op.
+        empty = {"num_banks": []}
+        with pytest.raises(ConfigurationError, match="'num_banks' has no values"):
+            sweep(base, trace, empty, lut)
+        with pytest.raises(ConfigurationError, match="'num_banks' has no values"):
+            stream_sweep(base, InMemoryTraceStream(trace, 4096), empty, lut)
+        with pytest.raises(ConfigurationError, match="'num_banks' has no values"):
+            search_sweep(base, trace, empty, lut=lut)
 
     def test_empty_best_rejected(self, base_and_trace, lut):
         base, trace = base_and_trace
@@ -180,9 +187,9 @@ class TestPlanSweep:
 
     def test_breakeven_group_ids(self):
         axes = {"num_banks": [2, 4], "breakeven_override": [1, 2, 3]}
-        ids = _breakeven_group_ids(list(axes), axes)
+        ids = breakeven_group_ids(list(axes), axes)
         assert ids == [0, 0, 0, 3, 3, 3]
-        assert _breakeven_group_ids(["num_banks"], {"num_banks": [2, 4]}) is None
+        assert breakeven_group_ids(["num_banks"], {"num_banks": [2, 4]}) is None
 
     def test_chunk_payloads_exclude_trace(self, base_and_trace):
         """The parallel fan-out must not re-pickle the trace per chunk:
@@ -192,7 +199,7 @@ class TestPlanSweep:
         names = list(axes)
         combos = list(itertools.product(*(axes[name] for name in names)))
         payloads = _chunk_payloads(
-            base, names, combos, _breakeven_group_ids(names, axes), "auto", 3
+            base, names, combos, breakeven_group_ids(names, axes), "auto", 3
         )
         assert sum(len(p[2]) for p in payloads) == len(combos)
         trace_bytes = len(pickle.dumps(trace))
@@ -231,6 +238,53 @@ class TestParallelSweep:
             assert a.result.bank_stats == b.result.bank_stats
             assert a.result.energy_pj == b.result.energy_pj
             assert a.result.lifetime_years == b.result.lifetime_years
+
+
+class TestWorkerPool:
+    def test_pools_spawn_while_other_threads_run(
+        self, base_and_trace, lut, monkeypatch
+    ):
+        """The grid-chunk and stream-shard pools both start through the
+        shared pool helper: with another thread alive they spawn (a
+        forked child would inherit whatever locks that thread holds),
+        and their results equal the serial run's."""
+        import repro.core.pool as pool_module
+        from repro.analysis.sweep import simulate_selected
+        from repro.core.streamsim import stream_selected
+
+        contexts = []
+        pool = pool_module.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", spy)
+        base, trace = base_and_trace
+        axes = {"num_banks": [2, 4], "breakeven_override": [5, 700]}
+        names = list(axes)
+        combos = list(itertools.product(*axes.values()))
+        group_ids = breakeven_group_ids(names, axes)
+        stream = InMemoryTraceStream(trace, 4096)
+        serial = simulate_selected(base, trace, names, combos, group_ids, lut)
+        streamed = stream_selected(base, stream, names, combos, group_ids, lut)
+        assert contexts == []
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            chunked = simulate_selected(
+                base, trace, names, combos, group_ids, lut, parallel=2
+            )
+            sharded = stream_selected(
+                base, stream, names, combos, group_ids, lut, parallel=2
+            )
+        finally:
+            release.set()
+            other.join()
+        assert [c.get_start_method() for c in contexts] == ["spawn", "spawn"]
+        assert chunked == serial
+        assert sharded == streamed
 
 
 class TestPareto:

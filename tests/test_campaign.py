@@ -34,6 +34,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.core.serialize import SerializationError
 from repro.core.simulator import simulate
+from repro.errors import ConfigurationError
 from repro.power.energy import TechnologyParams
 from repro.trace.generator import WorkloadGenerator
 from repro.trace.io import save_trace
@@ -387,6 +388,22 @@ def sim_counter(monkeypatch):
 
 
 class TestRunCampaign:
+    @pytest.mark.parametrize("covered", [False, True], ids=["fresh", "covered"])
+    @pytest.mark.parametrize(
+        "search", [None, "estimator-pruned"], ids=["exhaustive", "estimator-pruned"]
+    )
+    def test_rejects_nonpositive_worker_counts(self, tmp_path, lut, covered, search):
+        """Worker counts are checked before the store is read, whatever
+        the store holds and whichever path would run."""
+        spec = small_campaign()
+        directory = tmp_path / "c"
+        if covered:
+            run_campaign(spec, directory=directory, lut=lut, search=search)
+        for bad in ({"parallel": 0}, {"parallel": -3}, {"workers": 0}):
+            with pytest.raises(ConfigurationError, match="positive worker count"):
+                run_campaign(spec, directory=directory, lut=lut, search=search, **bad)
+        assert directory.exists() == covered
+
     def test_rerun_simulates_zero_points(self, tmp_path, lut, sim_counter):
         spec = small_campaign(axes={"num_banks": [2, 4], "policy": ["static", "probing"]})
         first = run_campaign(spec, directory=tmp_path, lut=lut)

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-import repro.campaign.service.queue as queue_module
+import repro.core.pool as pool_module
 from repro.campaign import (
     CampaignSpec,
     CampaignStore,
@@ -358,13 +358,13 @@ class TestDrain:
         by the caller's other threads; with threads running the pool
         spawns, and its records equal a single-threaded drain's."""
         contexts = []
-        pool = queue_module.ProcessPoolExecutor
+        pool = pool_module.ProcessPoolExecutor
 
         def spy(*args, **kwargs):
             contexts.append(kwargs.get("mp_context"))
             return pool(*args, **kwargs)
 
-        monkeypatch.setattr(queue_module, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", spy)
         spec = small_campaign()
         drain_campaign(spec, tmp_path / "plain.d", workers=2)
         release = threading.Event()

@@ -447,9 +447,11 @@ class TestWorkerPluginPropagation:
     """Custom registry entries must reach parallel pool workers."""
 
     def test_init_worker_installs_parent_plugins(self, lut):
-        from repro.analysis.sweep import _init_worker, _simulate_chunk
+        from repro.analysis.sweep import _simulate_chunk
         from repro.core.engine import get_engine, unregister_engine
         from repro.core.metrics import unregister_metric
+        from repro.core.plan import TracePlan
+        from repro.core.pool import _install_worker
         from repro.core.simulator import ReferenceSimulator
         from repro.errors import UnknownEngineError
 
@@ -473,7 +475,7 @@ class TestWorkerPluginPropagation:
         # Emulate a spawn-started worker: neither plugin is registered.
         with pytest.raises(UnknownEngineError):
             get_engine("plugin-engine")
-        _init_worker(trace, lut, engines=(engine,), metrics=(metric,))
+        _install_worker((TracePlan(trace), lut), (engine,), (metric,), ())
         try:
             chunk = _simulate_chunk(
                 (base, ["num_banks"], [(2,), (4,)], None, "plugin-engine")
@@ -521,6 +523,41 @@ class TestWorkerPluginPropagation:
             assert all("wakes_per_kcycle" in p.result.metrics for p in grid)
         finally:
             unregister_engine("echo")
+
+    def test_parallel_stream_sweep_carries_custom_metric(self, scratch_metrics, lut):
+        from repro.analysis.sweep import stream_sweep
+        from repro.trace.stream import InMemoryTraceStream
+
+        scratch_metrics(WakeRateMetric())
+        trace = make_random_trace(seed=33, length=600)
+        base = ArchitectureConfig(CacheGeometry(4096, 16), num_banks=2)
+        grid = stream_sweep(
+            base, InMemoryTraceStream(trace, 2048), {"num_banks": [2, 4]}, lut, parallel=2
+        )
+        assert len(grid) == 2
+        assert all("wakes_per_kcycle" in p.result.metrics for p in grid)
+
+    def test_campaign_drain_workers_carry_custom_metric(
+        self, scratch_metrics, tmp_path, lut
+    ):
+        """Drain workers compute each record's metrics at write time. A
+        live thread makes the pool spawn, so the metric reaches the
+        workers only through the pool initializer."""
+        import threading
+
+        scratch_metrics(WakeRateMetric())
+        spec = TestRecomputeFromStoredCounters().spec()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            result = run_campaign(spec, directory=tmp_path, lut=lut, workers=2)
+        finally:
+            release.set()
+            other.join()
+        assert result.simulated == len(result) == 2
+        for point in result:
+            assert "wakes_per_kcycle" in point.record.stored_metrics
 
 
 class TestBuiltinOverridesShipToWorkers:

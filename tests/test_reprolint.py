@@ -269,7 +269,7 @@ RULE_FIXTURES = [
         "def run(keys):\n"
         "    with ProcessPoolExecutor() as pool:\n"
         "        return list(pool.map(_task, keys))\n",
-        # The _drain_state pattern: a None-initialized slot the pool
+        # The _pool_state pattern: a None-initialized slot the pool
         # initializer fills inside each worker.
         "from concurrent.futures import ProcessPoolExecutor\n"
         "_state = None\n"

@@ -484,9 +484,10 @@ class SpawnSafeWorkers(_ScopedVisitorRule):
 
     Under the spawn start method (macOS/Windows default) workers
     inherit nothing: lambdas and closures fail to pickle, and module
-    globals captured at fork time silently vanish. The sweep ships the
-    trace, LUT and plugin registries through the pool initializer;
-    anything submitted must be a top-level function.
+    globals captured at fork time silently vanish. The one pool helper
+    (``core/pool.py``) ships the plugin registries and each pool's state
+    (trace plan, stream factory, drain parameters) through the pool
+    initializer; anything submitted must be a top-level function.
     """
 
     rule_id = "REPRO005"
@@ -500,6 +501,7 @@ class SpawnSafeWorkers(_ScopedVisitorRule):
         "analysis/sweep.py",
         "campaign/run.py",
         "campaign/service/queue.py",
+        "core/pool.py",
         "core/streamsim.py",
     )
 
@@ -966,13 +968,14 @@ _FILE_CTORS = frozenset({"NamedTemporaryFile", "TemporaryFile"})
 class ForkSafety(Rule):
     """REPRO011 — no fork-hostile module globals in pool-worker code.
 
-    ``drain_campaign`` forks worker processes. A module-global lock is
-    cloned in a possibly-held state (instant deadlock), a global file
-    handle or sqlite connection shares one file offset / locking state
-    across every worker, and a global RNG instance hands each fork the
-    same stream. State a worker needs must be created inside the
-    worker or shipped through the pool initializer — that is exactly
-    the ``_drain_state`` pattern in ``campaign/service/queue.py``.
+    Sweeps, sharded streaming passes and ``drain_campaign`` fork
+    worker processes. A module-global lock is cloned in a possibly-held
+    state (instant deadlock), a global file handle or sqlite connection
+    shares one file offset / locking state across every worker, and a
+    global RNG instance hands each fork the same stream. State a worker
+    needs must be created inside the worker or shipped through the pool
+    initializer — that is exactly the ``_pool_state`` slot in
+    ``core/pool.py``, which the one pool helper's initializer fills.
     """
 
     rule_id = "REPRO011"
