@@ -21,9 +21,9 @@ Two claims are asserted before ``BENCH_search.json`` is written:
 Wall-clock for both paths is recorded but not asserted: on synthetic
 traces the compiled breakeven-batched kernels make a simulation barely
 more expensive than assembling an estimate, so the pruning payoff
-shows up as simulations avoided (what matters once per-point cost is
-dominated by real trace replay, storage round-trips or workers), not
-as local wall-clock.
+shows up mostly as simulations avoided (what matters once per-point
+cost is dominated by real trace replay, storage round-trips or
+workers); local wall-clock of the two paths stays close.
 
 Run it directly::
 

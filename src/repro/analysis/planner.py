@@ -41,6 +41,8 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
+import numpy as np
+
 from repro.analysis.pareto import pareto_front
 from repro.core.config import ArchitectureConfig
 from repro.errors import ConfigurationError
@@ -357,6 +359,11 @@ def _direction_scores(
     return scores
 
 
+#: Rows of :func:`_epsilon_front` tested against every point at once,
+#: so its memory stays O(block × points) on large campaign grids.
+_FRONT_BLOCK = 256
+
+
 def _epsilon_front(scores: Sequence[Sequence[float]], epsilon: float) -> list[int]:
     """Indices not ε-dominated: the Pareto front plus its ε-margin.
 
@@ -373,19 +380,23 @@ def _epsilon_front(scores: Sequence[Sequence[float]], epsilon: float) -> list[in
     for j in range(dims):
         column = [row[j] for row in scores]
         margins.append(epsilon * (max(column) - min(column)))
+    values = np.asarray(scores, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        bars = values + np.asarray(margins, dtype=np.float64)
     keep: list[int] = []
-    for i, row in enumerate(scores):
-        dominated = False
-        for k, other in enumerate(scores):
-            if k == i:
-                continue
-            if all(
-                other[j] >= row[j] + margins[j] for j in range(dims)
-            ) and any(other[j] > row[j] for j in range(dims)):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
+    for start in range(0, len(values), _FRONT_BLOCK):
+        stop = min(start + _FRONT_BLOCK, len(values))
+        # beats_all[i, k]: point k clears row i's bar on every objective;
+        # beats_any[i, k]: point k is strictly better on some objective.
+        # No point is strictly better than itself, so k == i never counts.
+        beats_all = np.ones((stop - start, len(values)), dtype=bool)
+        beats_any = np.zeros_like(beats_all)
+        for j in range(dims):
+            column = values[:, j]
+            beats_all &= column >= bars[start:stop, j, None]
+            beats_any |= column > values[start:stop, j, None]
+        dominated = (beats_all & beats_any).any(axis=1)
+        keep.extend((np.flatnonzero(~dominated) + start).tolist())
     return keep
 
 

@@ -333,7 +333,7 @@ class StreamCursor:
             logical = plan.logical_banks(
                 geometry.offset_bits, geometry.index_bits, self.num_banks
             )
-            physical = np.empty(n, dtype=np.int64)
+            physical = np.empty(n, dtype=np.min_scalar_type(self.num_banks - 1))
             for segment in range(len(starts) - 1):
                 if segment > 0:
                     self.policy.update()

@@ -4,7 +4,10 @@ Where the simulation engines replay a trace access by access, this
 package predicts the same headline metrics — hit rate, per-bank
 idleness, energy, lifetime — from the cheap summary statistics of
 :func:`repro.trace.stats.profile_trace` alone. One profile costs a few
-array passes; after that every grid point is arithmetic, which is what
+array passes — the bank-independent ones (set decode, distinct lines,
+gap percentiles, reuse distance) once per trace and geometry, the bank
+shares and gap histograms once per bank count — and after that every
+grid point is arithmetic, which is what
 makes estimator-guided search (:mod:`repro.analysis.planner`) able to
 screen hundreds of configurations before paying for a single
 simulation.

@@ -13,7 +13,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.core.engine import Engine, register_engine
 from repro.estimate.model import estimate_result
-from repro.trace.stats import TraceProfile, profile_trace
+from repro.trace.stats import TraceProfile, profile_trace, summarize_trace
 
 
 class EstimateEngine(Engine):
@@ -21,9 +21,12 @@ class EstimateEngine(Engine):
 
     ``run`` profiles the trace (a few array passes) and evaluates the
     analytical model — no replay. When a shared
-    :class:`~repro.core.plan.TracePlan` is passed, the profile is
-    memoized in the plan keyed by (geometry, bank count), so a whole
-    grid over one trace pays for each distinct profile once.
+    :class:`~repro.core.plan.TracePlan` is passed, the plan memoizes the
+    bank-independent :class:`~repro.trace.stats.TraceSummary` keyed by
+    geometry and each profile keyed by (geometry, bank count): a whole
+    grid over one trace decodes, sorts and takes percentiles once per
+    geometry and builds the bank shares and gap histograms once per
+    bank count.
     """
 
     name = "estimate"
@@ -48,15 +51,13 @@ class EstimateEngine(Engine):
     def _profile(trace, geometry: CacheGeometry, num_banks: int, plan) -> TraceProfile:
         if plan is None or not plan.matches(trace):
             return profile_trace(trace, geometry, num_banks)
-        key = (
-            "estimate-profile",
-            geometry.size_bytes,
-            geometry.line_size,
-            geometry.ways,
-            num_banks,
+        shape = (geometry.size_bytes, geometry.line_size, geometry.ways)
+        summary = plan.cached(
+            ("estimate-summary", *shape), lambda: summarize_trace(trace, geometry)
         )
         return plan.cached(
-            key, lambda: profile_trace(trace, geometry, num_banks)
+            ("estimate-profile", *shape, num_banks),
+            lambda: profile_trace(trace, geometry, num_banks, summary),
         )
 
 

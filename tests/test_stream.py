@@ -331,6 +331,30 @@ class TestStreamSweep:
             assert a.parameters == b.parameters
             assert_results_identical(a.result, b.result, context=a.parameters)
 
+    @pytest.mark.parametrize("parallel", [None, 2], ids=["serial", "sharded"])
+    def test_narrow_bank_ids_route_like_sweep(self, parallel):
+        """The fold sorts uint8 (2 banks) and uint16 (512 banks) bank ids;
+        ``parallel=2`` runs it over owned-bank shards."""
+        geometry = CacheGeometry(16 * 1024, 16)
+        trace = random_trace(np.random.default_rng(29), 3000)
+        base = ArchitectureConfig(
+            geometry, num_banks=2, policy="probing",
+            update_period_cycles=trace.horizon // 8,
+        )
+        axes = {
+            "num_banks": [2, 512],
+            "policy": ["static", "probing", "scrambling"],
+            "breakeven_override": [5, None],
+        }
+        in_memory = sweep(base, trace, axes)
+        streamed = stream_sweep(
+            base, InMemoryTraceStream(trace, 256), axes, parallel=parallel
+        )
+        assert len(in_memory) == len(streamed) == 12
+        for a, b in zip(in_memory, streamed):
+            assert a.parameters == b.parameters
+            assert_results_identical(a.result, b.result, context=a.parameters)
+
     def test_synthetic_stream_bit_identical_to_generate(self):
         geometry = CacheGeometry(8 * 1024, 16)
         generator = WorkloadGenerator(geometry, num_windows=25, master_seed=13)
