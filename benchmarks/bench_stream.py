@@ -10,7 +10,7 @@ instead of asserting it:
   with the vectorized engine (the PR 2 path);
 * **streamed** — the same workload through
   :meth:`~repro.trace.generator.WorkloadGenerator.stream` and
-  :func:`~repro.core.streamsim.run_streaming`; the trace is never
+  :func:`~repro.core.streamsim.simulate_stream`; the trace is never
   resident.
 
 Each mode runs in its own subprocess (``--mode``), because peak RSS is
@@ -97,9 +97,9 @@ def run_mode(mode: str, windows: int, chunk_cycles: int, rss_cap_mb: int) -> dic
     generator, profile, config = _build(windows)
     start = time.perf_counter()
     if mode == "streamed":
-        from repro.core.streamsim import run_streaming
+        from repro.core.streamsim import simulate_stream
 
-        result = run_streaming(config, generator.stream(profile, chunk_cycles))
+        result = simulate_stream(config, generator.stream(profile, chunk_cycles))
         accesses = result.cache_stats.hits + result.cache_stats.misses
     else:
         from repro.core.simulator import simulate

@@ -13,7 +13,8 @@ the ablation benches and the exploration example.
 each of which plans its grid with
 :func:`~repro.analysis.planner.plan_grid`. It runs an in-memory
 :class:`~repro.trace.trace.Trace` here and hands a stream or stream
-factory to :func:`repro.core.streamsim.stream_selected`.
+factory to :func:`repro.core.streamsim.stream_selected`, one pass over
+the stream for the whole grid.
 
 The grid does not pay the full per-point cost: a shared
 :class:`~repro.core.plan.TracePlan` memoizes the address decode, epoch
@@ -23,17 +24,22 @@ differ only in ``breakeven_override`` are simulated as one
 for the whole breakeven axis. Every result stays bit-identical to an
 independent per-point simulation (the tests hold the two together).
 
-Large grids can be fanned out over processes with ``parallel=N``: the
-points are split into contiguous chunks, simulated on the shared worker
-pool (:func:`repro.core.pool.worker_pool`), and reassembled in the
-exact order the serial path would have produced. The trace plan and
-LUT travel to each worker once, as the pool's state; chunk payloads
-carry only the parameter combinations, so fanning out a big trace never
-re-pickles it per chunk.
+Large grids can be fanned out over processes with ``parallel=N``, for
+every kind of source alike: the points are split into contiguous
+chunks, each chunk runs the serial path in a worker of the shared pool
+(:func:`repro.core.pool.worker_pool`), and the results are reassembled
+in the exact order the serial path would have produced. The source
+(trace, stream or stream factory) and LUT travel to each worker once,
+as the pool's state; chunk payloads carry only the parameter
+combinations, so fanning out a big trace never re-pickles it per chunk.
+A stream worker re-opens the stream and makes its own single pass over
+it for its chunk of the grid.
 """
 
 from __future__ import annotations
 
+import pickle
+import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -51,8 +57,8 @@ from repro.core.plan import TracePlan
 from repro.core.pool import worker_pool, worker_state
 from repro.core.results import SimulationResult
 from repro.core.simulator import simulate
-from repro.core.streamsim import stream_selected
-from repro.errors import ConfigurationError
+from repro.core.streamsim import stream_selected, streaming_engine
+from repro.errors import ConfigurationError, ReproWarning
 from repro.trace.stream import TraceStream
 from repro.trace.trace import Trace
 
@@ -121,30 +127,35 @@ def _axis_sort_key(value) -> tuple:
 
 
 def _simulate_chunk(payload) -> list[SimulationResult]:
-    """Pool task: simulate one chunk of the grid.
+    """Pool task: simulate one chunk of the grid on the serial path.
 
     Module-level (not a closure) so it pickles into pool workers; the
-    trace plan and LUT are the pool's state, not part of the payload.
+    trace (or stream) and LUT are the pool's state, not part of the
+    payload.
     """
-    plan, lut = worker_state()
+    trace, lut = worker_state()
     base, names, combos, group_ids, engine = payload
-    return _simulate_combos(
-        base, plan.trace, names, combos, group_ids, lut, engine, plan
-    )
+    return _simulate_combos(base, trace, names, combos, group_ids, lut, engine)
 
 
 def _simulate_combos(
     base: ArchitectureConfig,
-    trace: Trace,
+    trace: Trace | TraceStream | Callable[[], TraceStream],
     names: Sequence[str],
     combos: Sequence[tuple],
     group_ids: Sequence[int] | None,
     lut: LifetimeLUT | None,
     engine: str,
-    plan: TracePlan | None,
+    plan: TracePlan | None = None,
     on_result=None,
 ) -> list[SimulationResult]:
-    """Simulate combos in order, batching breakeven-only groups.
+    """The serial path: simulate combos in order in this process.
+
+    A stream or stream factory runs as one
+    :func:`~repro.core.streamsim.stream_selected` pass. A
+    :class:`~repro.trace.trace.Trace` runs through ``plan`` (a fresh
+    :class:`~repro.core.plan.TracePlan` when ``None``), batching
+    breakeven-only groups.
 
     The breakeven-group fast path is an engine *capability*: it is
     taken only when the engine resolved for this grid exposes a
@@ -157,6 +168,19 @@ def _simulate_combos(
     which is what lets a campaign persist finished work before the
     batch completes.
     """
+    if not isinstance(trace, Trace):
+        return stream_selected(
+            base,
+            trace,
+            names,
+            combos,
+            group_ids=group_ids,
+            lut=lut,
+            engine=engine,
+            on_result=on_result,
+        )
+    if plan is None:
+        plan = TracePlan(trace)
     if group_ids is None:
         groups = [[position] for position in range(len(combos))]
     else:
@@ -243,29 +267,26 @@ def simulate_selected(
     :func:`simulate` calls.
 
     ``trace`` is the source: an in-memory
-    :class:`~repro.trace.trace.Trace` runs here (``plan``, when given,
-    must be its plan), while a :class:`~repro.trace.stream.TraceStream`
-    or a zero-argument factory producing one runs as a single pass
-    through :func:`repro.core.streamsim.stream_selected`, where
-    ``parallel`` shards the pass instead of chunking the grid.
+    :class:`~repro.trace.trace.Trace` (``plan``, when given, must be its
+    plan), or a :class:`~repro.trace.stream.TraceStream` or a
+    zero-argument factory producing one, which runs as a single pass
+    through :func:`repro.core.streamsim.stream_selected`.
+
+    ``parallel=N`` is the one process fan-out for every source: the
+    grid splits into at most ``N`` contiguous chunks and each worker
+    runs this serial path on its chunk (a stream worker re-opens the
+    stream and makes its own pass). Everything that can fail is checked
+    here first, before any pool starts. A source that does not pickle
+    cannot reach the workers, so the grid runs serially after a
+    :class:`~repro.errors.ReproWarning`; pass a picklable stream or a
+    module-level factory (``functools.partial`` of a bound method, say)
+    rather than a lambda or a local function.
 
     ``on_result(position, result)`` fires as results become available —
     per point or breakeven group serially, per finished chunk in
     parallel mode — so callers can persist progress incrementally
     instead of waiting for the whole batch.
     """
-    if not isinstance(trace, Trace):
-        return stream_selected(
-            base,
-            trace,
-            names,
-            combos,
-            group_ids=group_ids,
-            lut=lut,
-            engine=engine,
-            on_result=on_result,
-            parallel=parallel,
-        )
     # Validate up front: the breakeven-grouped path never reaches
     # simulate()'s own engine check, and a typo'd engine must not
     # silently fall through to the fast engine.
@@ -276,9 +297,28 @@ def simulate_selected(
         return []
     shared_lut = lut if lut is not None else LifetimeLUT.default()
     workers = min(parallel or 1, len(combos))
+    if workers > 1 and not isinstance(trace, Trace):
+        # A Trace is arrays and always pickles; a stream or factory is
+        # checked here so that neither an engine that cannot stream nor
+        # a source that cannot reach the workers surfaces in a worker.
+        for combo in combos:
+            streaming_engine(engine, replace(base, **dict(zip(names, combo))))
+        try:
+            pickle.dumps(trace)
+        except Exception:
+            warnings.warn(
+                f"parallel={parallel} requested but the trace source does "
+                "not pickle, so it cannot reach worker processes (pass a "
+                "picklable stream or a module-level factory such as a "
+                "functools.partial, not a lambda or local function); "
+                "running serially",
+                ReproWarning,
+                stacklevel=2,
+            )
+            workers = 1
     if workers > 1:
         payloads = _chunk_payloads(base, names, combos, group_ids, engine, workers)
-        with worker_pool(len(payloads), (TracePlan(trace), shared_lut)) as pool:
+        with worker_pool(len(payloads), (trace, shared_lut)) as pool:
             results: list[SimulationResult] = []
             # pool.map yields chunks in submission order as they
             # finish; reporting per chunk keeps progress durable even
@@ -289,8 +329,6 @@ def simulate_selected(
                         on_result(len(results) + offset, result)
                 results.extend(chunk)
             return results
-    if plan is None:
-        plan = TracePlan(trace)
     return _simulate_combos(
         base, trace, names, combos, group_ids, shared_lut, engine, plan, on_result
     )
@@ -307,17 +345,16 @@ def stream_sweep(
     """Out-of-core :func:`sweep`: the whole grid in one pass over a stream.
 
     ``stream`` is a :class:`~repro.trace.stream.TraceStream` or a
-    zero-argument callable producing one (what ``parallel=N`` wants:
-    each worker re-opens its own stream). One cursor per breakeven group
+    zero-argument callable producing one. One cursor per breakeven group
     advances chunk by chunk through a shared
     :class:`~repro.core.plan.StreamingPlan`, so peak memory is bounded
     by the chunk size plus per-point state, never the trace length, and
     every result is bit-identical to :func:`sweep` on the materialized
     trace (the streaming fuzz suite holds the two together).
-    ``parallel=N`` shards the single pass by set/bank partition (see
-    :func:`repro.core.streamsim.stream_selected`); a stream that cannot
-    travel to workers emits a :class:`~repro.errors.ReproWarning` and
-    runs the serial pass instead.
+    ``parallel=N`` splits the grid into chunks like :func:`sweep`; each
+    worker re-opens the stream and makes one pass for its chunk (see
+    :func:`simulate_selected`, which also covers a stream that does not
+    pickle).
     """
     return sweep(base, stream, axes, lut=lut, engine=engine, parallel=parallel)
 
@@ -349,9 +386,9 @@ def sweep(
     parallel:
         Fan the grid out over up to this many worker processes
         (contiguous chunks, results reassembled in deterministic grid
-        order). ``None`` or ``1`` runs serially. The trace and LUT are
-        shipped once per worker as the pool's state; chunk payloads
-        carry only parameter combinations.
+        order). ``None`` or ``1`` runs serially. The trace (or stream)
+        and LUT are shipped once per worker as the pool's state; chunk
+        payloads carry only parameter combinations.
 
     >>> # doctest-style sketch (not executed here):
     >>> # result = sweep(cfg, trace, {"num_banks": [2, 4, 8]}, parallel=4)

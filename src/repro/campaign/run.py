@@ -10,9 +10,10 @@ Missing points on one trace therefore still share a single
 :class:`~repro.core.plan.TracePlan`, points differing only in
 ``breakeven_override`` collapse into one batched gap computation, and
 ``parallel=N`` fans chunks out over processes. A trace that opts into
-chunked loading is handed over as its stream factory instead, and
-``parallel=N`` then shards the single shared pass by set/bank
-partition — still bit-identical to the serial and in-memory paths.
+chunked loading is handed over as its stream factory instead: one
+shared pass serially, or with ``parallel=N`` one pass per grid chunk,
+each worker re-opening the stream — still bit-identical to the serial
+and in-memory paths.
 Guided campaigns run the planner's one guided-search loop,
 :func:`~repro.analysis.planner.run_search`, with the store as its
 result cache; ``workers=N`` drains through the claim queue
@@ -117,8 +118,8 @@ def _streaming_source(spec: CampaignSpec, trace_spec: TraceSpec):
     runner quietly falls back to materializing, since the stored
     records are bit-identical either way. The *factory* (the spec's
     bound ``stream`` method, picklable) is returned rather than an
-    opened stream so a ``parallel=N`` sharded pass can re-open the
-    stream once per worker.
+    opened stream so each worker of a ``parallel=N`` fan-out can
+    re-open the stream.
     """
     from repro.campaign.tracespec import trace_source
     from repro.core.engine import resolve_engine, supports_streaming
@@ -358,16 +359,12 @@ def run_campaign(
         fields assume the same LUT across runs.
     parallel:
         Worker processes for the missing points of each trace. For an
-        in-memory trace the missing points fan out across workers; a
-        trace that opts into chunked loading (``chunk_cycles > 0``)
-        instead shards its single shared streaming pass by set/bank
-        partition across the workers, each re-opening the stream from
-        the spec's factory — bit-identical to the serial pass, with
-        peak memory still bounded by the chunk size. When a streaming
-        pass cannot be sharded (the engine lacks shard support, or the
-        stream cannot travel to workers) a
-        :class:`~repro.errors.ReproWarning` is emitted and that
-        trace's pass runs serially.
+        in-memory trace or a trace that opts into chunked loading
+        (``chunk_cycles > 0``) alike, the missing points split into
+        chunks across workers; a streaming worker re-opens the stream
+        from the spec's factory and makes one pass for its chunk —
+        bit-identical to the serial pass, with peak memory still
+        bounded by the chunk size per worker.
     workers:
         Claim-loop worker processes (the campaign service's work
         queue). ``None`` keeps the classic single-process path with no

@@ -35,10 +35,11 @@ out over the shared worker pool (:func:`repro.core.pool.worker_pool`,
 which ships the drain parameters and the parent's plugins to each
 worker once), while each worker simulates its batches through the same
 :func:`~repro.analysis.sweep.simulate_selected` as the plain runner and
-may use ``parallel=M`` for its own fan-out. Started from the campaign
-server, whose handler threads query the SQLite index, the pool spawns
-rather than forks (see :mod:`repro.core.pool`); so do the nested pools
-of a drain worker, whose lease heartbeat is a running thread.
+may use ``parallel=M`` for its own grid-chunk fan-out, streamed traces
+included. Started from the campaign server, whose handler threads query
+the SQLite index, the pool spawns rather than forks (see
+:mod:`repro.core.pool`); so do the nested pools of a drain worker, whose
+lease heartbeat is a running thread.
 """
 
 from __future__ import annotations
@@ -277,9 +278,9 @@ def _drain_pass(
     Walks every trace, leases whatever missing points it can win, and
     simulates them through the exact batch machinery of the plain
     runner — breakeven groups still collapse, streaming traces still
-    run one shared pass (over the *claimed* subset) and may shard it
-    with ``parallel``. Points leased by other live workers are left
-    alone; the caller loops until the campaign is covered.
+    run one shared pass (over the *claimed* subset), or one pass per
+    grid chunk with ``parallel``. Points leased by other live workers
+    are left alone; the caller loops until the campaign is covered.
     """
     grid = spec.grid()
     simulated = 0

@@ -281,9 +281,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # Out-of-core: the trace is generated, decoded and
             # simulated chunk by chunk in one pass; it is never
             # resident in full. Results are bit-identical to the
-            # in-memory path. A factory (not an opened stream) goes
-            # in so --parallel can shard the pass, each worker
-            # re-opening its own stream.
+            # in-memory path. A picklable factory (not an opened
+            # stream) goes in so each --parallel worker re-opens its
+            # own stream.
             import functools
 
             source = functools.partial(generator.stream, profile, args.chunk_cycles)
@@ -771,7 +771,11 @@ def main(argv: list[str] | None = None) -> int:
         "--windows", type=int, default=200, help="workload schedule windows"
     )
     p_sweep.add_argument(
-        "--parallel", type=int, default=None, help="worker processes for the grid"
+        "--parallel",
+        type=int,
+        default=None,
+        help="worker processes; the grid splits into one chunk per worker "
+        "(in memory or streamed alike)",
     )
     p_sweep.add_argument(
         "--chunk-cycles",
@@ -779,7 +783,7 @@ def main(argv: list[str] | None = None) -> int:
         default=0,
         help="stream the workload out-of-core in windows of this many "
         "cycles (one pass for the whole grid, peak memory bounded by "
-        "the chunk; --parallel shards the pass by set/bank partition; "
+        "the chunk; with --parallel each worker makes its own pass; "
         "0 = in-memory)",
     )
     p_sweep.add_argument(

@@ -55,7 +55,7 @@ from repro.core.metrics import (
 from repro.core.plan import StreamingPlan, TracePlan
 from repro.core.results import SimulationResult
 from repro.core.simulator import ReferenceSimulator, assemble_result, simulate
-from repro.core.streamsim import run_streaming, run_streaming_group, simulate_stream
+from repro.core.streamsim import simulate_stream
 
 __all__ = [
     "ArchitectureConfig",
@@ -88,8 +88,6 @@ __all__ = [
     "TracePlan",
     "StreamingPlan",
     "run_breakeven_group",
-    "run_streaming",
-    "run_streaming_group",
     "simulate_stream",
     "SimulationResult",
     "assemble_result",

@@ -83,11 +83,10 @@ class Engine:
 
     Engines that can simulate chunked (out-of-core) traces expose one
     *streaming capability*, likewise duck-typed and ``supports()``-gated
-    at dispatch: ``open_stream_cursor(configs, plan, shard=None)``
-    returns a carried-state cursor for a breakeven-only group
-    (``process(plan)`` per chunk, then ``finalize(horizon, name, lut)``,
-    or ``finalize_partial(horizon)`` for a ``(index, count)`` shard of
-    a parallel pass). :func:`~repro.core.streamsim.simulate_stream` and
+    at dispatch: ``open_stream_cursor(configs, plan)`` returns a
+    carried-state cursor for a breakeven-only group (``process(plan)``
+    per chunk, then ``finalize(horizon, name, lut)``).
+    :func:`~repro.core.streamsim.simulate_stream` and
     :func:`~repro.core.streamsim.stream_selected` drive every streamed
     simulation through it, the latter evaluating many grid points in a
     single pass over the stream.

@@ -346,11 +346,11 @@ class FastEngine(Engine):
             configs, trace, lut=lut, plan=plan, backend=self.backend
         )
 
-    def open_stream_cursor(self, configs, plan, shard=None):
+    def open_stream_cursor(self, configs, plan):
         """Carried-state cursor for single-pass multi-group evaluation."""
         from repro.core.streamsim import StreamCursor
 
-        return StreamCursor(configs, plan, backend=self.backend, shard=shard)
+        return StreamCursor(configs, plan, backend=self.backend)
 
 
 register_engine(FastEngine())

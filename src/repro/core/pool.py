@@ -1,9 +1,9 @@
 """The one worker pool behind every process fan-out.
 
-The chunked sweep (:func:`repro.analysis.sweep.simulate_selected`), the
-sharded streaming pass (:func:`repro.core.streamsim.stream_selected`)
-and the claim-queue drain
-(:func:`repro.campaign.service.queue.drain_campaign`) all fan out
+The grid-chunk fan-out of
+:func:`repro.analysis.sweep.simulate_selected` (for in-memory traces
+and streams alike) and the claim-queue drain
+(:func:`repro.campaign.service.queue.drain_campaign`) both fan out
 through :func:`worker_pool`. Its initializer ships two things to every
 worker, once:
 

@@ -32,39 +32,21 @@ by the chunk size, not the trace length
 (``benchmarks/bench_stream.py`` measures it).
 
 An engine streams through one capability,
-``open_stream_cursor(configs, plan, shard=None)``, which returns a
+``open_stream_cursor(configs, plan)``, which returns a
 :class:`StreamCursor` (the fast engine's — see
 :class:`~repro.core.fastsim.FastEngine`). Entry points:
-:func:`run_streaming` / :func:`run_streaming_group` (one pass on a
-given kernel backend), :func:`simulate_stream` (the dispatching
-front-end mirroring :func:`~repro.core.simulator.simulate`), and
-:func:`stream_selected` (single-pass evaluation of many grid points),
-which :func:`~repro.analysis.sweep.simulate_selected` — the one source
-dispatch under sweeps, streamed sweeps and campaigns — runs for every
-stream or stream factory it is given.
-
-**Sharded parallel streaming.** ``stream_selected(parallel=N)`` splits
-one pass over the stream across ``N`` worker processes: worker ``w``
-tracks hits for the cache sets with ``set_index % N == w`` and idle
-gaps for the physical banks with ``bank % N == w``. Both partitions
-are exact — per-set cache state and per-bank gap state never interact
-across partition members — so elementwise
-:meth:`~repro.power.idleness.BankIdleStats.merge` plus summed hit
-counters reconstruct the serial pass **bit-identically** (the fuzz
-suite pins it). Every worker re-opens the stream (the
-:class:`~repro.trace.stream.TraceStream` contract makes ``chunks()``
-repeatable) and advances its own policy/epoch cursors. The workers come
-from the shared pool (:func:`repro.core.pool.worker_pool`), which ships
-the stream (or its factory) once per worker as the pool's state; when
-the stream cannot travel to workers, the pass falls back to serial with
-a :class:`~repro.errors.ReproWarning`.
+:func:`simulate_stream` (the dispatching front-end mirroring
+:func:`~repro.core.simulator.simulate`) and :func:`stream_selected`
+(single-pass evaluation of many grid points). Both run in the calling
+process; :func:`~repro.analysis.sweep.simulate_selected` — the one
+source dispatch and process fan-out under sweeps, streamed sweeps and
+campaigns — runs one serial :func:`stream_selected` pass per grid
+chunk when asked for ``parallel=N``.
 """
 
 from __future__ import annotations
 
-import pickle
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -72,12 +54,11 @@ from repro.aging.lut import LifetimeLUT
 from repro.cache.stats import CacheStats
 from repro.core.engine import resolve_engine, supports_streaming, validate_engine
 from repro.core.plan import StreamingPlan, TracePlan
-from repro.core.pool import worker_pool, worker_state
 from repro.core.results import SimulationResult
 from repro.core.simulator import assemble_result
-from repro.errors import ConfigurationError, ReproWarning, SimulationError
+from repro.errors import SimulationError
 from repro.kernels import dispatch as kernels
-from repro.power.idleness import BankIdleStats, StreamingGapAccumulator
+from repro.power.idleness import StreamingGapAccumulator
 from repro.trace.stream import TraceStream
 
 
@@ -87,19 +68,10 @@ class _CarriedTracker:
     Subclasses hold the per-set state and implement ``flush`` (an
     update fired: count the surviving lines, start the epoch cold) and
     ``_segment`` (advance through one epoch segment's accesses).
-
-    ``shard`` is an optional ``(index, count)`` pair restricting the
-    tracker to the sets with ``set % count == index`` — the set
-    partition of a sharded parallel pass. Per-set cache state never
-    crosses sets, so the owned sets' hit/flush counts are exactly the
-    serial tracker's contribution from those sets.
     """
 
-    def __init__(
-        self, backend: str | None = None, shard: tuple[int, int] | None = None
-    ) -> None:
+    def __init__(self, backend: str | None = None) -> None:
         self.backend = backend
-        self.shard = shard
         self.hits = 0
         self.flush_invalidations = 0
         self._chunk_id = -1
@@ -117,21 +89,13 @@ class _CarriedTracker:
         self._chunk_id = plan.chunk_id
         geometry = config.geometry
         index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
-        keep = None
-        if self.shard is not None:
-            worker, count = self.shard
-            keep = (index % count) == worker
         _, starts = plan.epoch_segments(config)
         for segment in range(len(starts) - 1):
             if segment > 0:
                 self.flush()
             lo, hi = int(starts[segment]), int(starts[segment + 1])
             if lo < hi:
-                if keep is None:
-                    self._segment(index[lo:hi], tag[lo:hi])
-                else:
-                    mask = keep[lo:hi]
-                    self._segment(index[lo:hi][mask], tag[lo:hi][mask])
+                self._segment(index[lo:hi], tag[lo:hi])
 
 
 class _DirectMappedTracker(_CarriedTracker):
@@ -144,14 +108,8 @@ class _DirectMappedTracker(_CarriedTracker):
     their in-chunk predecessor.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        backend: str | None = None,
-        shard: tuple[int, int] | None = None,
-    ) -> None:
-        super().__init__(backend, shard)
+    def __init__(self, num_sets: int, ways: int, backend: str | None = None) -> None:
+        super().__init__(backend)
         self.tags = np.zeros(num_sets, dtype=np.int64)
         self.valid = np.zeros(num_sets, dtype=bool)
 
@@ -200,14 +158,8 @@ class _LruTracker(_CarriedTracker):
     history-independent function of its most recent distinct tags.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        backend: str | None = None,
-        shard: tuple[int, int] | None = None,
-    ) -> None:
-        super().__init__(backend, shard)
+    def __init__(self, num_sets: int, ways: int, backend: str | None = None) -> None:
+        super().__init__(backend)
         self.stacks = np.full((num_sets, ways), -1, dtype=np.int64)
 
     def flush(self) -> None:
@@ -223,16 +175,11 @@ class _LruTracker(_CarriedTracker):
         )
 
 
-def _hit_tracker(
-    plan: StreamingPlan,
-    config,
-    backend: str | None = None,
-    shard: tuple[int, int] | None = None,
-):
+def _hit_tracker(plan: StreamingPlan, config, backend: str | None = None):
     """Shared hit/flush tracker for the config's functional identity.
 
     Keyed exactly like the one-shot plan's ``hits`` section — bit
-    split × ways × schedule (plus the shard, if any) — so
+    split × ways × schedule — so
     configurations differing only in banking, policy or power
     management share one cache-content walk per pass. The kernel
     backend is not part of the key: every backend is bit-identical, so
@@ -245,11 +192,10 @@ def _hit_tracker(
         geometry.index_bits,
         geometry.ways,
         TracePlan.schedule_key(config),
-        shard,
     )
     cls = _DirectMappedTracker if geometry.ways == 1 else _LruTracker
     return plan.persistent(
-        key, lambda: cls(geometry.num_sets, geometry.ways, backend, shard)
+        key, lambda: cls(geometry.num_sets, geometry.ways, backend)
     )
 
 
@@ -265,19 +211,11 @@ class StreamCursor:
     independent of stream length.
 
     ``backend`` selects the kernel backend for the tracker and gap
-    walks (bit-identical across backends). ``shard`` is the
-    ``(index, count)`` pair of a sharded parallel pass: the cursor then
-    tracks hits only for its set partition and gaps only for its bank
-    partition, and must be finalized with :meth:`finalize_partial` so
-    the parent can merge the shard set back into full results.
+    walks (bit-identical across backends).
     """
 
     def __init__(
-        self,
-        configs,
-        plan: StreamingPlan,
-        backend: str | None = None,
-        shard: tuple[int, int] | None = None,
+        self, configs, plan: StreamingPlan, backend: str | None = None
     ) -> None:
         if not configs:
             raise SimulationError("a stream cursor needs at least one config")
@@ -289,15 +227,6 @@ class StreamCursor:
         self.policy = self.base.make_policy()
         self.num_banks = self.base.num_banks
         self.backend = backend
-        self.shard = shard
-        self._owned_banks = None
-        owned = None
-        if shard is not None:
-            worker, count = shard
-            if count < 1 or not 0 <= worker < count:
-                raise SimulationError("shard must be (index, count) with 0 <= index < count")
-            self._owned_banks = (np.arange(self.num_banks) % count) == worker
-            owned = self._owned_banks
         # An unmanaged cache's effective breakeven is horizon + 1 — not
         # known until the stream ends — but its accounting is simply
         # "no gap ever converts": the accumulator's None (infinite)
@@ -306,10 +235,8 @@ class StreamCursor:
             config.breakeven() if config.power_managed else None
             for config in self.configs
         ]
-        self.gaps = StreamingGapAccumulator(
-            self.num_banks, breakevens, backend=backend, owned_banks=owned
-        )
-        self.tracker = _hit_tracker(plan, self.base, backend=backend, shard=shard)
+        self.gaps = StreamingGapAccumulator(self.num_banks, breakevens, backend=backend)
+        self.tracker = _hit_tracker(plan, self.base, backend=backend)
         self.updates_applied = 0
         self.accesses = 0
 
@@ -323,12 +250,8 @@ class StreamCursor:
         self.tracker.process_chunk(plan, self.base)
         geometry = self.base.geometry
         if self.num_banks == 1:
-            if self._owned_banks is None or self._owned_banks[0]:
-                sorted_cycles = chunk.cycles
-                splits = np.array([0, n], dtype=np.int64)
-            else:
-                sorted_cycles = np.empty(0, dtype=np.int64)
-                splits = np.zeros(2, dtype=np.int64)
+            sorted_cycles = chunk.cycles
+            splits = np.array([0, n], dtype=np.int64)
         else:
             logical = plan.logical_banks(
                 geometry.offset_bits, geometry.index_bits, self.num_banks
@@ -341,16 +264,8 @@ class StreamCursor:
                 if lo == hi:
                     continue
                 physical[lo:hi] = self.policy.mapping()[logical[lo:hi]]
-            cycles = chunk.cycles
-            if self._owned_banks is not None:
-                # The policy advanced over the full chunk (routing is
-                # schedule-driven and identical in every shard); only
-                # the owned banks' accesses feed the gap walk.
-                mine = self._owned_banks[physical]
-                physical = physical[mine]
-                cycles = cycles[mine]
             order = np.argsort(physical, kind="stable")
-            sorted_cycles = cycles[order]
+            sorted_cycles = chunk.cycles[order]
             splits = np.searchsorted(
                 physical[order], np.arange(self.num_banks + 1)
             ).astype(np.int64)
@@ -362,10 +277,6 @@ class StreamCursor:
         self, horizon: int, trace_name: str, lut: LifetimeLUT | None
     ) -> list[SimulationResult]:
         """Close the window at ``horizon``; one result per group config."""
-        if self.shard is not None:
-            raise SimulationError(
-                "a sharded cursor holds partial counters; use finalize_partial"
-            )
         stats_batch = self.gaps.finalize(horizon)
         hits = self.tracker.hits
         misses = self.accesses - hits
@@ -389,93 +300,6 @@ class StreamCursor:
             )
         return results
 
-    def finalize_partial(self, horizon: int) -> "StreamShardPartial":
-        """Close the window and return this shard's raw counters.
-
-        The picklable half of a sharded pass: hits and flush
-        invalidations cover only the owned sets, the per-bank stats
-        only the owned banks (non-owned rows are all-zero with
-        ``total_cycles == 0``), while ``accesses`` and
-        ``updates_applied`` cover the full stream — every shard sees
-        the whole schedule, so the parent asserts they agree and sums
-        only the partitioned counters.
-        """
-        return StreamShardPartial(
-            accesses=self.accesses,
-            hits=self.tracker.hits,
-            flush_invalidations=self.tracker.flush_invalidations,
-            updates_applied=self.updates_applied,
-            stats_batch=self.gaps.finalize(horizon),
-        )
-
-
-@dataclass(frozen=True)
-class StreamShardPartial:
-    """One shard's contribution to a streamed breakeven group."""
-
-    accesses: int
-    hits: int
-    flush_invalidations: int
-    updates_applied: int
-    stats_batch: list[list[BankIdleStats]]
-
-
-def merge_shard_partials(
-    configs,
-    partials: list[StreamShardPartial],
-    horizon: int,
-    trace_name: str,
-    lut: LifetimeLUT | None,
-) -> list[SimulationResult]:
-    """Recombine a full shard set into the serial pass's results.
-
-    Hits and flush invalidations sum across the disjoint set
-    partitions; per-bank stats merge elementwise across the disjoint
-    bank partitions (exactly one shard owns each bank, so summed
-    counters — including ``total_cycles`` — reproduce the serial
-    accumulator's). ``accesses``/``updates_applied`` must agree across
-    shards: every worker replays the identical schedule.
-    """
-    if not partials:
-        raise SimulationError("cannot merge an empty shard set")
-    first = partials[0]
-    for other in partials[1:]:
-        if (
-            other.accesses != first.accesses
-            or other.updates_applied != first.updates_applied
-        ):
-            raise SimulationError(
-                "stream shards disagree on the access count or update "
-                "schedule; the stream is not replaying identically"
-            )
-    hits = sum(partial.hits for partial in partials)
-    flush_invalidations = sum(partial.flush_invalidations for partial in partials)
-    misses = first.accesses - hits
-    results = []
-    for row, config in enumerate(configs):
-        merged = first.stats_batch[row]
-        for other in partials[1:]:
-            merged = [
-                mine.merge(theirs)
-                for mine, theirs in zip(merged, other.stats_batch[row])
-            ]
-        cache_stats = CacheStats(
-            hits=hits, misses=misses, flushes=first.updates_applied
-        )
-        results.append(
-            assemble_result(
-                config,
-                trace_name,
-                horizon,
-                merged,
-                cache_stats,
-                first.updates_applied,
-                flush_invalidations,
-                lut,
-            )
-        )
-    return results
-
 
 def _run_pass(stream: TraceStream, plan: StreamingPlan, cursors) -> int:
     """Advance every cursor over one pass of ``stream``; return its horizon."""
@@ -489,39 +313,6 @@ def _run_pass(stream: TraceStream, plan: StreamingPlan, cursors) -> int:
             "stream did not resolve its horizon after exhaustion"
         )
     return int(horizon)
-
-
-def run_streaming_group(
-    configs,
-    stream: TraceStream,
-    lut: LifetimeLUT | None = None,
-    plan: StreamingPlan | None = None,
-    backend: str | None = None,
-) -> list[SimulationResult]:
-    """Simulate a breakeven-only config group in one pass over ``stream``.
-
-    The streaming analogue of
-    :func:`~repro.core.fastsim.run_breakeven_group`: one chunked pass,
-    one carried gap state, every breakeven thresholded incrementally.
-    Results are bit-identical to the one-shot group on the materialized
-    trace.
-    """
-    if not configs:
-        return []
-    plan = plan if plan is not None else StreamingPlan()
-    cursor = StreamCursor(configs, plan, backend=backend)
-    return cursor.finalize(_run_pass(stream, plan, [cursor]), stream.name, lut)
-
-
-def run_streaming(
-    config,
-    stream: TraceStream,
-    lut: LifetimeLUT | None = None,
-    plan: StreamingPlan | None = None,
-    backend: str | None = None,
-) -> SimulationResult:
-    """Simulate one configuration from a chunked stream (out-of-core)."""
-    return run_streaming_group([config], stream, lut=lut, plan=plan, backend=backend)[0]
 
 
 def simulate_stream(
@@ -542,35 +333,21 @@ def simulate_stream(
     return stream_selected(config, stream, [], [()], lut=lut, engine=engine)[0]
 
 
-def _shard_pass(payload):
-    """Worker for the sharded streaming pass: one full pass, one shard.
+def streaming_engine(engine: str, config):
+    """The engine ``engine`` resolves to for ``config``; it must stream.
 
-    Module-level (not a closure) so it pickles into pool workers. The
-    worker re-opens the stream (``chunks()`` is repeatable by
-    contract), advances every group's cursor over its set/bank
-    partition, and returns the raw partial counters — result assembly
-    happens in the parent after the merge.
+    Raises :class:`~repro.errors.SimulationError` for an engine without
+    the ``open_stream_cursor`` capability instead of silently
+    materializing the trace.
     """
-    stream, engine = worker_state()
-    shard_index, shard_count, group_configs = payload
-    stream = stream() if callable(stream) else stream
-    plan = StreamingPlan()
-    shard = (shard_index, shard_count)
-    cursors = [
-        (
-            group_id,
-            resolve_engine(engine, configs[0]).open_stream_cursor(
-                configs, plan, shard=shard
-            ),
+    chosen = resolve_engine(engine, config)
+    if not supports_streaming(chosen):
+        raise SimulationError(
+            f"engine {chosen.name!r} does not support streaming simulation; "
+            "materialize the trace (repro.trace.stream.stream_to_trace) or "
+            "pick an engine with the open_stream_cursor capability"
         )
-        for group_id, configs in group_configs
-    ]
-    horizon = _run_pass(stream, plan, [cursor for _, cursor in cursors])
-    return (
-        stream.name,
-        horizon,
-        [(group_id, cursor.finalize_partial(horizon)) for group_id, cursor in cursors],
-    )
+    return chosen
 
 
 def stream_selected(
@@ -582,30 +359,19 @@ def stream_selected(
     lut: LifetimeLUT | None = None,
     engine: str = "auto",
     on_result=None,
-    parallel: int | None = None,
 ) -> list[SimulationResult]:
     """Evaluate many grid points in a **single pass** over ``stream``.
 
     The streaming counterpart of
-    :func:`~repro.analysis.sweep.simulate_selected`: one cursor per
-    breakeven group (per-point groups when ``group_ids`` is ``None``),
-    all advanced chunk by chunk through one shared
+    :func:`~repro.analysis.sweep.simulate_selected`'s serial path: one
+    cursor per breakeven group (per-point groups when ``group_ids`` is
+    ``None``), all advanced chunk by chunk through one shared
     :class:`~repro.core.plan.StreamingPlan`, so the stream is read
     once however many points the grid has and peak memory stays
     O(chunk + per-point carried state).
 
     ``stream`` is a :class:`~repro.trace.stream.TraceStream` or a
-    zero-argument factory producing one (a factory is what lets the
-    pass parallelize when the stream itself cannot pickle).
-
-    ``parallel=N`` shards the pass across ``N`` worker processes by
-    set/bank partition — each worker runs the full pass over its own
-    re-opened stream but tracks only its partition's counters, and the
-    parent merges the shard set back into full results, bit-identical
-    to the serial pass. When sharding is impossible (a stream that
-    cannot travel to workers) the pass emits a
-    :class:`~repro.errors.ReproWarning` and runs serially instead of
-    silently ignoring the flag.
+    zero-argument factory producing one.
 
     Every group's resolved engine must expose the
     ``open_stream_cursor`` capability (the fast engines'); an engine
@@ -615,8 +381,6 @@ def stream_selected(
     finalizes.
     """
     validate_engine(engine)
-    if parallel is not None and parallel < 1:
-        raise ConfigurationError("parallel must be a positive worker count")
     if not combos:
         return []
     groups: dict[int, list[int]] = {}
@@ -632,94 +396,23 @@ def stream_selected(
         for group_id, members in groups.items()
     }
     engines = {
-        group_id: resolve_engine(engine, configs[0])
+        group_id: streaming_engine(engine, configs[0])
         for group_id, configs in group_configs.items()
     }
-    for chosen in engines.values():
-        if not supports_streaming(chosen):
-            raise SimulationError(
-                f"engine {chosen.name!r} does not support streaming simulation; "
-                "materialize the trace (repro.trace.stream.stream_to_trace) or "
-                "pick an engine with the open_stream_cursor capability"
-            )
 
     shared_lut = lut if lut is not None else LifetimeLUT.default()
-    workers = parallel or 1
-    if workers > 1 and not callable(stream):
-        try:
-            pickle.dumps(stream)
-        except Exception:
-            warnings.warn(
-                f"parallel={parallel} requested but the streaming pass cannot "
-                "be sharded (the stream does not pickle and no stream factory "
-                "was given; pass a zero-argument callable producing the "
-                "stream); running the serial single pass",
-                ReproWarning,
-                stacklevel=2,
-            )
-            workers = 1
-    if workers > 1:
-        group_results = _sharded_pass(
-            stream, engine, group_configs, shared_lut, workers
-        )
-    else:
-        stream = stream() if callable(stream) else stream
-        plan = StreamingPlan()
-        cursors = {
-            group_id: engines[group_id].open_stream_cursor(configs, plan)
-            for group_id, configs in group_configs.items()
-        }
-        horizon = _run_pass(stream, plan, cursors.values())
-        group_results = {
-            group_id: cursor.finalize(horizon, stream.name, shared_lut)
-            for group_id, cursor in cursors.items()
-        }
+    stream = stream() if callable(stream) else stream
+    plan = StreamingPlan()
+    cursors = {
+        group_id: engines[group_id].open_stream_cursor(configs, plan)
+        for group_id, configs in group_configs.items()
+    }
+    horizon = _run_pass(stream, plan, cursors.values())
     results: list[SimulationResult | None] = [None] * len(combos)
     for group_id, members in groups.items():
-        for position, result in zip(members, group_results[group_id]):
+        group_results = cursors[group_id].finalize(horizon, stream.name, shared_lut)
+        for position, result in zip(members, group_results):
             results[position] = result
             if on_result is not None:
                 on_result(position, result)
     return results
-
-
-def _sharded_pass(
-    stream,
-    engine: str,
-    group_configs: dict[int, list],
-    lut: LifetimeLUT,
-    workers: int,
-) -> dict[int, list[SimulationResult]]:
-    """Sharded fan-out of one streaming pass (see :func:`stream_selected`).
-
-    Worker ``w`` of ``workers`` runs the full pass but tracks hits
-    only for sets with ``set % workers == w`` and gaps only for banks
-    with ``bank % workers == w``; the parent merges each group's shard
-    set with :func:`merge_shard_partials`. The stream (or its factory)
-    travels once per worker as the pool's state; shard payloads carry
-    the coordinates and the groups' configs.
-    """
-    items = list(group_configs.items())
-    payloads = [(worker, workers, items) for worker in range(workers)]
-    with worker_pool(workers, (stream, engine)) as pool:
-        outputs = list(pool.map(_shard_pass, payloads))
-
-    identities = {(name, horizon) for name, horizon, _ in outputs}
-    if len(identities) != 1:
-        raise SimulationError(
-            "stream shards disagree on the stream identity or horizon; "
-            "the stream is not replaying identically across workers"
-        )
-    stream_name, horizon, _ = outputs[0]
-    partials: dict[int, list[StreamShardPartial]] = {
-        group_id: [] for group_id in group_configs
-    }
-    for _, _, shard_items in outputs:
-        for group_id, partial in shard_items:
-            partials[group_id].append(partial)
-    return {
-        group_id: merge_shard_partials(
-            configs, partials[group_id], horizon, stream_name, lut
-        )
-        for group_id, configs in group_configs.items()
-    }

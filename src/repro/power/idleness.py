@@ -97,22 +97,6 @@ class BankIdleStats:
         """Cycles at full Vdd (total minus sleep)."""
         return self.total_cycles - self.sleep_cycles
 
-    def merge(self, other: "BankIdleStats") -> "BankIdleStats":
-        """Combine stats from two consecutive observation windows.
-
-        The boundary gap is handled by the caller (the fast engine closes
-        epochs explicitly); this just sums the counters.
-        """
-        return BankIdleStats(
-            accesses=self.accesses + other.accesses,
-            idle_intervals=self.idle_intervals + other.idle_intervals,
-            useful_intervals=self.useful_intervals + other.useful_intervals,
-            idle_cycles=self.idle_cycles + other.idle_cycles,
-            sleep_cycles=self.sleep_cycles + other.sleep_cycles,
-            transitions=self.transitions + other.transitions,
-            total_cycles=self.total_cycles + other.total_cycles,
-        )
-
 
 class IdlenessAccountant:
     """Incremental per-bank idleness bookkeeping for the reference engine.
@@ -385,15 +369,6 @@ class StreamingGapAccumulator:
         First cycle of the observation window.
     backend:
         Kernel backend override (see :mod:`repro.kernels.dispatch`).
-    owned_banks:
-        Optional boolean mask of the banks this accumulator accounts
-        for. Sharded parallel streaming gives each worker a disjoint
-        mask; a non-owned bank must never be fed an access, its
-        trailing gap stays unclosed, and its finalized stats are
-        all-zero with ``total_cycles == 0`` — so elementwise
-        :meth:`BankIdleStats.merge` across a full shard set
-        reconstructs the serial pass exactly. ``None`` owns every
-        bank.
     """
 
     def __init__(
@@ -402,7 +377,6 @@ class StreamingGapAccumulator:
         breakevens,
         start_cycle: int = 0,
         backend: str | None = None,
-        owned_banks: np.ndarray | None = None,
     ) -> None:
         if num_banks < 1:
             raise SimulationError("need at least one bank")
@@ -413,12 +387,6 @@ class StreamingGapAccumulator:
         self.num_banks = num_banks
         self.start_cycle = start_cycle
         self.backend = backend
-        if owned_banks is None:
-            self._owned = np.ones(num_banks, dtype=bool)
-        else:
-            self._owned = np.asarray(owned_banks, dtype=bool)
-            if self._owned.shape != (num_banks,):
-                raise SimulationError("owned_banks mask must have one entry per bank")
         # -1 encodes an infinite (None) breakeven for the kernels.
         self._breakeven_array = np.asarray(
             [-1 if b is None else int(b) for b in self.breakevens], dtype=np.int64
@@ -465,8 +433,6 @@ class StreamingGapAccumulator:
             raise SimulationError("splits do not partition the access stream")
         if cycles.size == 0:
             return
-        if np.any(counts[~self._owned] > 0):
-            raise SimulationError("accesses routed to a bank this shard does not own")
         kernels.stream_gap_update(
             cycles,
             splits,
@@ -495,7 +461,7 @@ class StreamingGapAccumulator:
         if np.any(self._last_event >= end_cycle):
             raise SimulationError("access cycles outside the observation window")
         trailing = end_cycle - self._last_event - 1
-        banks = np.flatnonzero((trailing > 0) & self._owned)
+        banks = np.flatnonzero(trailing > 0)
         self._account_gaps(trailing[banks], banks)
         self._finalized = True
         return [
@@ -507,7 +473,7 @@ class StreamingGapAccumulator:
                     idle_cycles=int(self._idle_cycles[bank]),
                     sleep_cycles=int(self._sleep[row, bank]),
                     transitions=int(self._useful[row, bank]),
-                    total_cycles=window if self._owned[bank] else 0,
+                    total_cycles=window,
                 )
                 for bank in range(self.num_banks)
             ]

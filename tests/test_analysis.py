@@ -244,13 +244,14 @@ class TestWorkerPool:
     def test_pools_spawn_while_other_threads_run(
         self, base_and_trace, lut, monkeypatch
     ):
-        """The grid-chunk and stream-shard pools both start through the
-        shared pool helper: with another thread alive they spawn (a
-        forked child would inherit whatever locks that thread holds),
-        and their results equal the serial run's."""
+        """The one grid-chunk fan-out starts its pool through the shared
+        pool helper for a trace and a stream alike: with another thread
+        alive it spawns (a forked child would inherit whatever locks
+        that thread holds), and the results equal the serial run's."""
+        import functools
+
         import repro.core.pool as pool_module
         from repro.analysis.sweep import simulate_selected
-        from repro.core.streamsim import stream_selected
 
         contexts = []
         pool = pool_module.ProcessPoolExecutor
@@ -266,8 +267,10 @@ class TestWorkerPool:
         combos = list(itertools.product(*axes.values()))
         group_ids = breakeven_group_ids(names, axes)
         stream = InMemoryTraceStream(trace, 4096)
+        factory = functools.partial(InMemoryTraceStream, trace, 4096)
         serial = simulate_selected(base, trace, names, combos, group_ids, lut)
-        streamed = stream_selected(base, stream, names, combos, group_ids, lut)
+        streamed = simulate_selected(base, stream, names, combos, group_ids, lut)
+        assert streamed == serial
         assert contexts == []
         release = threading.Event()
         other = threading.Thread(target=release.wait)
@@ -276,15 +279,19 @@ class TestWorkerPool:
             chunked = simulate_selected(
                 base, trace, names, combos, group_ids, lut, parallel=2
             )
-            sharded = stream_selected(
+            from_instance = simulate_selected(
                 base, stream, names, combos, group_ids, lut, parallel=2
+            )
+            from_factory = simulate_selected(
+                base, factory, names, combos, group_ids, lut, parallel=3
             )
         finally:
             release.set()
             other.join()
-        assert [c.get_start_method() for c in contexts] == ["spawn", "spawn"]
+        assert [c.get_start_method() for c in contexts] == ["spawn"] * 3
         assert chunked == serial
-        assert sharded == streamed
+        assert from_instance == serial
+        assert from_factory == serial
 
 
 class TestPareto:

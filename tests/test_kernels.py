@@ -1,17 +1,20 @@
-"""Compiled kernel backends: differential fuzz, engine wiring, sharding.
+"""Compiled kernel backends: differential fuzz, engine wiring, parallel streams.
 
 The load-bearing property is **bit-identity across backends**: every
 kernel in :mod:`repro.kernels` must produce exactly the numpy
 backend's integer counters when the on-demand C extension serves it —
-including error behavior, carry-state streaming, and the sharded
-parallel pass. The hypothesis classes below
-pin that across banks, ways > 1, breakeven vectors (including
-infinite), one-cycle chunk alignment and shard merge order.
+including error behavior and carry-state streaming. The hypothesis
+classes below pin that across banks, ways > 1, breakeven vectors
+(including infinite) and one-cycle chunk alignment; the parallel
+streaming class pins the grid-chunk fan-out of a stream to the serial
+pass.
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
+import threading
 import warnings
 
 import numpy as np
@@ -19,16 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sweep import simulate_selected
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.core.engine import engine_names, get_engine, resolve_engine
 from repro.core.simulator import simulate
-from repro.core.streamsim import (
-    StreamShardPartial,
-    merge_shard_partials,
-    simulate_stream,
-    stream_selected,
-)
+from repro.core.streamsim import simulate_stream, stream_selected
 from repro.errors import ConfigurationError, ReproWarning, SimulationError
 from repro.kernels import dispatch
 from repro.power.idleness import (
@@ -463,7 +462,7 @@ class TestKernelsEnvironment:
 
 
 # ---------------------------------------------------------------------------
-# Sharded parallel streaming.
+# Parallel streaming: the grid-chunk fan-out of simulate_selected.
 # ---------------------------------------------------------------------------
 
 def _stream_case(seed=3, accesses=500):
@@ -481,7 +480,12 @@ def _stream_case(seed=3, accesses=500):
 
 
 class TestParallelStreaming:
+    """``simulate_selected(parallel=N)`` on a stream source: the grid
+    splits into chunks, each worker makes one serial pass over its own
+    re-opened stream, and the results equal the serial pass."""
+
     def assert_identical(self, serial, parallel):
+        assert len(serial) == len(parallel)
         for s, p in zip(serial, parallel):
             assert s.bank_stats == p.bank_stats
             assert s.cache_stats.hits == p.cache_stats.hits
@@ -491,27 +495,56 @@ class TestParallelStreaming:
             assert s.flush_invalidations == p.flush_invalidations
             assert s.energy_pj == p.energy_pj
             assert s.lifetime_years == p.lifetime_years
+            assert s == p
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parallel_is_bit_identical_to_serial(self, workers):
         trace, base, names, combos = _stream_case()
-
-        def factory(trace=trace):
-            return InMemoryTraceStream(trace, 200)
-
+        factory = functools.partial(InMemoryTraceStream, trace, 200)
         serial = stream_selected(base, factory, names, combos)
-        parallel = stream_selected(
+        parallel = simulate_selected(
             base, factory, names, combos, parallel=workers
         )
         self.assert_identical(serial, parallel)
 
     def test_picklable_stream_instance_shards(self):
+        """A picklable stream instance travels to the workers as is."""
         trace, base, names, combos = _stream_case()
         stream = InMemoryTraceStream(trace, 200)
         assert pickle.dumps(stream)
-        serial = stream_selected(base, lambda: InMemoryTraceStream(trace, 200),
-                                 names, combos)
-        parallel = stream_selected(base, stream, names, combos, parallel=2)
+        serial = stream_selected(base, stream, names, combos)
+        parallel = simulate_selected(base, stream, names, combos, parallel=2)
+        self.assert_identical(serial, parallel)
+
+    def test_chunk_split_cuts_a_breakeven_group(self):
+        """Two chunks of two points cut breakeven group 0 in half; each
+        worker re-batches its part of the group."""
+        trace, base, names, _ = _stream_case()
+        combos = [(10, 4), (40, 4), (90, 4), (None, 8)]
+        group_ids = [0, 0, 0, 1]
+        factory = functools.partial(InMemoryTraceStream, trace, 200)
+        serial = stream_selected(base, factory, names, combos, group_ids)
+        parallel = simulate_selected(
+            base, factory, names, combos, group_ids, parallel=2
+        )
+        self.assert_identical(serial, parallel)
+
+    def test_more_workers_than_points(self, monkeypatch):
+        import repro.core.pool as pool_module
+
+        sizes = []
+        pool = pool_module.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            sizes.append(kwargs.get("max_workers"))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", spy)
+        trace, base, names, combos = _stream_case()
+        factory = functools.partial(InMemoryTraceStream, trace, 200)
+        serial = stream_selected(base, factory, names, combos)
+        parallel = simulate_selected(base, factory, names, combos, parallel=16)
+        assert sizes == [len(combos)]
         self.assert_identical(serial, parallel)
 
     def test_unshardable_stream_warns_and_runs_serial(self):
@@ -525,16 +558,39 @@ class TestParallelStreaming:
         serial = stream_selected(
             base, lambda: InMemoryTraceStream(trace, 200), names, combos
         )
-        with pytest.warns(ReproWarning, match="cannot be sharded"):
-            fell_back = stream_selected(
+        with pytest.warns(ReproWarning, match="does not pickle"):
+            fell_back = simulate_selected(
                 base, Unpicklable(trace, 200), names, combos, parallel=2
             )
+        self.assert_identical(serial, fell_back)
+
+    def test_local_factory_in_threaded_parent_warns_and_runs_serial(self):
+        """With another thread alive the pool would spawn and have to
+        pickle the factory; a local function cannot pickle, so the
+        fan-out warns and runs serially before any pool starts."""
+        trace, base, names, combos = _stream_case()
+
+        def factory():
+            return InMemoryTraceStream(trace, 200)
+
+        serial = stream_selected(base, factory, names, combos)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with pytest.warns(ReproWarning, match="does not pickle"):
+                fell_back = simulate_selected(
+                    base, factory, names, combos, parallel=2
+                )
+        finally:
+            release.set()
+            other.join()
         self.assert_identical(serial, fell_back)
 
     def test_invalid_worker_count_rejected(self):
         trace, base, names, combos = _stream_case()
         with pytest.raises(ConfigurationError, match="positive worker count"):
-            stream_selected(
+            simulate_selected(
                 base,
                 lambda: InMemoryTraceStream(trace, 200),
                 names,
@@ -542,11 +598,25 @@ class TestParallelStreaming:
                 parallel=0,
             )
 
+    def test_engine_without_streaming_fails_before_any_pool(self, monkeypatch):
+        import repro.core.pool as pool_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started before validation")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        trace, base, names, combos = _stream_case()
+        factory = functools.partial(InMemoryTraceStream, trace, 200)
+        with pytest.raises(SimulationError, match="streaming"):
+            simulate_selected(
+                base, factory, names, combos, engine="reference", parallel=2
+            )
+
     def test_parallel_one_is_the_serial_pass(self):
         trace, base, names, combos = _stream_case()
         with warnings.catch_warnings():
             warnings.simplefilter("error", ReproWarning)
-            results = stream_selected(
+            results = simulate_selected(
                 base,
                 lambda: InMemoryTraceStream(trace, 200),
                 names,
@@ -557,124 +627,3 @@ class TestParallelStreaming:
             base, lambda: InMemoryTraceStream(trace, 200), names, combos
         )
         self.assert_identical(serial, results)
-
-    def test_merge_is_order_invariant(self):
-        """Shard merge is elementwise counter addition: any order works."""
-        trace, base, names, combos = _stream_case()
-        engine = resolve_engine("auto", base)
-        from repro.core.plan import StreamingPlan
-        from dataclasses import replace
-
-        partials_by_order = []
-        for order in ([0, 1, 2], [2, 0, 1]):
-            shards = []
-            for worker in order:
-                stream = InMemoryTraceStream(trace, 200)
-                plan = StreamingPlan()
-                config = replace(base, **dict(zip(names, combos[0])))
-                cursor = engine.open_stream_cursor(
-                    [config], plan, shard=(worker, 3)
-                )
-                for chunk in stream.chunks():
-                    plan.begin_chunk(chunk)
-                    cursor.process(plan)
-                shards.append(cursor.finalize_partial(stream.horizon))
-            merged = merge_shard_partials(
-                [replace(base, **dict(zip(names, combos[0])))],
-                shards,
-                stream.horizon,
-                stream.name,
-                None,
-            )
-            partials_by_order.append(merged[0])
-        first, second = partials_by_order
-        assert first.bank_stats == second.bank_stats
-        assert first.cache_stats.hits == second.cache_stats.hits
-
-    def test_sharded_cursor_refuses_full_finalize(self):
-        trace, base, names, combos = _stream_case()
-        engine = resolve_engine("auto", base)
-        from repro.core.plan import StreamingPlan
-
-        stream = InMemoryTraceStream(trace, 200)
-        plan = StreamingPlan()
-        cursor = engine.open_stream_cursor([base], plan, shard=(0, 2))
-        with pytest.raises(SimulationError, match="finalize_partial"):
-            cursor.finalize(stream.horizon, stream.name, None)
-
-    def test_disagreeing_shards_rejected(self):
-        trace, base, names, combos = _stream_case()
-        zero = StreamShardPartial(
-            accesses=1,
-            hits=0,
-            flush_invalidations=0,
-            updates_applied=0,
-            stats_batch=[[]],
-        )
-        other = StreamShardPartial(
-            accesses=2,
-            hits=0,
-            flush_invalidations=0,
-            updates_applied=0,
-            stats_batch=[[]],
-        )
-        with pytest.raises(SimulationError, match="disagree"):
-            merge_shard_partials([base], [zero, other], 100, "t", None)
-
-
-class TestShardedAccumulator:
-    def test_non_owned_bank_access_rejected(self):
-        owned = np.array([True, False], dtype=bool)
-        acc = StreamingGapAccumulator(2, [10], owned_banks=owned)
-        with pytest.raises(SimulationError, match="does not own"):
-            acc.update(
-                np.array([5], dtype=np.int64),
-                np.array([0, 0, 1], dtype=np.int64),
-            )
-
-    def test_non_owned_banks_finalize_to_zero(self):
-        owned = np.array([True, False], dtype=bool)
-        acc = StreamingGapAccumulator(2, [10], owned_banks=owned)
-        acc.update(
-            np.array([5], dtype=np.int64), np.array([0, 1, 1], dtype=np.int64)
-        )
-        ((mine, theirs),) = acc.finalize(100)
-        assert mine.total_cycles == 100
-        assert theirs.total_cycles == 0
-        assert theirs.idle_intervals == 0
-        assert theirs.idle_cycles == 0
-
-    def test_disjoint_shards_merge_to_the_unsharded_stats(self):
-        rng = np.random.default_rng(11)
-        num_banks, end = 4, 300
-        per_bank = [
-            np.unique(rng.integers(0, end, size=rng.integers(0, 30)))
-            for _ in range(num_banks)
-        ]
-        cycles = np.concatenate(per_bank).astype(np.int64)
-        splits = np.cumsum([0] + [len(b) for b in per_bank]).astype(np.int64)
-        whole = StreamingGapAccumulator(num_banks, [10, None])
-        whole.update(cycles, splits)
-        expected = whole.finalize(end)
-
-        shards = []
-        for worker in range(2):
-            owned = (np.arange(num_banks) % 2) == worker
-            acc = StreamingGapAccumulator(num_banks, [10, None], owned_banks=owned)
-            parts = [
-                per_bank[b] if owned[b] else np.empty(0, np.int64)
-                for b in range(num_banks)
-            ]
-            acc.update(
-                np.concatenate(parts).astype(np.int64),
-                np.cumsum([0] + [len(p) for p in parts]).astype(np.int64),
-            )
-            shards.append(acc.finalize(end))
-        merged = [
-            [
-                shards[0][row][bank].merge(shards[1][row][bank])
-                for bank in range(num_banks)
-            ]
-            for row in range(2)
-        ]
-        assert merged == expected

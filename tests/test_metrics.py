@@ -450,7 +450,6 @@ class TestWorkerPluginPropagation:
         from repro.analysis.sweep import _simulate_chunk
         from repro.core.engine import get_engine, unregister_engine
         from repro.core.metrics import unregister_metric
-        from repro.core.plan import TracePlan
         from repro.core.pool import _install_worker
         from repro.core.simulator import ReferenceSimulator
         from repro.errors import UnknownEngineError
@@ -475,7 +474,7 @@ class TestWorkerPluginPropagation:
         # Emulate a spawn-started worker: neither plugin is registered.
         with pytest.raises(UnknownEngineError):
             get_engine("plugin-engine")
-        _install_worker((TracePlan(trace), lut), (engine,), (metric,), ())
+        _install_worker((trace, lut), (engine,), (metric,), ())
         try:
             chunk = _simulate_chunk(
                 (base, ["num_banks"], [(2,), (4,)], None, "plugin-engine")

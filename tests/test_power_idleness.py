@@ -105,16 +105,6 @@ class TestVectorizedEquivalence:
 
 
 class TestStatsProperties:
-    def test_merge_adds_counters(self):
-        a = BankIdleStats(accesses=2, idle_intervals=1, useful_intervals=1,
-                          idle_cycles=30, sleep_cycles=20, transitions=1, total_cycles=50)
-        b = BankIdleStats(accesses=3, idle_intervals=2, useful_intervals=0,
-                          idle_cycles=8, sleep_cycles=0, transitions=0, total_cycles=50)
-        merged = a.merge(b)
-        assert merged.accesses == 5
-        assert merged.total_cycles == 100
-        assert merged.useful_idleness == pytest.approx(0.2)
-
     def test_zero_division_guards(self):
         empty = BankIdleStats()
         assert empty.useful_idleness == 0.0

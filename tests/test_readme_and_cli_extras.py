@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.cli import main
@@ -94,6 +96,17 @@ class TestReadmeStreaming:
         )
         assert len(grid) == 4
         assert grid.best("lifetime_years").result.lifetime_years > 0
+
+        # the same grid split across worker processes, one pass each,
+        # from a picklable factory
+        factory = functools.partial(generator.stream, profile, 4096)
+        split = stream_sweep(
+            base,
+            factory,
+            {"num_banks": [2, 4], "breakeven_override": [5, 20]},
+            parallel=2,
+        )
+        assert [p.result for p in split] == [p.result for p in grid]
 
 
 class TestCLIExtras:

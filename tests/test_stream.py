@@ -21,7 +21,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.core.plan import StreamingPlan
 from repro.core.simulator import simulate
-from repro.core.streamsim import run_streaming_group, simulate_stream
+from repro.core.streamsim import simulate_stream, stream_selected
 from repro.errors import SimulationError, TraceError
 from repro.power.idleness import (
     StreamingGapAccumulator,
@@ -295,8 +295,15 @@ class TestStreamedEngineBitIdentity:
         )
         from dataclasses import replace
 
-        configs = [replace(base, breakeven_override=b) for b in (1, 5, 40, None)]
-        streamed = run_streaming_group(configs, InMemoryTraceStream(trace, 77))
+        breakevens = (1, 5, 40, None)
+        configs = [replace(base, breakeven_override=b) for b in breakevens]
+        streamed = stream_selected(
+            base,
+            InMemoryTraceStream(trace, 77),
+            ["breakeven_override"],
+            [(b,) for b in breakevens],
+            group_ids=[0] * len(breakevens),
+        )
         for config, result in zip(configs, streamed):
             one = simulate(config, trace, engine="fast")
             assert_results_identical(one, result, context=config.breakeven_override)
@@ -331,10 +338,10 @@ class TestStreamSweep:
             assert a.parameters == b.parameters
             assert_results_identical(a.result, b.result, context=a.parameters)
 
-    @pytest.mark.parametrize("parallel", [None, 2], ids=["serial", "sharded"])
+    @pytest.mark.parametrize("parallel", [None, 2], ids=["serial", "chunked"])
     def test_narrow_bank_ids_route_like_sweep(self, parallel):
         """The fold sorts uint8 (2 banks) and uint16 (512 banks) bank ids;
-        ``parallel=2`` runs it over owned-bank shards."""
+        ``parallel=2`` runs it in two workers, one grid chunk each."""
         geometry = CacheGeometry(16 * 1024, 16)
         trace = random_trace(np.random.default_rng(29), 3000)
         base = ArchitectureConfig(

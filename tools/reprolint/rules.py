@@ -968,7 +968,7 @@ _FILE_CTORS = frozenset({"NamedTemporaryFile", "TemporaryFile"})
 class ForkSafety(Rule):
     """REPRO011 — no fork-hostile module globals in pool-worker code.
 
-    Sweeps, sharded streaming passes and ``drain_campaign`` fork
+    Sweeps (in-memory and streamed) and ``drain_campaign`` fork
     worker processes. A module-global lock is cloned in a possibly-held
     state (instant deadlock), a global file handle or sqlite connection
     shares one file offset / locking state across every worker, and a
