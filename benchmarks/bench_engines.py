@@ -15,8 +15,7 @@ import pytest
 from repro.aging.lut import LifetimeLUT
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator
-from repro.core.simulator import ReferenceSimulator
+from repro.core.simulator import ReferenceSimulator, simulate
 from repro.trace.generator import WorkloadGenerator
 from repro.trace.mediabench import profile_for
 
@@ -47,7 +46,7 @@ def setassoc_workload():
 
 def test_fast_engine_throughput(benchmark, workload):
     config, trace, lut = workload
-    result = benchmark(lambda: FastSimulator(config, lut).run(trace))
+    result = benchmark(lambda: simulate(config, trace, lut, engine="fast"))
     print(f"\nfast engine: {len(trace):,} accesses -> "
           f"lifetime {result.lifetime_years:.2f}y")
     assert result.total_accesses == len(trace)
@@ -65,7 +64,7 @@ def test_reference_engine_throughput(benchmark, workload):
 def test_engines_agree_while_timed(workload):
     config, trace, lut = workload
     short = trace.slice(0, trace.horizon // 10)
-    fast = FastSimulator(config, lut).run(short)
+    fast = simulate(config, short, lut, engine="fast")
     reference = ReferenceSimulator(config, lut).run(short)
     assert fast.bank_stats == reference.bank_stats
     assert fast.cache_stats.hits == reference.cache_stats.hits
@@ -73,7 +72,7 @@ def test_engines_agree_while_timed(workload):
 
 def test_setassoc_fast_engine_throughput(benchmark, setassoc_workload):
     config, trace, lut = setassoc_workload
-    result = benchmark(lambda: FastSimulator(config, lut).run(trace))
+    result = benchmark(lambda: simulate(config, trace, lut, engine="fast"))
     print(f"\n4-way fast engine: {len(trace):,} accesses -> "
           f"lifetime {result.lifetime_years:.2f}y")
     assert result.total_accesses == len(trace)
@@ -85,7 +84,7 @@ def test_setassoc_speedup_over_reference(setassoc_workload):
     measurements."""
     config, trace, lut = setassoc_workload
     start = time.perf_counter()
-    fast = FastSimulator(config, lut).run(trace)
+    fast = simulate(config, trace, lut, engine="fast")
     fast_seconds = time.perf_counter() - start
     start = time.perf_counter()
     reference = ReferenceSimulator(config, lut).run(trace)

@@ -130,23 +130,30 @@ def bench_kernels(params: dict, compiled: str) -> dict:
         st = rng.integers(0, 64, size=m).astype(np.int64)
         seg_chunks.append((si, st))
 
-    def run_gap_extract(backend):
-        return dispatch.gap_extract(cycles, splits, 0, end, backend=backend)
+    def pinned(fn, backend):
+        """``fn`` with the process-wide kernel backend pinned to ``backend``."""
+        def run():
+            with dispatch.use_backend(backend):
+                return fn()
+        return run
 
-    gap_values, gap_banks, *_ = run_gap_extract("numpy")
+    def run_gap_extract():
+        return dispatch.gap_extract(cycles, splits, 0, end)
 
-    def run_threshold(backend):
+    gap_values, gap_banks, *_ = pinned(run_gap_extract, "numpy")()
+
+    def run_threshold():
         useful = np.zeros((be.size, num_banks), dtype=np.int64)
         sleep = np.zeros((be.size, num_banks), dtype=np.int64)
         dispatch.gap_threshold_batch(
-            gap_values, gap_banks, num_banks, be, useful, sleep, backend=backend
+            gap_values, gap_banks, num_banks, be, useful, sleep
         )
         return useful, sleep
 
-    def run_lru_walk(backend):
-        return dispatch.lru_walk(lru_tags, lru_starts, ways, backend=backend)
+    def run_lru_walk():
+        return dispatch.lru_walk(lru_tags, lru_starts, ways)
 
-    def run_stream_fold(backend):
+    def run_stream_fold():
         last_event = np.full(num_banks, -1, dtype=np.int64)
         acc = np.zeros(num_banks, dtype=np.int64)
         intervals = np.zeros(num_banks, dtype=np.int64)
@@ -164,15 +171,14 @@ def bench_kernels(params: dict, compiled: str) -> dict:
                 be,
                 useful,
                 sleep,
-                backend=backend,
             )
         return last_event, acc, intervals, idle, useful, sleep
 
-    def run_lru_segments(backend):
+    def run_lru_segments():
         stacks = np.full((num_sets, ways), -1, dtype=np.int64)
         hits = 0
         for si, st in seg_chunks:
-            hits += dispatch.lru_segment(si, st, stacks, backend=backend)
+            hits += dispatch.lru_segment(si, st, stacks)
         return hits, stacks
 
     def identical(a, b):
@@ -202,13 +208,14 @@ def bench_kernels(params: dict, compiled: str) -> dict:
               "stream": {"numpy": 0.0, compiled: 0.0}}
     all_identical = True
     for name, (fn, view, profile) in kernels.items():
-        ref, got = fn("numpy"), fn(compiled)
+        on_numpy, on_compiled = pinned(fn, "numpy"), pinned(fn, compiled)
+        ref, got = on_numpy(), on_compiled()
         if view is not None:
             ref, got = view(ref), view(got)
         same = identical(ref, got)
         all_identical = all_identical and same
-        t_numpy = _best(lambda: fn("numpy"), repeats)
-        t_compiled = _best(lambda: fn(compiled), repeats)
+        t_numpy = _best(on_numpy, repeats)
+        t_compiled = _best(on_compiled, repeats)
         totals[profile]["numpy"] += t_numpy
         totals[profile][compiled] += t_compiled
         report[name] = {

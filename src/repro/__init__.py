@@ -42,7 +42,6 @@ from repro.core import (
     ArchitectureConfig,
     Engine,
     StreamingPlan,
-    FastSimulator,
     Measurement,
     Metric,
     ReferenceSimulator,
@@ -105,7 +104,6 @@ __all__ = [
     "BankedCache",
     "ArchitectureConfig",
     "ReferenceSimulator",
-    "FastSimulator",
     "TracePlan",
     "StreamingPlan",
     "SimulationResult",

@@ -264,14 +264,19 @@ class SearchSpec:
             if not isinstance(maximize, (list, tuple)):
                 raise ConfigurationError("search 'maximize' must be a list")
             kwargs["maximize"] = tuple(bool(m) for m in maximize)
-        if "top_k" in payload and payload["top_k"] is not None:
-            kwargs["top_k"] = int(payload["top_k"])
-        if "top_fraction" in payload:
-            kwargs["top_fraction"] = float(payload["top_fraction"])
-        if "epsilon" in payload:
-            kwargs["epsilon"] = float(payload["epsilon"])
-        if "max_rounds" in payload:
-            kwargs["max_rounds"] = int(payload["max_rounds"])
+        numbers: dict[str, Callable[[Any], Any]] = {
+            "top_k": int, "top_fraction": float, "epsilon": float, "max_rounds": int,
+        }
+        for key, kind in numbers.items():
+            if key not in payload or (key == "top_k" and payload[key] is None):
+                continue
+            value = payload[key]
+            try:
+                kwargs[key] = kind(value)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"search {key!r} must be a number, got {value!r}"
+                ) from None
         return cls(**kwargs)
 
 

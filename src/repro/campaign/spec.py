@@ -86,7 +86,10 @@ def _decode_axis_value(name: str, value):
     if name == "update_events":
         if not isinstance(value, (list, tuple)):
             raise CodecError("update_events axis values must be lists")
-        return tuple(int(c) for c in value)
+        try:
+            return tuple(int(c) for c in value)
+        except (TypeError, ValueError) as exc:
+            raise CodecError(f"update_events axis values must be integers: {exc}") from exc
     return value
 
 
@@ -286,7 +289,9 @@ class CampaignSpec:
         if "base" not in payload:
             raise CodecError("campaign spec missing 'base' config")
         axes_payload = payload.get("axes", {})
-        if not isinstance(axes_payload, dict):
+        if not isinstance(axes_payload, dict) or not all(
+            isinstance(values, list) for values in axes_payload.values()
+        ):
             raise CodecError("campaign 'axes' must be a dict of value lists")
         axes = {
             name: [_decode_axis_value(name, v) for v in values]

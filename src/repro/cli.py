@@ -179,16 +179,13 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         requires = getattr(engine, "requires", "")
         if requires:
             print(f"  {'':<12} requires {requires}")
-    print("kernel backends (compiled engine dispatch; pin with REPRO_KERNELS):")
+    print("kernel backends (pin with REPRO_KERNELS):")
     for name, reason in dispatch.backend_status().items():
         if reason is None:
             marker = " (selected)" if name == active else ""
             print(f"  {name:<12} available{marker}")
         else:
             print(f"  {name:<12} unavailable: {reason}")
-    if dispatch.compiled_backend() is None:
-        print("  no compiled backend loadable; the 'compiled' engine "
-              "runs on numpy")
     return 0
 
 

@@ -37,7 +37,7 @@ from repro.core.engine import (
     unregister_engine,
     validate_engine,
 )
-from repro.core.fastsim import FastSimulator, run_breakeven_group
+from repro.core.fastsim import run_breakeven_group
 from repro.core.metrics import (
     Measurement,
     MeasurementTemplate,
@@ -84,7 +84,6 @@ __all__ = [
     "unregister_metric",
     "unregister_template",
     "ReferenceSimulator",
-    "FastSimulator",
     "TracePlan",
     "StreamingPlan",
     "run_breakeven_group",

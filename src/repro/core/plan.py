@@ -11,7 +11,7 @@ axis reuses *everything* and a ``policy`` axis still reuses the decode
 and the epoch boundaries.
 
 The plan is engine-agnostic shared state:
-:class:`~repro.core.fastsim.FastSimulator` (and, for the decode layer,
+:func:`~repro.core.fastsim.run_breakeven_group` (and, for the decode layer,
 :class:`~repro.finegrain.sim.FineGrainSimulator`) accept one and build a
 private plan when none is given — sharing is an optimization, never a
 requirement, and every cached layer is a pure function of (trace, key),
@@ -215,7 +215,7 @@ class TracePlan:
         """
         return self._compute_bank_order(config)
 
-    def idle_gaps(self, config, backend: str | None = None) -> IdleGapStructure:
+    def idle_gaps(self, config) -> IdleGapStructure:
         """Cached breakeven-independent idle-gap structure per routing.
 
         This is the layer the fast engine's idleness accounting reads:
@@ -224,17 +224,14 @@ class TracePlan:
         kept. The cache holds at most :attr:`max_gap_routings`
         structures (FIFO eviction), bounding plan memory on grids with
         many routings; eviction only costs a re-sort if an old routing
-        recurs, never correctness. ``backend`` selects the kernel
-        backend for a cache miss only — every backend produces a
-        bit-identical structure, so the cache key excludes it.
+        recurs, never correctness.
         """
         key = self._routing_key("gaps", config)
 
         def compute():
             route = self._compute_bank_order(config)
             return idle_gaps_from_sorted_accesses(
-                route.sorted_cycles, route.splits, 0, self.trace.horizon,
-                backend=backend,
+                route.sorted_cycles, route.splits, 0, self.trace.horizon
             )
 
         gaps = self.cached(key, compute)

@@ -247,8 +247,8 @@ def simulate(
 
     * ``"auto"`` (default) — the highest-priority auto-eligible engine
       supporting the configuration; currently always the vectorized
-      :class:`~repro.core.fastsim.FastSimulator`, which covers both
-      direct-mapped and set-associative geometries.
+      ``fast`` engine (:class:`~repro.core.fastsim.FastEngine`), which
+      covers both direct-mapped and set-associative geometries.
     * ``"fast"`` / ``"reference"`` — force the vectorized or the
       event-by-event behavioral engine.
     * ``"finegrain"`` — the per-line drowsy template of [7]

@@ -9,11 +9,11 @@ boundaries instead of recomputed from a global view —
 * **hits/flushes** — a real cache-content model per (bit split, ways,
   schedule) identity: direct-mapped geometries carry one tag per set
   (:class:`_DirectMappedTracker`), set-associative ones carry the full
-  LRU stacks (:class:`_LruTracker`, the lockstep rank walk of
-  :meth:`~repro.core.fastsim.FastSimulator._grouped_lru` with an
-  initial state). Both match the one-shot counts exactly because a
-  cache set's contents after any access prefix are history-independent
-  summaries the carried state captures completely;
+  LRU stacks (:class:`_LruTracker`, the stack walk of
+  :func:`~repro.core.fastsim._grouped_lru` with an initial state).
+  Both match the one-shot counts exactly because a cache set's
+  contents after any access prefix are history-independent summaries
+  the carried state captures completely;
 * **routing** — the indexing policy object advances at each update
   boundary as it fires (the reference engine's lazy drain), and each
   chunk is routed and bank-sorted locally;
@@ -70,8 +70,7 @@ class _CarriedTracker:
     ``_segment`` (advance through one epoch segment's accesses).
     """
 
-    def __init__(self, backend: str | None = None) -> None:
-        self.backend = backend
+    def __init__(self) -> None:
         self.hits = 0
         self.flush_invalidations = 0
         self._chunk_id = -1
@@ -108,8 +107,8 @@ class _DirectMappedTracker(_CarriedTracker):
     their in-chunk predecessor.
     """
 
-    def __init__(self, num_sets: int, ways: int, backend: str | None = None) -> None:
-        super().__init__(backend)
+    def __init__(self, num_sets: int, ways: int) -> None:
+        super().__init__()
         self.tags = np.zeros(num_sets, dtype=np.int64)
         self.valid = np.zeros(num_sets, dtype=bool)
 
@@ -152,14 +151,14 @@ class _LruTracker(_CarriedTracker):
     each chunk segment advances them through
     :func:`repro.kernels.lru_segment` (the carried-state sibling of the
     one-shot walk behind
-    :meth:`~repro.core.fastsim.FastSimulator._grouped_lru`), starting
+    :func:`~repro.core.fastsim._grouped_lru`), starting
     from the carried contents instead of cold. Exact for the same
     reason the one-shot walk is: an LRU set's contents are a
     history-independent function of its most recent distinct tags.
     """
 
-    def __init__(self, num_sets: int, ways: int, backend: str | None = None) -> None:
-        super().__init__(backend)
+    def __init__(self, num_sets: int, ways: int) -> None:
+        super().__init__()
         self.stacks = np.full((num_sets, ways), -1, dtype=np.int64)
 
     def flush(self) -> None:
@@ -170,20 +169,16 @@ class _LruTracker(_CarriedTracker):
         if index.size == 0:
             return
         order = np.argsort(index, kind="stable")
-        self.hits += kernels.lru_segment(
-            index[order], tag[order], self.stacks, backend=self.backend
-        )
+        self.hits += kernels.lru_segment(index[order], tag[order], self.stacks)
 
 
-def _hit_tracker(plan: StreamingPlan, config, backend: str | None = None):
+def _hit_tracker(plan: StreamingPlan, config):
     """Shared hit/flush tracker for the config's functional identity.
 
     Keyed exactly like the one-shot plan's ``hits`` section — bit
     split × ways × schedule — so
     configurations differing only in banking, policy or power
-    management share one cache-content walk per pass. The kernel
-    backend is not part of the key: every backend is bit-identical, so
-    whichever cursor creates the tracker fixes the backend it runs on.
+    management share one cache-content walk per pass.
     """
     geometry = config.geometry
     key = (
@@ -194,9 +189,7 @@ def _hit_tracker(plan: StreamingPlan, config, backend: str | None = None):
         TracePlan.schedule_key(config),
     )
     cls = _DirectMappedTracker if geometry.ways == 1 else _LruTracker
-    return plan.persistent(
-        key, lambda: cls(geometry.num_sets, geometry.ways, backend)
-    )
+    return plan.persistent(key, lambda: cls(geometry.num_sets, geometry.ways))
 
 
 class StreamCursor:
@@ -209,14 +202,9 @@ class StreamCursor:
     every breakeven of the group from the same carried gap state.
     Memory is O(num_sets × ways + num_banks × breakevens + chunk) —
     independent of stream length.
-
-    ``backend`` selects the kernel backend for the tracker and gap
-    walks (bit-identical across backends).
     """
 
-    def __init__(
-        self, configs, plan: StreamingPlan, backend: str | None = None
-    ) -> None:
+    def __init__(self, configs, plan: StreamingPlan) -> None:
         if not configs:
             raise SimulationError("a stream cursor needs at least one config")
         from repro.core.fastsim import validate_breakeven_group
@@ -226,7 +214,6 @@ class StreamCursor:
         self.base = configs[0]
         self.policy = self.base.make_policy()
         self.num_banks = self.base.num_banks
-        self.backend = backend
         # An unmanaged cache's effective breakeven is horizon + 1 — not
         # known until the stream ends — but its accounting is simply
         # "no gap ever converts": the accumulator's None (infinite)
@@ -235,8 +222,8 @@ class StreamCursor:
             config.breakeven() if config.power_managed else None
             for config in self.configs
         ]
-        self.gaps = StreamingGapAccumulator(self.num_banks, breakevens, backend=backend)
-        self.tracker = _hit_tracker(plan, self.base, backend=backend)
+        self.gaps = StreamingGapAccumulator(self.num_banks, breakevens)
+        self.tracker = _hit_tracker(plan, self.base)
         self.updates_applied = 0
         self.accesses = 0
 

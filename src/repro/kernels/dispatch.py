@@ -10,14 +10,12 @@ stays load-bearing and backend selection stays a one-line concern:
 - ``numpy`` — the vectorized fallback and semantic anchor; always
   available.
 
-The default backend is the best available, overridable globally with
-the ``REPRO_KERNELS`` environment variable (read on first use, an
-unknown value fails fast), with :func:`set_backend` /
-:func:`use_backend`, or per call via each kernel's ``backend=``
-parameter. The ``compiled`` engine (and so ``auto``) runs on that
-default; the ``fast`` engine always passes ``backend="numpy"``. All
-counters are int64 in and out; the differential fuzz suite pins the
-C backend bit-identical to numpy.
+Every kernel runs on one process-wide backend: ``REPRO_KERNELS`` when
+set (read on first use, an unknown value fails fast), else the best
+available. Tests and benchmarks pin it with :func:`set_backend` /
+:func:`use_backend`; pool workers inherit the parent's (see
+:mod:`repro.core.pool`). All counters are int64 in and out; the
+differential fuzz suite pins the C backend bit-identical to numpy.
 """
 
 from __future__ import annotations
@@ -85,7 +83,7 @@ def _default_backend() -> str:
 
 
 def active_backend() -> str:
-    """The backend used when a kernel call does not name one."""
+    """The backend every kernel call runs on."""
     global _active
     if _active is None:
         _active = _default_backend()
@@ -112,19 +110,22 @@ def use_backend(name: str) -> Iterator[None]:
         set_backend(previous)
 
 
-def _resolve(name: str | None) -> ModuleType:
+def _resolve(name: str) -> ModuleType:
     _probe()
-    chosen = name if name is not None else active_backend()
     try:
-        return _modules[chosen]
+        return _modules[name]
     except KeyError:
-        reason = _failures.get(chosen)
+        reason = _failures.get(name)
         detail = f" ({reason})" if reason else ""
         known = ", ".join(_PREFERENCE)
         raise SimulationError(
-            f"unknown or unavailable kernel backend {chosen!r}{detail}; "
+            f"unknown or unavailable kernel backend {name!r}{detail}; "
             f"known backends: {known}"
         ) from None
+
+
+def _impl() -> ModuleType:
+    return _resolve(active_backend())
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +138,6 @@ def gap_extract(
     splits: np.ndarray,
     start_cycle: int,
     end_cycle: int,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extract every bank's positive idle gaps from the sorted stream.
 
@@ -149,9 +149,8 @@ def gap_extract(
     counters. Gap ordering is backend-defined; consumers reduce over
     the multiset only.
     """
-    impl = _resolve(backend)
     result: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    result = impl.gap_extract(cycles, splits, int(start_cycle), int(end_cycle))
+    result = _impl().gap_extract(cycles, splits, int(start_cycle), int(end_cycle))
     return result
 
 
@@ -162,7 +161,6 @@ def gap_threshold_batch(
     breakevens: np.ndarray,
     useful: np.ndarray,
     sleep: np.ndarray,
-    backend: str | None = None,
 ) -> None:
     """Threshold a gap multiset at each breakeven row.
 
@@ -172,7 +170,7 @@ def gap_threshold_batch(
     ever converts). Accumulates into the caller-zeroed ``(n_be,
     num_banks)`` int64 buffers in place.
     """
-    _resolve(backend).gap_threshold_batch(
+    _impl().gap_threshold_batch(
         gap_values, gap_banks, int(num_banks), breakevens, useful, sleep
     )
 
@@ -187,7 +185,6 @@ def stream_gap_update(
     breakevens: np.ndarray,
     useful: np.ndarray,
     sleep: np.ndarray,
-    backend: str | None = None,
 ) -> None:
     """Fold one bank-sorted chunk into streaming carry-state counters.
 
@@ -197,7 +194,7 @@ def stream_gap_update(
     and ``last_event``/``accesses`` advance. Trailing gaps stay open
     for ``finalize``. All arrays are mutated in place.
     """
-    _resolve(backend).stream_gap_update(
+    _impl().stream_gap_update(
         cycles,
         splits,
         last_event,
@@ -210,12 +207,7 @@ def stream_gap_update(
     )
 
 
-def lru_walk(
-    tags: np.ndarray,
-    starts: np.ndarray,
-    ways: int,
-    backend: str | None = None,
-) -> tuple[int, np.ndarray]:
+def lru_walk(tags: np.ndarray, starts: np.ndarray, ways: int) -> tuple[int, np.ndarray]:
     """Cold-started LRU over contiguous tag groups.
 
     ``tags`` is sorted by (group, arrival); group ``g`` owns
@@ -223,20 +215,15 @@ def lru_walk(
     lines_per_group)`` where ``lines_per_group[g]`` is the lines the
     set retains: ``min(distinct tags, ways)``.
     """
-    hits, lines = _resolve(backend).lru_walk(tags, starts, int(ways))
+    hits, lines = _impl().lru_walk(tags, starts, int(ways))
     return int(hits), np.asarray(lines, dtype=np.int64)
 
 
-def lru_segment(
-    idx: np.ndarray,
-    tags: np.ndarray,
-    stacks: np.ndarray,
-    backend: str | None = None,
-) -> int:
+def lru_segment(idx: np.ndarray, tags: np.ndarray, stacks: np.ndarray) -> int:
     """Advance carried LRU stacks through one set-sorted segment.
 
     ``idx``/``tags`` are sorted by (set, arrival); ``stacks`` is the
     carried ``(num_sets, ways)`` int64 recency matrix (``-1`` invalid),
     mutated in place. Returns the segment's hits.
     """
-    return int(_resolve(backend).lru_segment(idx, tags, stacks))
+    return int(_impl().lru_segment(idx, tags, stacks))

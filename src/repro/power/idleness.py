@@ -247,7 +247,6 @@ def idle_gaps_from_sorted_accesses(
     splits: np.ndarray,
     start_cycle: int,
     end_cycle: int,
-    backend: str | None = None,
 ) -> IdleGapStructure:
     """Extract every bank's idle gaps from the bank-sorted stream.
 
@@ -262,9 +261,6 @@ def idle_gaps_from_sorted_accesses(
         ``splits[-1] == sorted_cycles.size``.
     start_cycle, end_cycle:
         Observation window ``[start_cycle, end_cycle)``.
-    backend:
-        Kernel backend override (see :mod:`repro.kernels.dispatch`);
-        every backend produces a bit-identical structure.
     """
     cycles = np.asarray(sorted_cycles, dtype=np.int64)
     splits = np.asarray(splits, dtype=np.int64)
@@ -279,7 +275,7 @@ def idle_gaps_from_sorted_accesses(
         raise SimulationError("splits do not partition the access stream")
 
     gap_values, gap_banks, accesses, idle_intervals, idle_cycles = kernels.gap_extract(
-        cycles, splits, start_cycle, end_cycle, backend=backend
+        cycles, splits, start_cycle, end_cycle
     )
     return IdleGapStructure(
         num_banks=num_banks,
@@ -292,9 +288,7 @@ def idle_gaps_from_sorted_accesses(
     )
 
 
-def batch_stats_from_gaps(
-    gaps: IdleGapStructure, breakevens, backend: str | None = None
-) -> list[list[BankIdleStats]]:
+def batch_stats_from_gaps(gaps: IdleGapStructure, breakevens) -> list[list[BankIdleStats]]:
     """Threshold a gap structure at each breakeven: one stats list per
     breakeven, one :class:`BankIdleStats` per bank. Integer-exact.
 
@@ -319,7 +313,6 @@ def batch_stats_from_gaps(
         breakeven_array,
         useful,
         sleep,
-        backend=backend,
     )
     return [
         [
@@ -367,8 +360,6 @@ class StreamingGapAccumulator:
         accounted without knowing the horizon up front).
     start_cycle:
         First cycle of the observation window.
-    backend:
-        Kernel backend override (see :mod:`repro.kernels.dispatch`).
     """
 
     def __init__(
@@ -376,7 +367,6 @@ class StreamingGapAccumulator:
         num_banks: int,
         breakevens,
         start_cycle: int = 0,
-        backend: str | None = None,
     ) -> None:
         if num_banks < 1:
             raise SimulationError("need at least one bank")
@@ -386,7 +376,6 @@ class StreamingGapAccumulator:
                 raise SimulationError("breakeven must be >= 1 cycle")
         self.num_banks = num_banks
         self.start_cycle = start_cycle
-        self.backend = backend
         # -1 encodes an infinite (None) breakeven for the kernels.
         self._breakeven_array = np.asarray(
             [-1 if b is None else int(b) for b in self.breakevens], dtype=np.int64
@@ -443,7 +432,6 @@ class StreamingGapAccumulator:
             self._breakeven_array,
             self._useful,
             self._sleep,
-            backend=self.backend,
         )
 
     def finalize(self, end_cycle: int) -> list[list[BankIdleStats]]:
@@ -487,7 +475,6 @@ def batch_stats_from_sorted_accesses(
     breakevens,
     start_cycle: int,
     end_cycle: int,
-    backend: str | None = None,
 ) -> list[list[BankIdleStats]]:
     """All banks' idleness stats in one pass, for a vector of breakevens.
 
@@ -498,7 +485,5 @@ def batch_stats_from_sorted_accesses(
     is exactly equal to calling :func:`stats_from_access_cycles` per
     bank slice (tests enforce it).
     """
-    gaps = idle_gaps_from_sorted_accesses(
-        sorted_cycles, splits, start_cycle, end_cycle, backend=backend
-    )
-    return batch_stats_from_gaps(gaps, breakevens, backend=backend)
+    gaps = idle_gaps_from_sorted_accesses(sorted_cycles, splits, start_cycle, end_cycle)
+    return batch_stats_from_gaps(gaps, breakevens)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Iterator
 
 import numpy as np
 
@@ -59,6 +60,83 @@ def _unescape_name(stored: str) -> str:
         if isinstance(decoded, str):
             return decoded
     return stored
+
+
+class TextTraceReader:
+    """The ``.trc`` parser :func:`load_trace` and
+    :class:`~repro.trace.stream.TextTraceStream` share.
+
+    :meth:`accesses` walks the file once, yielding ``(cycle, address)``
+    per data line in file order and recording the ``# name:`` and
+    ``# horizon:`` headers it meets, on any line (the last one wins),
+    in :attr:`name` and :attr:`horizon`. A malformed line — a wrong
+    field count, a non-integer or negative value, a cycle that does not
+    increase, a bad horizon header — raises :class:`TraceError` naming
+    ``path:line``.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.name = ""
+        self.horizon: int | None = None
+        self.last_cycle = -1
+
+    def accesses(self) -> Iterator[tuple[int, int]]:
+        """Yield every access of the file, validating as it goes."""
+        with open(self.path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                where = f"{self.path}:{lineno}"
+                if line.startswith("#"):
+                    self._header(line[1:].strip(), where)
+                else:
+                    yield self._access(line, where)
+
+    def _header(self, body: str, where: str) -> None:
+        if body.startswith("horizon:"):
+            value = body.split(":", 1)[1].strip()
+            try:
+                horizon = int(value)
+            except ValueError:
+                raise TraceError(f"{where}: horizon {value!r} is not an integer") from None
+            if horizon < 0:
+                raise TraceError(f"{where}: horizon must be non-negative, got {horizon}")
+            self.horizon = horizon
+        elif body.startswith("name:"):
+            self.name = _unescape_name(body.split(":", 1)[1].strip())
+
+    def _access(self, line: str, where: str) -> tuple[int, int]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise TraceError(f"{where}: expected '<cycle> <address>'")
+        try:
+            cycle = int(parts[0])
+            address = int(parts[1], 0)
+        except ValueError as exc:
+            raise TraceError(f"{where}: {exc}") from exc
+        if cycle < 0 or address < 0:
+            raise TraceError(f"{where}: cycle and address must be non-negative")
+        if cycle <= self.last_cycle:
+            raise TraceError(
+                f"{where}: cycle stamps must be strictly increasing "
+                f"({cycle} after {self.last_cycle})"
+            )
+        self.last_cycle = cycle
+        return cycle, address
+
+    def final_horizon(self) -> int:
+        """The declared horizon, else last access + 1 (after a full pass)."""
+        derived = self.last_cycle + 1
+        if self.horizon is None:
+            return derived
+        if self.horizon < derived:
+            raise TraceError(
+                f"{self.path}: horizon {self.horizon} shorter than the last "
+                f"access ({self.last_cycle})"
+            )
+        return self.horizon
 
 
 def save_trace(trace: Trace, path: str | os.PathLike) -> None:
@@ -108,33 +186,11 @@ def load_trace(path: str | os.PathLike) -> Trace:
                 horizon=int(data["horizon"][0]),
                 name=_unescape_name(str(data["name"][0])),
             )
-    cycles: list[int] = []
-    addresses: list[int] = []
-    horizon: int | None = None
-    name = ""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("horizon:"):
-                    horizon = int(body.split(":", 1)[1])
-                elif body.startswith("name:"):
-                    name = _unescape_name(body.split(":", 1)[1].strip())
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise TraceError(f"{path}:{lineno}: expected '<cycle> <address>'")
-            try:
-                cycles.append(int(parts[0]))
-                addresses.append(int(parts[1], 0))
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from exc
+    reader = TextTraceReader(path)
+    pairs = np.array(list(reader.accesses()), dtype=np.int64).reshape(-1, 2)
     return Trace(
-        cycles=np.asarray(cycles, dtype=np.int64),
-        addresses=np.asarray(addresses, dtype=np.int64),
-        horizon=horizon,
-        name=name,
+        cycles=pairs[:, 0],
+        addresses=pairs[:, 1],
+        horizon=reader.final_horizon(),
+        name=reader.name,
     )

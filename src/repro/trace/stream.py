@@ -51,13 +51,15 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.io import _escape_name, _unescape_name
+from repro.trace.io import TextTraceReader, _escape_name, _unescape_name
 from repro.trace.trace import Trace
 
 #: File names of the memory-mapped directory format.
@@ -203,14 +205,16 @@ class InMemoryTraceStream(TraceStream):
 class TextTraceStream(TraceStream):
     """Streaming reader of the ``.trc`` text format.
 
-    Lines are parsed one at a time and buffered per read block; peak
-    memory is one chunk window plus one parse buffer, independent of
-    file length. The header is pre-scanned at construction so ``name``
-    (and ``horizon``, when the header declares it) are known up front;
-    a headerless file's horizon becomes known once ``chunks()`` is
-    exhausted (last access + 1, the :class:`Trace` default), as do
-    headers oddly placed after data lines (which ``load_trace``
-    honors, so a full pass always agrees with it).
+    Lines are parsed one at a time by the
+    :class:`~repro.trace.io.TextTraceReader` that ``load_trace`` uses
+    too, and buffered per read block; peak memory is one chunk window
+    plus one parse buffer, independent of file length. The leading
+    headers are read at construction so ``name`` (and ``horizon``, when
+    the header declares it) are known up front; a headerless file's
+    horizon becomes known once ``chunks()`` is exhausted (last access +
+    1, the :class:`Trace` default), as do headers oddly placed after
+    data lines (which ``load_trace`` honors, so a full pass always
+    agrees with it).
     """
 
     #: Accesses parsed per numpy conversion batch.
@@ -219,80 +223,20 @@ class TextTraceStream(TraceStream):
     def __init__(self, path: str | os.PathLike, chunk_cycles: int) -> None:
         self.path = os.fspath(path)
         self.chunk_cycles = _check_chunk_cycles(chunk_cycles)
-        self.name = ""
-        self._header_horizon: int | None = None
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line:
-                    continue
-                if not line.startswith("#"):
-                    break
-                body = line[1:].strip()
-                if body.startswith("horizon:"):
-                    self._header_horizon = int(body.split(":", 1)[1])
-                elif body.startswith("name:"):
-                    self.name = _unescape_name(body.split(":", 1)[1].strip())
-        self.horizon = self._header_horizon
+        reader = TextTraceReader(self.path)
+        with closing(reader.accesses()) as accesses:
+            next(accesses, None)  # the leading headers, up to the first access
+        self.name = reader.name
+        self.horizon = reader.horizon
 
     def _pieces(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        cycles: list[int] = []
-        addresses: list[int] = []
-        last_cycle = -1
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    # Headers may appear anywhere (load_trace honors
-                    # them on any line); re-capture both so streamed
-                    # and one-shot loads agree even on odd files. The
-                    # constructor pre-scan only covers leading headers.
-                    body = line[1:].strip()
-                    if body.startswith("horizon:"):
-                        self._header_horizon = int(body.split(":", 1)[1])
-                    elif body.startswith("name:"):
-                        self.name = _unescape_name(body.split(":", 1)[1].strip())
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise TraceError(
-                        f"{self.path}:{lineno}: expected '<cycle> <address>'"
-                    )
-                try:
-                    cycle = int(parts[0])
-                    address = int(parts[1], 0)
-                except ValueError as exc:
-                    raise TraceError(f"{self.path}:{lineno}: {exc}") from exc
-                if cycle <= last_cycle:
-                    raise TraceError(
-                        f"{self.path}:{lineno}: cycle stamps must be "
-                        f"strictly increasing ({cycle} after {last_cycle})"
-                    )
-                last_cycle = cycle
-                cycles.append(cycle)
-                addresses.append(address)
-                if len(cycles) >= self._BATCH:
-                    yield (
-                        np.asarray(cycles, dtype=np.int64),
-                        np.asarray(addresses, dtype=np.int64),
-                    )
-                    cycles.clear()
-                    addresses.clear()
-        if cycles:
-            yield (
-                np.asarray(cycles, dtype=np.int64),
-                np.asarray(addresses, dtype=np.int64),
-            )
-        derived = last_cycle + 1
-        header = self._header_horizon
-        if header is not None and header < derived:
-            raise TraceError(
-                f"{self.path}: horizon {header} shorter than the last access "
-                f"({last_cycle})"
-            )
-        self.horizon = derived if header is None else header
+        reader = TextTraceReader(self.path)
+        accesses = reader.accesses()
+        while batch := list(islice(accesses, self._BATCH)):
+            cycles, addresses = np.array(batch, dtype=np.int64).T
+            yield cycles, addresses
+        self.name = reader.name
+        self.horizon = reader.final_horizon()
 
     def chunks(self) -> Iterator[TraceChunk]:
         yield from _window_pieces(self._pieces(), self.chunk_cycles)

@@ -293,6 +293,19 @@ class TestCampaignSpec:
         widened = small_campaign(axes={"num_banks": [2, 4, 8]})
         assert widened.spec_hash() != spec.spec_hash()
 
+    @pytest.mark.parametrize(
+        "axes", [{"num_banks": 5}, {"num_banks": "24"}, ["num_banks"]]
+    )
+    def test_malformed_axes_are_codec_errors(self, axes):
+        payload = dict(small_campaign().to_dict(), axes=axes)
+        with pytest.raises(CodecError, match="dict of value lists"):
+            CampaignSpec.from_dict(payload)
+
+    def test_non_integer_update_events_are_codec_errors(self):
+        payload = dict(small_campaign().to_dict(), axes={"update_events": [["x"]]})
+        with pytest.raises(CodecError, match="update_events"):
+            CampaignSpec.from_dict(payload)
+
     def test_validation(self):
         with pytest.raises(CodecError, match="at least one trace"):
             CampaignSpec(name="x", traces=(), base=ArchitectureConfig(CacheGeometry(8192, 16)))

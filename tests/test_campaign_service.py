@@ -571,6 +571,34 @@ class TestHTTPService:
         with pytest.raises(ServiceError, match="unknown path"):
             client._request("GET", "/teapot")
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"axes": {"num_banks": 5}},
+            {"search": {"strategy": "estimator-pruned", "epsilon": "x"}},
+            {"search": {"strategy": "estimator-pruned", "max_rounds": "many"}},
+        ],
+    )
+    def test_malformed_spec_values_get_a_400(self, server, change):
+        """A spec value of the wrong type is a 400 reply, not a dropped
+        connection."""
+        import urllib.error
+        import urllib.request
+
+        payload = dict(small_campaign().to_dict(), **change)
+        with pytest.raises(ServiceError, match="invalid campaign spec"):
+            ServiceClient(server.url).submit(payload)
+        request = urllib.request.Request(
+            server.url + "/specs",
+            data=json.dumps(payload).encode("utf-8"),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        excinfo.value.close()
+        assert ServiceClient(server.url).status()["specs"] == []
+
     def test_cli_submit_wait(self, server, tmp_path, capsys):
         spec = small_campaign()
         spec_file = tmp_path / "spec.json"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator
 from repro.core.simulator import ReferenceSimulator, simulate
 from repro.trace.trace import Trace
 from tests.conftest import make_random_trace
@@ -36,7 +35,7 @@ def assert_results_equal(a, b):
 def run_both(config, trace, lut):
     return (
         ReferenceSimulator(config, lut).run(trace),
-        FastSimulator(config, lut).run(trace),
+        simulate(config, trace, lut, engine="fast"),
     )
 
 

@@ -240,6 +240,20 @@ class TestPlanner:
         with pytest.raises(ConfigurationError, match="unknown search fields"):
             SearchSpec.from_dict({"strategy": "exhaustive", "mystery": 1})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", "x"),
+            ("top_k", "many"),
+            ("top_fraction", [0.1]),
+            ("max_rounds", None),
+            ("epsilon", None),
+        ],
+    )
+    def test_search_spec_rejects_non_numeric_values(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SearchSpec.from_dict({"strategy": "estimator-pruned", field: value})
+
     def test_search_spec_round_trips(self):
         spec = SearchSpec(
             strategy="estimator-pruned",

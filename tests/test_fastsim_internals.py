@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.cache.directmapped import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import AccessOutcome
-from repro.core.fastsim import FastSimulator
+from repro.core.fastsim import _epoch_hits
+from repro.core.plan import TracePlan
 
 
 class TestEpochHits:
@@ -20,13 +21,11 @@ class TestEpochHits:
         return sum(1 for a in addresses if cache.access(int(a)) is AccessOutcome.HIT)
 
     def test_empty(self):
-        hits, lines = FastSimulator._epoch_hits(
-            np.empty(0, np.int64), np.empty(0, np.int64)
-        )
+        hits, lines = _epoch_hits(np.empty(0, np.int64), np.empty(0, np.int64))
         assert (hits, lines) == (0, 0)
 
     def test_single_access_is_miss(self):
-        hits, lines = FastSimulator._epoch_hits(
+        hits, lines = _epoch_hits(
             np.array([5], dtype=np.int64), np.array([0], dtype=np.int64)
         )
         assert (hits, lines) == (0, 1)
@@ -34,17 +33,17 @@ class TestEpochHits:
     def test_repeat_hits(self):
         index = np.array([5, 5, 5], dtype=np.int64)
         tag = np.array([1, 1, 1], dtype=np.int64)
-        assert FastSimulator._epoch_hits(index, tag) == (2, 1)
+        assert _epoch_hits(index, tag) == (2, 1)
 
     def test_conflict_thrash(self):
         index = np.array([5, 5, 5, 5], dtype=np.int64)
         tag = np.array([1, 2, 1, 2], dtype=np.int64)
-        assert FastSimulator._epoch_hits(index, tag) == (0, 1)
+        assert _epoch_hits(index, tag) == (0, 1)
 
     def test_distinct_lines_counted(self):
         index = np.array([1, 2, 3, 1], dtype=np.int64)
         tag = np.zeros(4, dtype=np.int64)
-        hits, lines = FastSimulator._epoch_hits(index, tag)
+        hits, lines = _epoch_hits(index, tag)
         assert lines == 3
         assert hits == 1
 
@@ -55,12 +54,16 @@ class TestEpochHits:
         arr = np.asarray(addresses, dtype=np.int64)
         index = (arr >> geometry.offset_bits) & (geometry.num_sets - 1)
         tag = arr >> (geometry.offset_bits + geometry.index_bits)
-        hits, lines = FastSimulator._epoch_hits(index, tag)
+        hits, lines = _epoch_hits(index, tag)
         assert hits == self.hits_by_model(geometry, addresses)
         assert lines == len(np.unique(index)) if addresses else lines == 0
 
 
 class TestEpochBoundaries:
+    """The update cycles that fire during a trace: due updates drain
+    lazily before the first access at or after each boundary, and
+    boundaries after the last access never fire."""
+
     def make(self, **kwargs):
         from repro.core.config import ArchitectureConfig
         from repro.trace.trace import Trace
@@ -70,23 +73,27 @@ class TestEpochBoundaries:
         )
         cycles = np.array([0, 100, 5000], dtype=np.int64)
         addresses = np.zeros(3, dtype=np.int64)
-        return FastSimulator(config), Trace(cycles, addresses)
+        return config, Trace(cycles, addresses)
+
+    @staticmethod
+    def boundaries(config, trace):
+        return TracePlan(trace).epoch_starts(config)[0]
 
     def test_periodic(self):
-        sim, trace = self.make(update_period_cycles=1000)
-        assert sim._epoch_boundaries(trace).tolist() == [1000, 2000, 3000, 4000, 5000]
+        config, trace = self.make(update_period_cycles=1000)
+        assert self.boundaries(config, trace).tolist() == [1000, 2000, 3000, 4000, 5000]
 
     def test_explicit_events(self):
-        sim, trace = self.make(update_events=(50, 4999, 9000))
-        assert sim._epoch_boundaries(trace).tolist() == [50, 4999]
+        config, trace = self.make(update_events=(50, 4999, 9000))
+        assert self.boundaries(config, trace).tolist() == [50, 4999]
 
     def test_none_when_static(self):
-        sim, trace = self.make()
-        assert sim._epoch_boundaries(trace).size == 0
+        config, trace = self.make()
+        assert self.boundaries(config, trace).size == 0
 
     def test_empty_trace(self):
         from repro.trace.trace import Trace
 
-        sim, _ = self.make(update_period_cycles=10)
+        config, _ = self.make(update_period_cycles=10)
         empty = Trace(np.empty(0, np.int64), np.empty(0, np.int64), horizon=100)
-        assert sim._epoch_boundaries(empty).size == 0
+        assert self.boundaries(config, empty).size == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator
+from repro.core.simulator import simulate
 from repro.errors import ConfigurationError
 from repro.finegrain import FineGrainConfig, FineGrainSimulator, LineEnergyModel
 from repro.power.idleness import IdlenessAccountant
@@ -168,22 +168,27 @@ class TestFineGrainSimulator:
             ),
             lut,
         ).run(trace)
-        coarse = FastSimulator(
+        coarse = simulate(
             ArchitectureConfig(
                 geometry, num_banks=4, policy="probing",
                 update_period_cycles=trace.horizon // 16,
             ),
+            trace,
             lut,
-        ).run(trace)
+            engine="fast",
+        )
         assert fine.lifetime_years > coarse.lifetime_years
 
     def test_coarse_beats_fine_on_dynamic_energy(self, workload, lut):
         """...while coarse banking also cuts dynamic energy."""
         geometry, trace = workload
         fine = FineGrainSimulator(FineGrainConfig(geometry), lut).run(trace)
-        coarse = FastSimulator(
-            ArchitectureConfig(geometry, num_banks=8, policy="static"), lut
-        ).run(trace)
+        coarse = simulate(
+            ArchitectureConfig(geometry, num_banks=8, policy="static"),
+            trace,
+            lut,
+            engine="fast",
+        )
         assert coarse.energy_savings > fine.energy_savings
 
     def test_hit_miss_matches_banked_fast_engine(self, lut):
@@ -195,12 +200,14 @@ class TestFineGrainSimulator:
             FineGrainConfig(geometry, policy="probing", update_period_cycles=9000),
             lut,
         ).run(trace)
-        banked = FastSimulator(
+        banked = simulate(
             ArchitectureConfig(
                 geometry, num_banks=4, policy="probing", update_period_cycles=9000
             ),
+            trace,
             lut,
-        ).run(trace)
+            engine="fast",
+        )
         assert fine.hits == banked.cache_stats.hits
         assert fine.misses == banked.cache_stats.misses
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator
+from repro.core.simulator import simulate
 from repro.trace.generator import WorkloadGenerator
 from repro.trace.mediabench import profile_for
 
@@ -65,7 +65,7 @@ class TestSimulationGoldens:
             geometry, num_banks=4, policy="probing",
             update_period_cycles=trace.horizon // 16,
         )
-        return FastSimulator(config, lut).run(trace)
+        return simulate(config, trace, lut, engine="fast")
 
     def test_lifetime_band(self, result):
         assert result.lifetime_years == pytest.approx(3.9, abs=0.25)

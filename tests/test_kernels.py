@@ -5,7 +5,8 @@ kernel in :mod:`repro.kernels` must produce exactly the numpy
 backend's integer counters when the on-demand C extension serves it —
 including error behavior and carry-state streaming. The hypothesis
 classes below pin that across banks, ways > 1, breakeven vectors
-(including infinite) and one-cycle chunk alignment; the parallel
+(including infinite) and one-cycle chunk alignment, switching the
+process-wide backend with ``dispatch.use_backend``; the parallel
 streaming class pins the grid-chunk fan-out of a stream to the serial
 pass.
 """
@@ -90,6 +91,12 @@ breakeven_vectors = st.lists(
 )
 
 
+def on_backend(name, kernel, *args):
+    """``kernel(*args)`` with the process-wide backend pinned to ``name``."""
+    with dispatch.use_backend(name):
+        return kernel(*args)
+
+
 def gap_multiset(gap_values, gap_banks):
     """Backend-independent view of a gap batch (ordering is backend-defined)."""
     return sorted(zip(gap_banks.tolist(), gap_values.tolist()))
@@ -106,8 +113,8 @@ class TestKernelDifferential:
     @given(stream=bank_streams())
     def test_gap_extract(self, backend, stream):
         cycles, splits, num_banks, end = stream
-        ref = dispatch.gap_extract(cycles, splits, 0, end, backend="numpy")
-        got = dispatch.gap_extract(cycles, splits, 0, end, backend=backend)
+        ref = on_backend("numpy", dispatch.gap_extract, cycles, splits, 0, end)
+        got = on_backend(backend, dispatch.gap_extract, cycles, splits, 0, end)
         assert gap_multiset(got[0], got[1]) == gap_multiset(ref[0], ref[1])
         for mine, theirs in zip(got[2:], ref[2:]):
             assert np.array_equal(mine, theirs)
@@ -117,8 +124,8 @@ class TestKernelDifferential:
     @given(stream=bank_streams(), breakevens=breakeven_vectors)
     def test_gap_threshold_batch(self, backend, stream, breakevens):
         cycles, splits, num_banks, end = stream
-        values, banks, *_ = dispatch.gap_extract(
-            cycles, splits, 0, end, backend="numpy"
+        values, banks, *_ = on_backend(
+            "numpy", dispatch.gap_extract, cycles, splits, 0, end
         )
         be = np.array(
             [-1 if b is None else b for b in breakevens], dtype=np.int64
@@ -127,8 +134,10 @@ class TestKernelDifferential:
         for name in ("numpy", backend):
             useful = np.zeros((len(breakevens), num_banks), dtype=np.int64)
             sleep = np.zeros((len(breakevens), num_banks), dtype=np.int64)
-            dispatch.gap_threshold_batch(
-                values, banks, num_banks, be, useful, sleep, backend=name
+            on_backend(
+                name,
+                dispatch.gap_threshold_batch,
+                values, banks, num_banks, be, useful, sleep,
             )
             outs[name] = (useful, sleep)
         assert np.array_equal(outs[backend][0], outs["numpy"][0])
@@ -148,7 +157,7 @@ class TestKernelDifferential:
         """
         cycles, splits, num_banks, end = stream
         accs = {
-            name: StreamingGapAccumulator(num_banks, breakevens, backend=name)
+            name: StreamingGapAccumulator(num_banks, breakevens)
             for name in ("numpy", backend)
         }
         # Re-chunk the bank-sorted stream by cycle windows of `chunk`.
@@ -162,12 +171,14 @@ class TestKernelDifferential:
                 counts.append(len(window))
             chunk_cycles = np.concatenate(parts) if parts else np.empty(0, np.int64)
             chunk_splits = np.cumsum([0] + counts).astype(np.int64)
-            for acc in accs.values():
-                acc.update(chunk_cycles, chunk_splits)
+            for name, acc in accs.items():
+                on_backend(name, acc.update, chunk_cycles, chunk_splits)
         finals = {name: acc.finalize(end) for name, acc in accs.items()}
         assert finals[backend] == finals["numpy"]
-        one_shot = batch_stats_from_sorted_accesses(
-            cycles, splits, breakevens, 0, end, backend=backend
+        one_shot = on_backend(
+            backend,
+            batch_stats_from_sorted_accesses,
+            cycles, splits, breakevens, 0, end,
         )
         assert finals[backend] == one_shot
 
@@ -183,8 +194,8 @@ class TestKernelDifferential:
             sorted({0, len(tags), *[b for b in bounds if b <= len(tags)]}),
             dtype=np.int64,
         )
-        ref = dispatch.lru_walk(tag_arr, starts, ways, backend="numpy")
-        got = dispatch.lru_walk(tag_arr, starts, ways, backend=backend)
+        ref = on_backend("numpy", dispatch.lru_walk, tag_arr, starts, ways)
+        got = on_backend(backend, dispatch.lru_walk, tag_arr, starts, ways)
         assert got[0] == ref[0]
         assert np.array_equal(got[1], ref[1])
 
@@ -217,7 +228,7 @@ class TestKernelDifferential:
                 [segment[i][1] for _, i in pairs], dtype=np.int64
             )
             hits = {
-                name: dispatch.lru_segment(idx, tags, stacks[name], backend=name)
+                name: on_backend(name, dispatch.lru_segment, idx, tags, stacks[name])
                 for name in ("numpy", backend)
             }
             assert hits[backend] == hits["numpy"]
@@ -229,18 +240,16 @@ class TestKernelDifferential:
 class TestErrorParity:
     """Invalid inputs raise SimulationError with the numpy message."""
 
-    def _message(self, fn, *args, **kwargs):
+    def _message(self, name, fn, *args):
         with pytest.raises(SimulationError) as excinfo:
-            fn(*args, **kwargs)
+            on_backend(name, fn, *args)
         return str(excinfo.value)
 
     def test_non_monotonic(self, backend):
         cycles = np.array([5, 5], dtype=np.int64)
         splits = np.array([0, 2], dtype=np.int64)
         messages = {
-            name: self._message(
-                dispatch.gap_extract, cycles, splits, 0, 10, backend=name
-            )
+            name: self._message(name, dispatch.gap_extract, cycles, splits, 0, 10)
             for name in ("numpy", backend)
         }
         assert messages[backend] == messages["numpy"]
@@ -250,9 +259,7 @@ class TestErrorParity:
         cycles = np.array([12], dtype=np.int64)
         splits = np.array([0, 1], dtype=np.int64)
         messages = {
-            name: self._message(
-                dispatch.gap_extract, cycles, splits, 0, 10, backend=name
-            )
+            name: self._message(name, dispatch.gap_extract, cycles, splits, 0, 10)
             for name in ("numpy", backend)
         }
         assert messages[backend] == messages["numpy"]
@@ -260,14 +267,12 @@ class TestErrorParity:
 
     def test_not_later_than_carry(self, backend):
         messages = {}
+        cycles = np.array([5], dtype=np.int64)
+        splits = np.array([0, 1], dtype=np.int64)
         for name in ("numpy", backend):
-            acc = StreamingGapAccumulator(1, [10], backend=name)
-            acc.update(np.array([5], dtype=np.int64), np.array([0, 1], dtype=np.int64))
-            with pytest.raises(SimulationError) as excinfo:
-                acc.update(
-                    np.array([5], dtype=np.int64), np.array([0, 1], dtype=np.int64)
-                )
-            messages[name] = str(excinfo.value)
+            acc = StreamingGapAccumulator(1, [10])
+            on_backend(name, acc.update, cycles, splits)
+            messages[name] = self._message(name, acc.update, cycles, splits)
         assert messages[backend] == messages["numpy"]
         assert "later than" in messages[backend]
 
@@ -282,14 +287,11 @@ class TestDispatch:
         assert dispatch.backend_status()["numpy"] is None
 
     def test_unknown_backend_rejected(self):
+        before = dispatch.active_backend()
         with pytest.raises(SimulationError, match="kernel backend"):
-            dispatch.gap_extract(
-                np.empty(0, np.int64),
-                np.array([0, 0], dtype=np.int64),
-                0,
-                1,
-                backend="warp",
-            )
+            with dispatch.use_backend("warp"):
+                pass
+        assert dispatch.active_backend() == before
 
     def test_use_backend_scopes_the_override(self):
         before = dispatch.active_backend()
@@ -316,6 +318,23 @@ class TestDispatch:
             monkeypatch.delenv("REPRO_KERNELS")
             dispatch.set_backend(None)
 
+    def test_pool_workers_follow_a_pinned_backend(self):
+        """A backend pinned with use_backend reaches the pool workers,
+        spawned ones included (a threaded parent spawns)."""
+        from repro.core.pool import worker_pool
+
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with dispatch.use_backend("numpy"):
+                with worker_pool(1, None) as pool:
+                    seen = pool.submit(dispatch.active_backend).result()
+        finally:
+            release.set()
+            other.join()
+        assert seen == "numpy"
+
 
 # ---------------------------------------------------------------------------
 # The compiled engine in the registry.
@@ -325,14 +344,14 @@ class TestDispatch:
 def reached(monkeypatch):
     """Names of the backend modules every kernel call resolves to."""
     seen: set[str] = set()
-    real = dispatch._resolve
+    real = dispatch._impl
 
-    def spy(name):
-        module = real(name)
+    def spy():
+        module = real()
         seen.add(module.NAME)
         return module
 
-    monkeypatch.setattr(dispatch, "_resolve", spy)
+    monkeypatch.setattr(dispatch, "_impl", spy)
     return seen
 
 
@@ -350,28 +369,16 @@ def _env_case():
 
 class TestCompiledEngine:
     def test_registered_and_banked(self):
+        """``compiled`` is an explicit-only second name for ``fast``."""
         assert "compiled" in engine_names()
         engine = get_engine("compiled")
         assert getattr(engine, "family", "banked") == "banked"
-
-    def test_auto_priority_tracks_backend_availability(self):
-        engine = get_engine("compiled")
-        fast = get_engine("fast")
-        if dispatch.compiled_backend():
-            assert engine.priority > fast.priority
-        else:
-            assert engine.priority < fast.priority
-
-    def test_fast_engine_stays_pinned_to_numpy(self, reached):
-        # "fast" is the stable differential anchor: whatever backends
-        # exist, it must keep meaning the pure-numpy kernels.
-        assert get_engine("fast").backend == "numpy"
-        trace, base = _env_case()
-        simulate(base, trace, engine="fast")
-        assert reached == {"numpy"}
+        assert not engine.auto_eligible
+        assert type(get_engine("fast")) in type(engine).__mro__
 
     @needs_compiled
-    def test_engine_differential_vs_fast(self):
+    def test_engine_differential_vs_fast(self, reached):
+        """The fast engine on the C backend equals it on numpy."""
         rng = np.random.default_rng(2011)
         for ways in (1, 2, 4):
             trace = random_trace(rng, 400)
@@ -381,17 +388,21 @@ class TestCompiledEngine:
                 policy="probing",
                 update_period_cycles=256,
             )
-            fast = simulate(config, trace, engine="fast")
-            compiled = simulate(config, trace, engine="compiled")
-            assert fast.bank_stats == compiled.bank_stats
-            assert fast.cache_stats.hits == compiled.cache_stats.hits
-            assert fast.cache_stats.misses == compiled.cache_stats.misses
-            assert fast.updates_applied == compiled.updates_applied
-            assert fast.energy_pj == compiled.energy_pj
-            assert fast.lifetime_years == compiled.lifetime_years
+            with dispatch.use_backend("numpy"):
+                on_numpy = simulate(config, trace, engine="fast")
+            with dispatch.use_backend(COMPILED_BACKENDS[0]):
+                on_c = simulate(config, trace, engine="fast")
+            assert on_numpy.bank_stats == on_c.bank_stats
+            assert on_numpy.cache_stats.hits == on_c.cache_stats.hits
+            assert on_numpy.cache_stats.misses == on_c.cache_stats.misses
+            assert on_numpy.updates_applied == on_c.updates_applied
+            assert on_numpy.energy_pj == on_c.energy_pj
+            assert on_numpy.lifetime_years == on_c.lifetime_years
+        assert reached == {"numpy", COMPILED_BACKENDS[0]}
 
     @needs_compiled
-    def test_engine_differential_streaming(self):
+    def test_engine_differential_streaming(self, reached):
+        """The streamed fast engine on the C backend equals it on numpy."""
         rng = np.random.default_rng(7)
         trace = random_trace(rng, 300)
         config = ArchitectureConfig(
@@ -400,18 +411,21 @@ class TestCompiledEngine:
             policy="probing",
             update_period_cycles=128,
         )
-        fast = simulate_stream(
-            config, InMemoryTraceStream(trace, 97), engine="fast"
-        )
-        compiled = simulate_stream(
-            config, InMemoryTraceStream(trace, 97), engine="compiled"
-        )
-        assert fast.bank_stats == compiled.bank_stats
-        assert fast.cache_stats.hits == compiled.cache_stats.hits
+        with dispatch.use_backend("numpy"):
+            on_numpy = simulate_stream(
+                config, InMemoryTraceStream(trace, 97), engine="fast"
+            )
+        with dispatch.use_backend(COMPILED_BACKENDS[0]):
+            on_c = simulate_stream(
+                config, InMemoryTraceStream(trace, 97), engine="fast"
+            )
+        assert on_numpy.bank_stats == on_c.bank_stats
+        assert on_numpy.cache_stats.hits == on_c.cache_stats.hits
+        assert reached == {"numpy", COMPILED_BACKENDS[0]}
 
 
 # ---------------------------------------------------------------------------
-# REPRO_KERNELS pins the compiled (and so the auto) engine's kernels.
+# REPRO_KERNELS pins the kernels of every engine.
 # ---------------------------------------------------------------------------
 
 class TestKernelsEnvironment:
@@ -420,8 +434,7 @@ class TestKernelsEnvironment:
 
         trace, base = _env_case()
         kernels_env("numpy")
-        expected = "compiled" if dispatch.compiled_backend() else "fast"
-        assert resolve_engine("auto", base).name == expected
+        assert resolve_engine("auto", base).name == "fast"
         simulate(base, trace, engine="auto")
         axes = {"num_banks": [2, 4], "breakeven_override": [None, 40]}
         sweep(base, trace, axes)
@@ -446,7 +459,7 @@ class TestKernelsEnvironment:
         from repro.campaign.store import CampaignStore
 
         trace, base = _env_case()
-        stores = {}
+        stores, keys = {}, {}
         for engine in ("compiled", "auto"):
             spec = CampaignSpec(
                 name="pin",
@@ -455,8 +468,12 @@ class TestKernelsEnvironment:
                 axes={"num_banks": [2, 4]},
                 engine=engine,
             )
-            assert run_campaign(spec, directory=tmp_path / engine).simulated == 2
+            spec.save(tmp_path / f"{engine}.json")  # a stored spec file still loads
+            loaded = CampaignSpec.load(tmp_path / f"{engine}.json")
+            keys[engine] = [point.key() for point in loaded.points()]
+            assert run_campaign(loaded, directory=tmp_path / engine).simulated == 2
             stores[engine] = CampaignStore(tmp_path / engine)
+        assert keys["compiled"] == keys["auto"]
         assert list(stores["compiled"].keys()) == list(stores["auto"].keys())
         assert stores["compiled"].records() == stores["auto"].records()
 

@@ -451,6 +451,7 @@ class TestWorkerPluginPropagation:
         from repro.core.engine import get_engine, unregister_engine
         from repro.core.metrics import unregister_metric
         from repro.core.pool import _install_worker
+        from repro.kernels import dispatch
         from repro.core.simulator import ReferenceSimulator
         from repro.errors import UnknownEngineError
 
@@ -474,7 +475,9 @@ class TestWorkerPluginPropagation:
         # Emulate a spawn-started worker: neither plugin is registered.
         with pytest.raises(UnknownEngineError):
             get_engine("plugin-engine")
-        _install_worker((trace, lut), (engine,), (metric,), ())
+        _install_worker(
+            (trace, lut), (engine,), (metric,), (), dispatch.active_backend()
+        )
         try:
             chunk = _simulate_chunk(
                 (base, ["num_banks"], [(2,), (4,)], None, "plugin-engine")

@@ -7,8 +7,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator
-from repro.core.simulator import ReferenceSimulator
+from repro.core.simulator import ReferenceSimulator, simulate
 from repro.errors import ConfigurationError
 from repro.hw.overhead import (
     block_control_cost,
@@ -151,7 +150,7 @@ class TestEnginesWithIrregularSchedules:
             policy="probing",
             update_events=events,
         )
-        fast = FastSimulator(config, lut).run(trace)
+        fast = simulate(config, trace, lut, engine="fast")
         reference = ReferenceSimulator(config, lut).run(trace)
         assert fast.bank_stats == reference.bank_stats
         assert fast.cache_stats.hits == reference.cache_stats.hits
@@ -174,10 +173,13 @@ class TestEnginesWithIrregularSchedules:
         config = ArchitectureConfig(
             geometry, num_banks=4, policy="probing", update_events=events
         )
-        result = FastSimulator(config, lut).run(trace)
-        static = FastSimulator(
-            ArchitectureConfig(geometry, num_banks=4, policy="static"), lut
-        ).run(trace)
+        result = simulate(config, trace, lut, engine="fast")
+        static = simulate(
+            ArchitectureConfig(geometry, num_banks=4, policy="static"),
+            trace,
+            lut,
+            engine="fast",
+        )
         spread = max(result.bank_idleness) - min(result.bank_idleness)
         static_spread = max(static.bank_idleness) - min(static.bank_idleness)
         # Epoch lengths are now random, so the time-weighted balance is

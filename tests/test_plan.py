@@ -8,7 +8,7 @@ Three contracts are pinned here:
 * :class:`~repro.core.plan.TracePlan` caches are keyed by exactly the
   configuration fields each layer depends on, and sharing a plan across
   heterogeneous configurations never changes a result;
-* a seeded fuzz loop holds FastSimulator-with-plan to the
+* a seeded fuzz loop holds the fast engine with a shared plan to the
   event-by-event ReferenceSimulator over ~50 random
   (trace, geometry, policy, period, ways, breakeven) combinations.
 """
@@ -20,9 +20,9 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator, run_breakeven_group
+from repro.core.fastsim import run_breakeven_group
 from repro.core.plan import TracePlan, ensure_plan
-from repro.core.simulator import ReferenceSimulator
+from repro.core.simulator import ReferenceSimulator, simulate
 from repro.errors import SimulationError
 from repro.power.idleness import (
     batch_stats_from_sorted_accesses,
@@ -212,7 +212,7 @@ class TestTracePlanCaching:
         other = make_random_trace(seed=999)
         config = ArchitectureConfig(CacheGeometry(8 * 1024, 16), num_banks=4)
         with pytest.raises(SimulationError):
-            FastSimulator(config, lut, plan=TracePlan(other)).run(random_trace)
+            simulate(config, random_trace, lut, plan=TracePlan(other), engine="fast")
 
     def test_ensure_plan_builds_when_missing(self, random_trace):
         plan = ensure_plan(None, random_trace)
@@ -236,7 +236,7 @@ class TestBreakevenGroup:
         plan = TracePlan(random_trace)
         grouped = run_breakeven_group(configs, random_trace, lut=lut, plan=plan)
         for config, result in zip(configs, grouped):
-            solo = FastSimulator(config, lut).run(random_trace)
+            solo = simulate(config, random_trace, lut, engine="fast")
             assert result.bank_stats == solo.bank_stats
             assert result.cache_stats.hits == solo.cache_stats.hits
             assert result.energy_pj == solo.energy_pj
@@ -279,9 +279,9 @@ class TestBreakevenGroup:
         )
         assert len(plan) == sections_after_first  # nothing recomputed
         assert results[0].bank_stats == (
-            FastSimulator(replace(base, power_managed=False), lut)
-            .run(random_trace)
-            .bank_stats
+            simulate(
+                replace(base, power_managed=False), random_trace, lut, engine="fast"
+            ).bank_stats
         )
 
 
@@ -312,7 +312,7 @@ def random_config(rng) -> ArchitectureConfig:
 
 class TestDifferentialFuzz:
     def test_fifty_random_combos_match_reference(self, lut):
-        """The PR's safety net: FastSimulator sharing one plan per trace
+        """The safety net: the fast engine sharing one plan per trace
         must agree with the reference engine on every measured field,
         over ~50 random (trace, geometry, policy, period, ways,
         breakeven) combinations."""
@@ -327,6 +327,6 @@ class TestDifferentialFuzz:
             plan = TracePlan(trace)  # shared across this trace's combos
             for _ in range(combos_per_trace):
                 config = random_config(rng)
-                fast = FastSimulator(config, lut, plan=plan).run(trace)
+                fast = simulate(config, trace, lut, plan=plan, engine="fast")
                 reference = ReferenceSimulator(config, lut).run(trace)
                 assert_results_equal(reference, fast)

@@ -211,8 +211,8 @@ RULE_FIXTURES = [
         "    return _cext.lru_walk(tags, starts, ways)\n",
         # The dispatch layer owns backend selection and fallback.
         "from repro.kernels import dispatch as kernels\n"
-        "def kernel(tags, starts, ways, backend=None):\n"
-        "    return kernels.lru_walk(tags, starts, ways, backend=backend)\n",
+        "def kernel(tags, starts, ways):\n"
+        "    return kernels.lru_walk(tags, starts, ways)\n",
     ),
     (
         "REPRO003",

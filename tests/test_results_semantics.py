@@ -17,7 +17,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator
+from repro.core.simulator import simulate
 from repro.trace.generator import WorkloadGenerator
 from repro.trace.mediabench import profile_for
 
@@ -44,7 +44,7 @@ def run(geometry, trace, lut, policy, banks=4, power_managed=True, updates=16):
         power_managed=power_managed,
         update_period_cycles=trace.horizon // updates if policy != "static" else None,
     )
-    return FastSimulator(config, lut).run(trace)
+    return simulate(config, trace, lut, engine="fast")
 
 
 class TestIdlenessBalancing:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator
+from repro.core.simulator import simulate
 from repro.core.serialize import (
     ResultRecord,
     SerializationError,
@@ -25,7 +25,7 @@ def result(lut_mod):
         CacheGeometry(8 * 1024, 16), num_banks=4, policy="probing",
         update_period_cycles=8000,
     )
-    return FastSimulator(config, lut_mod).run(make_random_trace(seed=77))
+    return simulate(config, make_random_trace(seed=77), lut_mod, engine="fast")
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ class TestExactConfigPayload:
             technology=TechnologyParams(leak_per_line=0.02, address_bits=40),
             frequency_hz=1e9,
         )
-        original = FastSimulator(config, lut_mod).run(make_random_trace(seed=3))
+        original = simulate(config, make_random_trace(seed=3), lut_mod, engine="fast")
         path = tmp_path / "rich.json"
         save_results([original], path)
         (record,) = load_results(path)

@@ -73,12 +73,10 @@ class TestSetAssociativeArchitecture:
     def test_fast_engine_accepts_set_associative(self, lut):
         """Regression: the fast engine used to raise ConfigurationError
         for ways != 1; it now simulates those geometries exactly."""
-        from repro.core.fastsim import FastSimulator
-
         geometry = CacheGeometry(8 * 1024, 16, ways=2)
         config = ArchitectureConfig(geometry, num_banks=4)
         trace = make_random_trace(seed=1, length=200)
-        fast = FastSimulator(config, lut).run(trace)
+        fast = simulate(config, trace, lut, engine="fast")
         reference = ReferenceSimulator(config, lut).run(trace)
         assert fast.cache_stats.hits == reference.cache_stats.hits
         assert fast.bank_stats == reference.bank_stats

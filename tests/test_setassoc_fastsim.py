@@ -20,13 +20,19 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import AccessOutcome
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import FastSimulator
+from repro.core.fastsim import _epoch_hits, _grouped_lru
 from repro.core.simulator import ReferenceSimulator, simulate
 from repro.trace.trace import Trace
 from tests.conftest import make_random_trace
 from tests.test_engines import assert_results_equal, run_both
 
 WAYS = [2, 4, 8]
+
+
+def epoch_hits_lru(index, tag, ways):
+    """Hits and surviving lines of one cold-started LRU epoch."""
+    hits, lines_per_set, _ = _grouped_lru(index, tag, ways)
+    return hits, int(lines_per_set.sum())
 
 
 class TestGroupedLRUKernel:
@@ -42,14 +48,14 @@ class TestGroupedLRUKernel:
 
     def test_empty(self):
         empty = np.empty(0, dtype=np.int64)
-        assert FastSimulator._epoch_hits_lru(empty, empty, 4) == (0, 0)
+        assert epoch_hits_lru(empty, empty, 4) == (0, 0)
 
     def test_fills_ways_before_evicting(self):
         index = np.zeros(4, dtype=np.int64)
         tag = np.array([1, 2, 1, 2], dtype=np.int64)
         # The direct-mapped kernel thrashes here; 2-way absorbs it.
-        assert FastSimulator._epoch_hits_lru(index, tag, 2) == (2, 2)
-        assert FastSimulator._epoch_hits(index, tag) == (0, 1)
+        assert epoch_hits_lru(index, tag, 2) == (2, 2)
+        assert _epoch_hits(index, tag) == (0, 1)
 
     def test_lru_victim_selection(self):
         index = np.zeros(5, dtype=np.int64)
@@ -57,15 +63,15 @@ class TestGroupedLRUKernel:
         # 2-way: tag 3 evicts 1; the re-access of 1 evicts 2 -> all miss
         # except... none hit until the final 2? 1,2 miss; 3 evicts 1;
         # 1 evicts 2; 2 evicts 3 -> zero hits, 2 surviving lines.
-        assert FastSimulator._epoch_hits_lru(index, tag, 2) == (0, 2)
+        assert epoch_hits_lru(index, tag, 2) == (0, 2)
         # 4-way keeps all three tags resident: the two re-accesses hit.
-        assert FastSimulator._epoch_hits_lru(index, tag, 4) == (2, 3)
+        assert epoch_hits_lru(index, tag, 4) == (2, 3)
 
     def test_hit_refreshes_recency(self):
         index = np.zeros(5, dtype=np.int64)
         tag = np.array([1, 2, 1, 3, 1], dtype=np.int64)
         # The hit on 1 makes 2 the LRU victim for 3, so 1 hits again.
-        assert FastSimulator._epoch_hits_lru(index, tag, 2) == (2, 2)
+        assert epoch_hits_lru(index, tag, 2) == (2, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -82,14 +88,14 @@ class TestGroupedLRUKernel:
         else:
             index = tag = np.empty(0, dtype=np.int64)
         expected = self.hits_and_lines_by_model(geometry, index, tag)
-        assert FastSimulator._epoch_hits_lru(index, tag, ways) == expected
+        assert epoch_hits_lru(index, tag, ways) == expected
 
     def test_grouped_keys_isolate_groups(self):
         """Identical tag streams under different keys never share LRU
         state (the engine relies on this to fuse epochs)."""
         keys = np.array([0, 1, 0, 1], dtype=np.int64)
         tag = np.array([7, 7, 7, 7], dtype=np.int64)
-        hits, lines, group_keys = FastSimulator._grouped_lru(keys, tag, 2)
+        hits, lines, group_keys = _grouped_lru(keys, tag, 2)
         assert hits == 2
         assert lines.tolist() == [1, 1]
         assert group_keys.tolist() == [0, 1]

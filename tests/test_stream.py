@@ -28,7 +28,7 @@ from repro.power.idleness import (
     batch_stats_from_sorted_accesses,
 )
 from repro.trace.generator import WorkloadGenerator
-from repro.trace.io import save_trace
+from repro.trace.io import load_trace, save_trace
 from repro.trace.mediabench import profile_for
 from repro.trace.stream import (
     InMemoryTraceStream,
@@ -505,6 +505,67 @@ class TestFileStreams:
         one = simulate(config, trace, engine="fast")
         streamed = simulate_stream(config, open_trace_stream(path, 150))
         assert_results_identical(one, streamed)
+
+
+def _load_streamed(path):
+    return stream_to_trace(open_trace_stream(path, 4))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        pytest.param(load_trace, id="load_trace"),
+        pytest.param(_load_streamed, id="stream"),
+    ],
+)
+class TestTextParser:
+    """Both ``.trc`` readers share one parser: the same accepted files,
+    and a :class:`TraceError` naming ``path:line`` for a bad line."""
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            pytest.param("# horizon: abc\n3 0x10\n", 1, "not an integer", id="horizon"),
+            pytest.param("# horizon: -4\n", 1, "non-negative", id="negative-horizon"),
+            pytest.param("3 0x10\n-1 0x20\n", 2, "non-negative", id="negative-cycle"),
+            pytest.param("-1 0x20\n", 1, "non-negative", id="negative-first-cycle"),
+            pytest.param("3 -0x10\n", 1, "non-negative", id="negative-address"),
+            pytest.param(
+                "5 0x10\n\n5 0x20\n", 3, r"strictly increasing \(5 after 5\)",
+                id="repeated-cycle",
+            ),
+            pytest.param("1 2 3\n", 1, "expected", id="three-fields"),
+            pytest.param("abc 0x10\n", 1, "invalid literal", id="non-numeric"),
+        ],
+    )
+    def test_bad_line_names_path_and_line(self, read, tmp_path, body, line, message):
+        path = tmp_path / "bad.trc"
+        path.write_text(body)
+        with pytest.raises(TraceError, match=message) as excinfo:
+            read(path)
+        assert str(excinfo.value).startswith(f"{path}:{line}: ")
+
+    def test_horizon_shorter_than_last_access(self, read, tmp_path):
+        path = tmp_path / "short.trc"
+        path.write_text("# horizon: 5\n9 0x10\n")
+        with pytest.raises(TraceError, match="shorter than the last access"):
+            read(path)
+
+    def test_headers_anywhere_and_last_wins(self, read, tmp_path):
+        path = tmp_path / "odd.trc"
+        path.write_text(
+            "# name: first\n3 0x10\n# horizon: 40\n# name: second\n9 0x20\n"
+        )
+        trace = read(path)
+        assert trace.name == "second"
+        assert trace.horizon == 40
+        assert list(trace) == [(3, 0x10), (9, 0x20)]
+
+    def test_empty_file(self, read, tmp_path):
+        path = tmp_path / "empty.trc"
+        path.write_text("# horizon: 7\n")
+        trace = read(path)
+        assert len(trace) == 0 and trace.horizon == 7
 
 
 class TestStreamingPlanSharing:

@@ -210,12 +210,12 @@ class TestWorkloadGenerator:
         """MediaBench L1 hit rates are high; the tag-generation model
         must not produce a thrashing trace."""
         from repro.core.config import ArchitectureConfig
-        from repro.core.fastsim import FastSimulator
+        from repro.core.simulator import simulate
 
         geometry, generator = self.make()
         trace = generator.generate(profile_for("cjpeg"))
         config = ArchitectureConfig(geometry, num_banks=4, policy="static")
-        result = FastSimulator(config, lut).run(trace)
+        result = simulate(config, trace, lut, engine="fast")
         assert result.hit_rate > 0.8
 
     def test_rejects_too_few_sets(self):
