@@ -147,6 +147,14 @@ def campaign_status(spec: CampaignSpec, store: CampaignStore) -> CampaignStatus:
     return CampaignStatus(total=total, done=done, estimated=estimated)
 
 
+def _missing_indices(store: CampaignStore, keys: list[tuple[str, str]]) -> list[int]:
+    """Indices of absent keys; a key repeated by an axis value counts once."""
+    first: dict[tuple[str, str], int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return [i for key, i in first.items() if key not in store]
+
+
 def status_payload(spec: CampaignSpec, store: CampaignStore) -> dict:
     """Machine-readable status — one code path for CLI and HTTP server.
 
@@ -444,7 +452,7 @@ def run_campaign(
                 spec, grid, store, search, points, keys, shared_lut, parallel, counts
             )
         elif workers is None:
-            missing = [i for i, key in enumerate(keys) if key not in store]
+            missing = _missing_indices(store, keys)
             if missing:
                 # A chunked trace runs as one shared pass over its stream
                 # (records are bit-identical to the in-memory path, so

@@ -7,9 +7,13 @@ them twice. This module adds the missing coordination with nothing but
 the shared filesystem:
 
 claim → simulate → commit
-    A worker takes a point by atomically creating
-    ``claims/<point_hash>.json`` (``O_CREAT | O_EXCL`` — exactly one
-    creator wins), simulates it, commits the record through
+    A pass scans the store once per trace for its missing points and
+    works through them one breakeven group at a time (points differing
+    only in ``breakeven_override``; each point is its own group on a
+    grid without that axis). A worker takes each member by atomically
+    creating ``claims/<point_hash>.json`` (``O_CREAT | O_EXCL`` —
+    exactly one creator wins), simulates the members it won as one
+    batch, and per point commits the record through
     :meth:`~repro.campaign.store.CampaignStore.put`, appends the commit
     to its ``queue-log/<worker>.jsonl`` line log, and only then releases
     the claim. A point is therefore simulated by at most one live
@@ -34,12 +38,13 @@ delegates to; ``workers > 1`` fans complete claim→simulate→commit loops
 out over the shared worker pool (:func:`repro.core.pool.worker_pool`,
 which ships the drain parameters and the parent's plugins to each
 worker once), while each worker simulates its batches through the same
-:func:`~repro.analysis.sweep.simulate_selected` as the plain runner and
-may use ``parallel=M`` for its own grid-chunk fan-out, streamed traces
-included. Started from the campaign server, whose handler threads query
-the SQLite index, the pool spawns rather than forks (see
-:mod:`repro.core.pool`); so do the nested pools of a drain worker, whose
-lease heartbeat is a running thread.
+:func:`~repro.analysis.sweep.simulate_selected` as the plain runner.
+In-memory group batches run serially in the claim worker, whose
+processes are the fan-out; ``parallel=M`` splits a streaming trace's
+claimed pass into grid chunks. Started from the campaign server, whose
+handler threads query the SQLite index, the pool spawns rather than
+forks (see :mod:`repro.core.pool`); so do the nested pools of a drain
+worker, whose lease heartbeat is a running thread.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import time
 
 from repro.aging.lut import LifetimeLUT
 from repro.campaign.run import (
+    _missing_indices,
     _simulate_points,
     _streaming_source,
     _write_manifest,
@@ -271,46 +277,41 @@ def _drain_pass(
     queue: WorkQueue,
     lut: LifetimeLUT,
     parallel: int | None,
-    claim_batch: int,
-) -> int:
-    """One claim→simulate→commit sweep; returns points simulated here.
+) -> tuple[int, int]:
+    """One claim→simulate→commit sweep over every trace.
 
-    Walks every trace, leases whatever missing points it can win, and
-    simulates them through the exact batch machinery of the plain
-    runner — breakeven groups still collapse, streaming traces still
-    run one shared pass (over the *claimed* subset), or one pass per
-    grid chunk with ``parallel``. Points leased by other live workers
-    are left alone; the caller loops until the campaign is covered.
+    Returns (points simulated here, points left to other workers' live
+    leases). Each trace's store is scanned once. A streaming trace
+    claims every missing point for one shared pass (fanned out with
+    ``parallel``); an in-memory trace claims one breakeven group at a
+    time and simulates its won members as one serial batch, so the
+    group fast path applies and no nested pool starts per group.
     """
     grid = spec.grid()
-    simulated = 0
+    simulated = leased = 0
     for trace_spec in spec.traces:
         keys = [point.key() for point in spec.trace_points(trace_spec)]
+        missing = _missing_indices(store, keys)
         stream = _streaming_source(spec, trace_spec)
+        ids = grid.group_ids if grid.group_ids is not None else range(len(keys))
+        units: dict[int | None, list[int]] = {}
+        for i in missing:
+            units.setdefault(None if stream is not None else ids[i], []).append(i)
         source = stream
         plan: TracePlan | None = None
-        while True:
-            missing = [i for i, key in enumerate(keys) if key not in store]
-            if not missing:
-                break
-            # Streaming traces amortize one pass over every claimable
-            # point; in-memory traces lease small batches so concurrent
-            # workers interleave within a single trace too.
-            want = len(missing) if stream is not None else max(claim_batch, 1)
+        for members in units.values():
             batch: list[int] = []
-            for i in missing:
-                if len(batch) >= want:
-                    break
+            for i in members:
                 if not queue.try_claim(keys[i]):
-                    continue
-                if keys[i] in store:
+                    leased += 1
+                elif keys[i] in store:
                     # Claim outlived its commit (or we stole one left
                     # behind by a crash after put): nothing to redo.
                     queue.release(keys[i])
-                    continue
-                batch.append(i)
+                else:
+                    batch.append(i)
             if not batch:
-                break  # everything left is leased to live workers
+                continue
             try:
 
                 def on_result(
@@ -325,12 +326,13 @@ def _drain_pass(
                     queue.release(key)
 
                 if source is None:
-                    # Materialized once per pass, on its first claimed
-                    # batch; the plan is shared by every later batch.
+                    # Materialized on the trace's first won group; the
+                    # plan is shared by every later group.
                     source = trace_spec.build()
                     plan = TracePlan(source)
                 _simulate_points(
-                    spec, grid, source, batch, lut, parallel, on_result, plan
+                    spec, grid, source, batch, lut,
+                    parallel if stream is not None else None, on_result, plan,
                 )
                 simulated += len(batch)
             finally:
@@ -339,7 +341,7 @@ def _drain_pass(
                 # other workers can take over immediately.
                 for i in batch:
                     queue.release(keys[i])
-    return simulated
+    return simulated, leased
 
 
 def drain_worker(
@@ -347,7 +349,6 @@ def drain_worker(
     directory: str | os.PathLike[str],
     lut: LifetimeLUT | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    claim_batch: int = 1,
     parallel: int | None = None,
     poll_interval: float = 0.1,
     timeout: float | None = None,
@@ -355,9 +356,11 @@ def drain_worker(
 ) -> int:
     """Run one worker's claim loop until the campaign is fully covered.
 
-    Returns the number of points *this* worker simulated. Blocks (poll
-    + sleep) while the remaining points are leased to other workers —
-    their commits, or their leases expiring, make progress; ``timeout``
+    Returns the number of points *this* worker simulated. A pass that
+    leaves no point to another worker's lease covers the campaign;
+    otherwise the worker polls (sleep + pass) while those workers'
+    commits, or their leases expiring, make progress. ``parallel``
+    fans out a streaming trace's claimed pass only. ``timeout``
     (seconds, monotonic) bounds the wait and raises
     :class:`~repro.errors.ServiceError` on a stall.
     """
@@ -367,10 +370,9 @@ def drain_worker(
     simulated = 0
     with WorkQueue(directory, worker_id=worker_id, lease_ttl=lease_ttl) as queue:
         while True:
-            simulated += _drain_pass(
-                spec, store, queue, shared_lut, parallel, claim_batch
-            )
-            if campaign_status(spec, store).missing == 0:
+            done, leased = _drain_pass(spec, store, queue, shared_lut, parallel)
+            simulated += done
+            if leased == 0:
                 return simulated
             if deadline is not None and time.monotonic() > deadline:
                 status = campaign_status(spec, store)
@@ -387,15 +389,12 @@ def _drain_task(ordinal: int) -> int:
     The spec travels in the pool's state as its payload dict (always
     picklable) rather than as live objects.
     """
-    spec_payload, directory, lut, lease_ttl, claim_batch, parallel, timeout = (
-        worker_state()
-    )
+    spec_payload, directory, lut, lease_ttl, parallel, timeout = worker_state()
     return drain_worker(
         CampaignSpec.from_dict(spec_payload),
         directory,
         lut=lut,
         lease_ttl=lease_ttl,
-        claim_batch=claim_batch,
         parallel=parallel,
         timeout=timeout,
         worker_id=f"{socket.gethostname()}-{os.getpid()}-w{ordinal}",
@@ -408,7 +407,6 @@ def drain_campaign(
     lut: LifetimeLUT | None = None,
     workers: int = 1,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    claim_batch: int = 1,
     parallel: int | None = None,
     timeout: float | None = None,
 ) -> int:
@@ -416,9 +414,10 @@ def drain_campaign(
 
     ``workers=1`` runs the claim loop in-process (still safe alongside
     other hosts' workers on a shared directory); ``workers>1`` fans
-    complete loops out over a process pool. Returns the total number of
-    points simulated by the workers of *this* call — a fully covered
-    campaign drains with zero.
+    complete loops out over a process pool; ``parallel`` fans out each
+    worker's streaming passes (see :func:`drain_worker`). Returns the
+    total number of points simulated by the workers of *this* call — a
+    fully covered campaign drains with zero.
     """
     if workers < 1:
         raise ServiceError(f"workers must be >= 1, got {workers}")
@@ -433,19 +432,10 @@ def drain_campaign(
             directory,
             lut=shared_lut,
             lease_ttl=lease_ttl,
-            claim_batch=claim_batch,
             parallel=parallel,
             timeout=timeout,
         )
-    state = (
-        spec.to_dict(),
-        os.fspath(directory),
-        shared_lut,
-        lease_ttl,
-        claim_batch,
-        parallel,
-        timeout,
-    )
+    state = (spec.to_dict(), os.fspath(directory), shared_lut, lease_ttl, parallel, timeout)
     with worker_pool(workers, state) as pool:
         counts = list(pool.map(_drain_task, range(workers)))
     return sum(counts)

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+import repro.core.fastsim as fastsim
 import repro.core.pool as pool_module
 from repro.campaign import (
     CampaignSpec,
@@ -31,7 +32,7 @@ from repro.campaign import (
 from repro.campaign.codec import short_hash
 from repro.campaign.service.client import ServiceClient
 from repro.campaign.service.index import INDEX_FILENAME
-from repro.campaign.service.queue import WorkQueue, drain_campaign
+from repro.campaign.service.queue import WorkQueue, drain_campaign, drain_worker
 from repro.campaign.service.server import CampaignServer
 from repro.campaign.store import RESULTS_DIRNAME
 from repro.campaign.tracespec import TraceSpec
@@ -74,6 +75,18 @@ def flatten_store(directory) -> list[tuple[str, str]]:
     if os.path.exists(index_path):
         os.unlink(index_path)
     return keys
+
+
+def record_files(directory) -> dict[str, bytes]:
+    """Every record file under ``results/``, by relative path."""
+    root = os.path.join(os.fspath(directory), RESULTS_DIRNAME)
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
 
 
 def read_commit_log(directory) -> list[tuple[str, str, str]]:
@@ -379,6 +392,108 @@ class TestDrain:
         assert CampaignStore(tmp_path / "threaded.d").where() == (
             CampaignStore(tmp_path / "plain.d").where()
         )
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_repeated_axis_values_simulate_each_key_once(self, tmp_path, workers):
+        """Repeated axis values make several grid points share one
+        identity; the plain runner and the claim drain both simulate
+        and store it once."""
+        spec = small_campaign(
+            axes={"num_banks": [2, 2, 4], "breakeven_override": [20, 20]}
+        )
+        keys = {point.key() for point in spec.points()}
+        assert len(keys) == 2
+        result = run_campaign(spec, tmp_path, workers=workers)
+        assert result.simulated == len(keys)
+        assert result.reused == len(result) - len(keys)
+        assert len(record_files(tmp_path)) == len(keys)
+
+    def test_drain_probes_linearly_and_batches_breakeven_groups(
+        self, tmp_path, monkeypatch
+    ):
+        """One pass scans the store once and claims a breakeven group
+        at a time: O(N) membership probes, one group run per group."""
+        spec = small_campaign(
+            axes={
+                "num_banks": [2, 4],
+                "policy": ["static", "probing"],
+                "breakeven_override": [None, 20, 80],
+            }
+        )
+        points = spec.num_points()
+        probes = []
+        contains = CampaignStore.__contains__
+
+        def spy_contains(self, key):
+            probes.append(key)
+            return contains(self, key)
+
+        group_sizes = []
+        run_group = fastsim.run_breakeven_group
+
+        def spy_group(configs, *args, **kwargs):
+            group_sizes.append(len(configs))
+            return run_group(configs, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignStore, "__contains__", spy_contains)
+        monkeypatch.setattr(fastsim, "run_breakeven_group", spy_group)
+        assert drain_worker(spec, tmp_path) == points
+        assert len(probes) <= 3 * points
+        assert group_sizes == [3] * (points // 3)
+
+    def test_partially_leased_group_drains_around_the_held_point(self, tmp_path):
+        """A point of a breakeven group leased elsewhere does not hold
+        up the rest of its group; it is committed once released, and
+        the records equal a plain run's byte for byte."""
+        spec = small_campaign(
+            axes={"num_banks": [2, 4], "breakeven_override": [None, 20, 80]}
+        )
+        run_campaign(spec, tmp_path / "plain.d")
+        directory = tmp_path / "queue.d"
+        keys = [point.key() for point in spec.points()]
+        held = keys[1]  # inside the first breakeven group
+        holder = WorkQueue(directory, worker_id="holder")
+        assert holder.try_claim(held)
+        outcome = {}
+
+        def drain():
+            outcome["simulated"] = drain_worker(
+                spec, directory, poll_interval=0.01, timeout=120.0, worker_id="drainer"
+            )
+
+        thread = threading.Thread(target=drain)
+        thread.start()
+        try:
+            store = CampaignStore(directory)
+            deadline = time.monotonic() + 120.0
+            while not all(key in store for key in keys if key != held):
+                assert time.monotonic() < deadline, "drain stalled"
+                time.sleep(0.01)
+            assert held not in store
+        finally:
+            holder.close()
+            thread.join(timeout=120.0)
+        assert outcome["simulated"] == len(keys)
+        commits = [commit[:2] for commit in read_commit_log(directory)]
+        assert sorted(commits) == sorted(keys)
+        assert record_files(directory) == record_files(tmp_path / "plain.d")
+
+    def test_in_memory_drain_starts_no_nested_pool(self, tmp_path, monkeypatch):
+        """Group batches run serially in the claim worker: parallel=2
+        must not start a pool per breakeven group."""
+        pools = []
+        executor = pool_module.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(args)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", spy)
+        spec = small_campaign(
+            axes={"num_banks": [2, 4], "breakeven_override": [20, 80]}
+        )
+        assert drain_campaign(spec, tmp_path, parallel=2) == 4
+        assert pools == []
 
     def test_streaming_traces_drain_through_the_queue(self, tmp_path):
         streaming = CampaignSpec(
