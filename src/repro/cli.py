@@ -50,6 +50,7 @@ import argparse
 import sys
 
 from repro.core.engine import engine_names
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.compare import (
     compare_table1,
     compare_table2,
@@ -106,11 +107,11 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     from repro.aging.cell import CharacterizationFramework
 
     framework = CharacterizationFramework()
+    curve = framework.aging_curve(p0=args.p0, psleep=args.psleep, points=13)
     print(f"fresh read SNM        : {framework.snm_fresh * 1000:.1f} mV")
     print(f"failure threshold     : {framework.snm_failure_threshold * 1000:.1f} mV (-20%)")
     print(f"drowsy stress factor  : {framework.nbti.sleep_stress_factor:.3f}")
     print(f"calibrated lifetime   : {framework.lifetime_years(0.5, 0.0):.2f} years")
-    curve = framework.aging_curve(p0=args.p0, psleep=args.psleep, points=13)
     print(f"\nSNM(t) at p0={args.p0}, Psleep={args.psleep}:")
     for t, snm in zip(curve.times_years, curve.snm_volts):
         print(f"  t={t:5.1f}y  SNM={snm * 1000:6.1f} mV")
@@ -154,14 +155,9 @@ def _cmd_arch(args: argparse.Namespace) -> int:
 
 def _cmd_engines(args: argparse.Namespace) -> int:
     from repro.core.engine import registered_engines, supports_streaming
-    from repro.errors import SimulationError
     from repro.kernels import dispatch
 
-    try:
-        active = dispatch.active_backend()
-    except SimulationError as error:  # e.g. a bogus REPRO_KERNELS value
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    active = dispatch.active_backend()  # a bogus REPRO_KERNELS value raises
     print("registered simulation engines (select with --engine):")
     print(f"  {'auto':<12} highest-priority auto-eligible engine "
           "supporting the configuration")
@@ -205,6 +201,7 @@ def _cmd_policies(args: argparse.Namespace) -> int:
     from repro.indexing.analysis import mapping_histogram, uniformity_error
     from repro.indexing.policies import make_policy
 
+    make_policy("probing", args.banks)  # reject a bad M before printing
     print(f"uniformity error vs number of updates (M = {args.banks}):")
     print(f"{'updates':>8} {'probing':>10} {'scrambling':>11}")
     for updates in (0, args.banks - 1, args.banks, 4 * args.banks, 16 * args.banks, 64 * args.banks):
@@ -214,6 +211,14 @@ def _cmd_policies(args: argparse.Namespace) -> int:
             errors.append(uniformity_error(mapping_histogram(policy, updates)))
         print(f"{updates:>8} {errors[0]:>10.3f} {errors[1]:>11.3f}")
     return 0
+
+
+def _int_axis(text: str, option: str, allow_none: bool = False) -> list:
+    """A comma-separated integer axis (``none`` is a value where allowed)."""
+    try:
+        return [None if allow_none and v == "none" else int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"{option} takes comma-separated integers") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -228,17 +233,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.updates < 1:
         print("error: --updates must be >= 1", file=sys.stderr)
         return 2
-    try:
-        bank_axis = [int(v) for v in args.banks.split(",")]
-        breakeven_axis = (
-            [int(v) for v in args.breakevens.split(",")] if args.breakevens else None
-        )
-    except ValueError:
-        print(
-            "error: --banks and --breakevens take comma-separated integers",
-            file=sys.stderr,
-        )
-        return 2
+    bank_axis = _int_axis(args.banks, "--banks")
+    breakeven_axis = (
+        _int_axis(args.breakevens, "--breakevens") if args.breakevens else None
+    )
     if args.chunk_cycles < 0:
         print(
             "error: --chunk-cycles must be >= 0 (0 = in-memory)",
@@ -264,34 +262,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     }
     if breakeven_axis is not None:
         axes["breakeven_override"] = breakeven_axis
-    from repro.errors import ReproError
 
     start = time.perf_counter()
-    try:
-        base = ArchitectureConfig(
-            geometry,
-            num_banks=axes["num_banks"][0],
-            policy="static",
-            update_period_cycles=horizon // args.updates,
-        )
-        if args.chunk_cycles:
-            # Out-of-core: the trace is generated, decoded and
-            # simulated chunk by chunk in one pass; it is never
-            # resident in full. Results are bit-identical to the
-            # in-memory path. A picklable factory (not an opened
-            # stream) goes in so each --parallel worker re-opens its
-            # own stream.
-            import functools
+    base = ArchitectureConfig(
+        geometry,
+        num_banks=axes["num_banks"][0],
+        policy="static",
+        update_period_cycles=horizon // args.updates,
+    )
+    if args.chunk_cycles:
+        # Out-of-core: the trace is generated, decoded and simulated
+        # chunk by chunk in one pass; it is never resident in full.
+        # Results are bit-identical to the in-memory path. A picklable
+        # factory (not an opened stream) goes in so each --parallel
+        # worker re-opens its own stream.
+        import functools
 
-            source = functools.partial(generator.stream, profile, args.chunk_cycles)
-        else:
-            source = generator.generate(profile)
-        result = sweep(base, source, axes, engine=args.engine, parallel=args.parallel)
-    except ReproError as error:
-        # e.g. --banks 1 with a dynamic policy axis, or a non-power-of-two
-        # bank count: surface the validation message, not a traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        source = functools.partial(generator.stream, profile, args.chunk_cycles)
+    else:
+        source = generator.generate(profile)
+    result = sweep(base, source, axes, engine=args.engine, parallel=args.parallel)
     seconds = time.perf_counter() - start
 
     first = result.points[0].result
@@ -373,98 +363,93 @@ def _render_records(records, metrics: tuple[str, ...] = ()) -> None:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignSpec, CampaignStore, campaign_status, run_campaign
     from repro.core.serialize import load_results
-    from repro.errors import ReproError
 
-    try:
-        if args.campaign_command == "show":
-            import os
+    if args.campaign_command == "show":
+        import os
 
-            path = args.path
-            if os.path.isdir(path):
-                records = CampaignStore(path).records()
-                print(f"{path}: {len(records)} stored records")
-            else:
-                records = load_results(path)
-                print(f"{path}: {len(records)} saved results")
-            _render_records(records, metrics=tuple(args.metric))
-            return 0
+        path = args.path
+        if os.path.isdir(path):
+            records = CampaignStore(path).records()
+            print(f"{path}: {len(records)} stored records")
+        else:
+            records = load_results(path)
+            print(f"{path}: {len(records)} saved results")
+        _render_records(records, metrics=tuple(args.metric))
+        return 0
 
-        if args.campaign_command == "migrate":
-            store = CampaignStore(args.dir)
-            moved = store.migrate()
-            indexed = store.rebuild_index()
-            print(f"{args.dir}: migrated {moved} records, indexed {indexed}")
-            return 0
+    if args.campaign_command == "migrate":
+        store = CampaignStore(args.dir)
+        moved = store.migrate()
+        indexed = store.rebuild_index()
+        print(f"{args.dir}: migrated {moved} records, indexed {indexed}")
+        return 0
 
-        if args.campaign_command == "serve":
-            from repro.campaign.service.server import serve
+    if args.campaign_command == "serve":
+        from repro.campaign.service.server import serve
 
-            serve(
-                args.dir,
-                host=args.host,
-                port=args.port,
-                workers=args.workers,
-                parallel=args.parallel,
-            )
-            return 0
+        serve(
+            args.dir,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            parallel=args.parallel,
+        )
+        return 0
 
-        if args.campaign_command == "submit":
-            import json
+    if args.campaign_command == "submit":
+        import json
 
-            from repro.campaign.service.client import ServiceClient
-
-            spec = CampaignSpec.load(args.spec)
-            client = ServiceClient(args.url)
-            response = client.submit(spec.to_dict())
-            spec_hash = response["spec_hash"]
-            if args.wait:
-                entry = client.wait_drained(spec_hash, timeout=args.timeout)
-                print(json.dumps(entry, indent=2, sort_keys=True))
-            else:
-                print(f"submitted {spec.name or args.spec} (spec {spec_hash[:12]})")
-            return 0
+        from repro.campaign.service.client import ServiceClient
 
         spec = CampaignSpec.load(args.spec)
-        if args.campaign_command == "status":
-            import json
-            import os
-
-            from repro.campaign.run import status_payload
-
-            store = CampaignStore(args.dir) if args.dir else CampaignStore()
-            if args.json:
-                print(json.dumps(status_payload(spec, store), indent=2, sort_keys=True))
-                return 0
-            status = campaign_status(spec, store)
-            note = ""
-            if args.dir and not os.path.isdir(args.dir):
-                note = f" [directory {args.dir} does not exist yet]"
-            print(
-                f"{spec.name or args.spec}: {status.done}/{status.total} points "
-                f"done, {status.missing} missing "
-                f"(spec {spec.spec_hash()[:12]}){note}"
-            )
-            return 0
-
-        # campaign run
-        result = run_campaign(
-            spec,
-            directory=args.dir or None,
-            parallel=args.parallel,
-            workers=args.workers,
-            search=args.strategy,
-        )
-        estimated = f", estimated {result.estimated}" if result.estimated else ""
-        print(
-            f"{spec.name or args.spec}: {len(result)} points, "
-            f"simulated {result.simulated}, reused {result.reused}{estimated}"
-            + (f" (store: {args.dir})" if args.dir else " (in memory)")
-        )
-        _render_records(result.records)
+        client = ServiceClient(args.url)
+        response = client.submit(spec.to_dict())
+        spec_hash = response["spec_hash"]
+        if args.wait:
+            entry = client.wait_drained(spec_hash, timeout=args.timeout)
+            print(json.dumps(entry, indent=2, sort_keys=True))
+        else:
+            print(f"submitted {spec.name or args.spec} (spec {spec_hash[:12]})")
         return 0
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+
+    spec = CampaignSpec.load(args.spec)
+    if args.campaign_command == "status":
+        import json
+        import os
+
+        from repro.campaign.run import status_payload
+
+        store = CampaignStore(args.dir) if args.dir else CampaignStore()
+        if args.json:
+            print(json.dumps(status_payload(spec, store), indent=2, sort_keys=True))
+            return 0
+        status = campaign_status(spec, store)
+        note = ""
+        if args.dir and not os.path.isdir(args.dir):
+            note = f" [directory {args.dir} does not exist yet]"
+        print(
+            f"{spec.name or args.spec}: {status.done}/{status.total} points "
+            f"done, {status.missing} missing "
+            f"(spec {spec.spec_hash()[:12]}){note}"
+        )
+        return 0
+
+    # campaign run
+    result = run_campaign(
+        spec,
+        directory=args.dir or None,
+        parallel=args.parallel,
+        workers=args.workers,
+        search=args.strategy,
+    )
+    estimated = f", estimated {result.estimated}" if result.estimated else ""
+    print(
+        f"{spec.name or args.spec}: {len(result)} points, "
+        f"simulated {result.simulated}, reused {result.reused}{estimated}"
+        + (f" (store: {args.dir})" if args.dir else " (in memory)")
+    )
+    _render_records(result.records)
+    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -473,59 +458,54 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import os
 
     from repro.cache.geometry import CacheGeometry
-    from repro.errors import ReproError
     from repro.trace.stats import describe_profile, profile_trace
 
-    try:
-        geometry = CacheGeometry(args.size * 1024, args.line_size)
-        if os.path.isfile(args.workload):
-            from repro.trace.io import load_trace
+    geometry = CacheGeometry(args.size * 1024, args.line_size)
+    if os.path.isfile(args.workload):
+        from repro.trace.io import load_trace
 
-            trace = load_trace(args.workload)
-        else:
-            from repro.trace.generator import WorkloadGenerator
-            from repro.trace.mediabench import profile_for
+        trace = load_trace(args.workload)
+    else:
+        from repro.trace.generator import WorkloadGenerator
+        from repro.trace.mediabench import profile_for
 
-            kwargs = {} if args.windows is None else {"num_windows": args.windows}
-            generator = WorkloadGenerator(geometry, **kwargs)
-            trace = generator.generate(profile_for(args.workload))
-        profile = profile_trace(trace, geometry, num_banks=args.banks)
-        if args.json:
-            payload = {
-                "workload": args.workload,
-                "size_bytes": geometry.size_bytes,
-                "line_size": geometry.line_size,
-                "num_banks": args.banks,
-                "accesses": profile.accesses,
-                "horizon": profile.horizon,
-                "access_density": profile.access_density,
-                "distinct_lines": profile.distinct_lines,
-                "footprint_bytes": profile.footprint_bytes,
-                "bank_shares": list(profile.bank_shares),
-                "gap_percentiles": {
-                    str(q): v for q, v in profile.gap_percentiles.items()
-                },
-                "reuse_distance_median": (
-                    None
-                    if profile.reuse_distance_median == float("inf")
-                    else profile.reuse_distance_median
-                ),
-                "bank_gap_histograms": [
-                    [list(triple) for triple in bank]
-                    for bank in profile.bank_gap_histograms
-                ],
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(
-                f"{args.workload} on a {args.size}kB cache "
-                f"({args.banks} banks):"
-            )
-            print(describe_profile(profile))
-        return 0
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        kwargs = {} if args.windows is None else {"num_windows": args.windows}
+        generator = WorkloadGenerator(geometry, master_seed=args.seed, **kwargs)
+        trace = generator.generate(profile_for(args.workload))
+    profile = profile_trace(trace, geometry, num_banks=args.banks)
+    if args.json:
+        payload = {
+            "workload": args.workload,
+            "size_bytes": geometry.size_bytes,
+            "line_size": geometry.line_size,
+            "num_banks": args.banks,
+            "accesses": profile.accesses,
+            "horizon": profile.horizon,
+            "access_density": profile.access_density,
+            "distinct_lines": profile.distinct_lines,
+            "footprint_bytes": profile.footprint_bytes,
+            "bank_shares": list(profile.bank_shares),
+            "gap_percentiles": {
+                str(q): v for q, v in profile.gap_percentiles.items()
+            },
+            "reuse_distance_median": (
+                None
+                if profile.reuse_distance_median == float("inf")
+                else profile.reuse_distance_median
+            ),
+            "bank_gap_histograms": [
+                [list(triple) for triple in bank]
+                for bank in profile.bank_gap_histograms
+            ],
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(
+            f"{args.workload} on a {args.size}kB cache "
+            f"({args.banks} banks):"
+        )
+        print(describe_profile(profile))
+    return 0
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -534,44 +514,41 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     from repro.cache.geometry import CacheGeometry
     from repro.core.config import ArchitectureConfig
-    from repro.errors import ReproError
     from repro.estimate.validate import validate_estimator
     from repro.trace.generator import WorkloadGenerator
     from repro.trace.mediabench import profile_for
 
-    try:
-        geometry = CacheGeometry(args.size * 1024, args.line_size)
-        base = ArchitectureConfig(geometry=geometry, num_banks=4, policy="static")
-        axes: dict = {}
-        if args.banks:
-            axes["num_banks"] = [int(v) for v in args.banks.split(",")]
-        if args.policies:
-            axes["policy"] = args.policies.split(",")
-        if args.breakevens:
-            axes["breakeven_override"] = [
-                None if v == "none" else int(v) for v in args.breakevens.split(",")
-            ]
-        if not axes:
-            axes["num_banks"] = [2, 4, 8]
-        generator = WorkloadGenerator(geometry, num_windows=args.windows)
-        traces = [
-            generator.generate(profile_for(name))
-            for name in args.benchmarks.split(",")
-        ]
-        report = validate_estimator(
-            base, traces, axes, engine=args.engine, parallel=args.parallel
+    geometry = CacheGeometry(args.size * 1024, args.line_size)
+    base = ArchitectureConfig(geometry=geometry, num_banks=4, policy="static")
+    axes: dict = {}
+    if args.banks:
+        axes["num_banks"] = _int_axis(args.banks, "--banks")
+    if args.policies:
+        axes["policy"] = args.policies.split(",")
+    if args.breakevens:
+        axes["breakeven_override"] = _int_axis(
+            args.breakevens, "--breakevens", allow_none=True
         )
-        rendered = json.dumps(report, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
-            print(f"wrote {args.output}")
-        if args.json or not args.output:
-            print(rendered)
-        return 0
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if not axes:
+        axes["num_banks"] = [2, 4, 8]
+    generator = WorkloadGenerator(
+        geometry, num_windows=args.windows, master_seed=args.seed
+    )
+    traces = [
+        generator.generate(profile_for(name))
+        for name in args.benchmarks.split(",")
+    ]
+    report = validate_estimator(
+        base, traces, axes, engine=args.engine, parallel=args.parallel
+    )
+    rendered = json.dumps(report, indent=2, sort_keys=True)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(rendered + "\n")
+        print(f"wrote {args.output}")
+    if args.json or not args.output:
+        print(rendered)
+    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -581,7 +558,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.trace.stats import describe_profile, profile_trace
 
     geometry = CacheGeometry(args.size * 1024, 16)
-    trace = WorkloadGenerator(geometry).generate(profile_for(args.benchmark))
+    trace = WorkloadGenerator(geometry, master_seed=args.seed).generate(
+        profile_for(args.benchmark)
+    )
     print(f"{args.benchmark} on a {args.size}kB cache:")
     print(describe_profile(profile_trace(trace, geometry)))
     return 0
@@ -886,33 +865,29 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command in _TABLES:
-        return _cmd_table(args.command, args)
-    if args.command == "headline":
-        return _cmd_headline(args)
-    if args.command == "cell":
-        return _cmd_cell(args)
-    if args.command == "arch":
-        return _cmd_arch(args)
-    if args.command == "policies":
-        return _cmd_policies(args)
-    if args.command == "engines":
-        return _cmd_engines(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "estimate":
-        return _cmd_estimate(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    return 1  # pragma: no cover - argparse enforces choices
+    commands = {
+        "headline": _cmd_headline,
+        "cell": _cmd_cell,
+        "arch": _cmd_arch,
+        "policies": _cmd_policies,
+        "engines": _cmd_engines,
+        "metrics": _cmd_metrics,
+        "profile": _cmd_profile,
+        "trace": _cmd_trace,
+        "estimate": _cmd_estimate,
+        "sweep": _cmd_sweep,
+        "campaign": _cmd_campaign,
+        "lint": _cmd_lint,
+    }
+    try:
+        if args.command in _TABLES:
+            return _cmd_table(args.command, args)
+        return commands[args.command](args)
+    except (ReproError, OSError) as error:
+        # Invalid options, unknown names, unreadable files: the message,
+        # not a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

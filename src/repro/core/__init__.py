@@ -16,8 +16,9 @@ management + dynamic indexing + aging, driven by traces.
 * :mod:`repro.core.metrics` — the pluggable derived-metrics pipeline
   mapping measured counters to named values;
 * :mod:`repro.core.plan` — :class:`TracePlan`, memoized per-trace state
-  shared across sweep points, and :class:`StreamingPlan`, its per-chunk
-  counterpart for out-of-core runs;
+  shared across sweep points (the trace is its only chunk), and
+  :class:`StreamingPlan`, the same plan moving chunk by chunk through
+  an out-of-core stream;
 * :mod:`repro.core.streamsim` — streaming simulation over chunked
   traces (:func:`simulate_stream`, carried-state cursors);
 * :mod:`repro.core.results` — :class:`SimulationResult` with energy,

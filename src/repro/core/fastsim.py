@@ -6,22 +6,29 @@ per-bank access counts, sleep cycles and energy) while processing whole
 re-indexing epochs with numpy:
 
 * routing: the logical→physical permutation is constant within an
-  epoch, so ``physical = mapping[logical]`` is a single ``take``;
+  epoch, so ``physical = mapping[logical]`` is a single ``take``
+  (:meth:`~repro.core.plan.TracePlan.route`);
 * idleness: the sleep rule only looks at per-bank access-cycle gaps,
   and banks sleep straight through mapping changes, so all banks' stats
-  come from one
-  :func:`~repro.power.idleness.batch_stats_from_sorted_accesses` pass
-  over the bank-sorted stream (held to the per-bank
-  :func:`~repro.power.idleness.stats_from_access_cycles` oracle by the
-  tests);
+  come from one gap structure of the bank-sorted stream
+  (:meth:`~repro.core.plan.TracePlan.idle_gaps`), thresholded at every
+  breakeven of a group by
+  :func:`~repro.power.idleness.batch_stats_from_gaps` (held to the
+  per-bank :func:`~repro.power.idleness.stats_from_access_cycles`
+  oracle by the tests);
 * hits/misses: within an epoch the mapping is a bijection on banks and
   the line-in-bank bits pass through unchanged, so the physical set of
   an access is identified by its logical set index; sorting accesses by
   (index, time) groups each set's accesses contiguously and in arrival
-  order. Direct-mapped caches then reduce to one vectorized
-  adjacent-tag comparison (:func:`_epoch_hits`); set-associative
-  caches run an LRU stack walk over the set-groups of every epoch at
-  once (:func:`_grouped_lru`). Epochs start cold (the update flushed).
+  order. Direct-mapped caches then reduce to an adjacent-tag comparison
+  (:class:`_DirectMappedTracker`); set-associative caches run an LRU
+  stack walk over the set-groups of every epoch at once
+  (:func:`_grouped_lru`). Epochs start cold (the update flushed).
+
+The hit/flush trackers carry their per-set state across calls, so the
+same :class:`_DirectMappedTracker` counts a whole trace here, a stream
+chunk by chunk in :mod:`repro.core.streamsim`, and the fine-grain
+template's lines in :mod:`repro.finegrain.sim`.
 
 Across a sweep, everything breakeven-independent — decode, epoch
 bracketing, hit counts, the bank sort — is shared between points through
@@ -37,12 +44,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.cache.stats import CacheStats
 from repro.core.config import ArchitectureConfig
 from repro.core.engine import Engine, register_engine
 from repro.core.plan import TracePlan, ensure_plan
 from repro.core.results import SimulationResult
-from repro.core.simulator import _effective_breakeven, _finish
+from repro.core.simulator import _effective_breakeven, assemble_group
 from repro.aging.lut import LifetimeLUT
 from repro.errors import SimulationError
 from repro.kernels import dispatch as kernels
@@ -50,26 +56,123 @@ from repro.power.idleness import batch_stats_from_gaps
 from repro.trace.trace import Trace
 
 
-def _epoch_hits(index: np.ndarray, tag: np.ndarray) -> tuple[int, int]:
-    """Hits and distinct lines touched within one (cold-started) epoch.
+class _CarriedTracker:
+    """Cache-content state, advanced epoch by epoch and chunk by chunk.
 
-    Sorting by (index, arrival) places every access next to the
-    previous access of the same cache line; a hit is an access whose
-    predecessor exists, is the same line, and carries the same tag
-    (direct-mapped: any other tag evicted the line in between — but
-    a *different* tag on the predecessor already means the line was
-    re-allocated, so adjacent comparison is exact).
+    Subclasses hold the per-set state and implement ``flush`` (an
+    update fired: count the surviving lines, start the epoch cold) and
+    ``_segment`` (advance through one epoch segment's accesses).
     """
-    if index.size == 0:
-        return 0, 0
-    order = np.lexsort((np.arange(index.size), index))
-    idx_sorted = index[order]
-    tag_sorted = tag[order]
-    same_line = idx_sorted[1:] == idx_sorted[:-1]
-    same_tag = tag_sorted[1:] == tag_sorted[:-1]
-    hits = int(np.count_nonzero(same_line & same_tag))
-    distinct_lines = int(np.count_nonzero(~same_line)) + 1
-    return hits, distinct_lines
+
+    def __init__(self, num_sets: int) -> None:
+        self.hits = 0
+        self.flush_invalidations = 0
+        self._chunk_id = -1
+        self._set_dtype = np.min_scalar_type(num_sets - 1)
+
+    def _set_order(self, index: np.ndarray) -> np.ndarray:
+        """The (set, arrival) order of a segment: a stable argsort of the
+        set indices, held in the narrowest unsigned dtype that fits them
+        (an O(n) radix sort up to 65536 sets; the one valid stable
+        permutation whatever the dtype)."""
+        return np.argsort(index.astype(self._set_dtype), kind="stable")
+
+    def flush(self) -> None:
+        raise NotImplementedError
+
+    def _segment(self, index: np.ndarray, tag: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def advance(self, index: np.ndarray, tag: np.ndarray, starts: np.ndarray) -> None:
+        """Advance through the epochs ``starts`` brackets, flushing
+        before each epoch after the first."""
+        for epoch in range(len(starts) - 1):
+            if epoch > 0:
+                self.flush()
+            lo, hi = int(starts[epoch]), int(starts[epoch + 1])
+            if lo < hi:
+                self._segment(index[lo:hi], tag[lo:hi])
+
+    def process_chunk(self, plan: TracePlan, config) -> None:
+        """Advance through the plan's current chunk (idempotent per chunk)."""
+        if plan.chunk_id == self._chunk_id:
+            return
+        self._chunk_id = plan.chunk_id
+        geometry = config.geometry
+        index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
+        _, starts = plan.epoch_starts(config)
+        self.advance(index, tag, starts)
+
+
+class _DirectMappedTracker(_CarriedTracker):
+    """Cache-content state of a direct-mapped geometry.
+
+    One tag (plus a valid bit) per set — exactly what a direct-mapped
+    cache remembers. Sorting a segment by (index, arrival) places every
+    access next to the previous access of the same set; an access hits
+    iff that predecessor carried the same tag (any other tag evicted
+    the line in between, and a *different* tag on the predecessor
+    already means the line was re-allocated, so adjacent comparison is
+    exact). The first access of a set within a segment compares against
+    the carried tag instead, which extends the rule across chunk
+    boundaries.
+    """
+
+    def __init__(self, num_sets: int) -> None:
+        super().__init__(num_sets)
+        self.tags = np.zeros(num_sets, dtype=np.int64)
+        self.valid = np.zeros(num_sets, dtype=bool)
+
+    def flush(self) -> None:
+        self.flush_invalidations += int(np.count_nonzero(self.valid))
+        self.valid[:] = False
+
+    def _segment(self, index: np.ndarray, tag: np.ndarray) -> None:
+        n = index.size
+        order = self._set_order(index)
+        idx_sorted = index[order]
+        tag_sorted = tag[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        first[1:] = idx_sorted[1:] != idx_sorted[:-1]
+        self.hits += int(np.count_nonzero(~first[1:] & (tag_sorted[1:] == tag_sorted[:-1])))
+        first_pos = np.flatnonzero(first)
+        first_idx = idx_sorted[first_pos]
+        first_tag = tag_sorted[first_pos]
+        self.hits += int(
+            np.count_nonzero(self.valid[first_idx] & (self.tags[first_idx] == first_tag))
+        )
+        last = np.empty(n, dtype=bool)
+        last[-1] = True
+        last[:-1] = first[1:]
+        last_pos = np.flatnonzero(last)
+        self.tags[idx_sorted[last_pos]] = tag_sorted[last_pos]
+        self.valid[idx_sorted[last_pos]] = True
+
+
+class _LruTracker(_CarriedTracker):
+    """Carried LRU stacks of a set-associative geometry.
+
+    The full ``(num_sets, ways)`` recency stacks are the carried state;
+    each chunk segment advances them through
+    :func:`repro.kernels.lru_segment` (the carried-state sibling of the
+    one-shot walk behind :func:`_grouped_lru`), starting from the
+    carried contents instead of cold. Exact for the same reason the
+    one-shot walk is: an LRU set's contents are a history-independent
+    function of its most recent distinct tags.
+    """
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        super().__init__(num_sets)
+        self.stacks = np.full((num_sets, ways), -1, dtype=np.int64)
+
+    def flush(self) -> None:
+        self.flush_invalidations += int(np.count_nonzero(self.stacks != -1))
+        self.stacks[:] = -1
+
+    def _segment(self, index: np.ndarray, tag: np.ndarray) -> None:
+        order = self._set_order(index)
+        self.hits += kernels.lru_segment(index[order], tag[order], self.stacks)
 
 
 def _grouped_lru(
@@ -123,21 +226,11 @@ def _functional_counts(
     geometry — deliberately independent of bank count, policy and power
     management, which is what lets sweeps share it across those axes.
     """
-    num_epochs = len(starts) - 1
     if ways == 1:
-        hits = 0
-        flush_invalidations = 0
-        for epoch in range(num_epochs):
-            lo, hi = int(starts[epoch]), int(starts[epoch + 1])
-            if lo == hi:
-                continue
-            epoch_hits, epoch_lines = _epoch_hits(index[lo:hi], tag[lo:hi])
-            hits += epoch_hits
-            # Each boundary flush drops whatever lines the epoch it
-            # closes left valid; the final epoch is never flushed.
-            if epoch < num_epochs - 1:
-                flush_invalidations += epoch_lines
-        return hits, flush_invalidations
+        tracker = _DirectMappedTracker(num_sets)
+        tracker.advance(index, tag, starts)
+        return tracker.hits, tracker.flush_invalidations
+    num_epochs = len(starts) - 1
     if int(starts[-1]) == 0:
         return 0, 0
     epoch_of = np.repeat(np.arange(num_epochs), np.diff(starts))
@@ -147,6 +240,20 @@ def _functional_counts(
     lines_per_epoch = np.zeros(num_epochs, dtype=np.int64)
     np.add.at(lines_per_epoch, group_keys // num_sets, lines_per_group)
     return int(hits), int(lines_per_epoch[:-1].sum())
+
+
+def hits_key(config) -> tuple:
+    """Plan key of a config's hit/flush counts: bit split × ways ×
+    schedule. Bank count, policy and power management drop out, so
+    those axes share one cache-content walk."""
+    geometry = config.geometry
+    return (
+        "hits",
+        geometry.offset_bits,
+        geometry.index_bits,
+        geometry.ways,
+        TracePlan.schedule_key(config),
+    )
 
 
 def validate_breakeven_group(configs) -> None:
@@ -190,13 +297,7 @@ def run_breakeven_group(
     index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
     boundaries, starts = plan.epoch_starts(base)
     hits, flush_invalidations = plan.cached(
-        (
-            "hits",
-            geometry.offset_bits,
-            geometry.index_bits,
-            geometry.ways,
-            plan.schedule_key(base),
-        ),
+        hits_key(base),
         lambda: _functional_counts(
             index, tag, starts, geometry.ways, geometry.num_sets
         ),
@@ -210,23 +311,17 @@ def run_breakeven_group(
     breakevens = [_effective_breakeven(config, trace.horizon) for config in configs]
     stats_batch = batch_stats_from_gaps(gaps, breakevens)
 
-    misses = len(trace) - hits
-    updates_applied = len(boundaries)
-    results = []
-    for config, bank_stats in zip(configs, stats_batch):
-        cache_stats = CacheStats(hits=hits, misses=misses, flushes=len(boundaries))
-        results.append(
-            _finish(
-                config,
-                trace,
-                bank_stats,
-                cache_stats,
-                updates_applied,
-                flush_invalidations,
-                lut,
-            )
-        )
-    return results
+    return assemble_group(
+        configs,
+        trace.name,
+        trace.horizon,
+        stats_batch,
+        hits,
+        len(trace),
+        len(boundaries),
+        flush_invalidations,
+        lut,
+    )
 
 
 class FastEngine(Engine):

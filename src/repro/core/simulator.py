@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.aging.lut import LifetimeLUT
 from repro.cache.banked import BankedCache
+from repro.cache.stats import CacheStats
 from repro.core.config import ArchitectureConfig
 from repro.core.engine import Engine, register_engine, resolve_engine, validate_engine
 from repro.core.metrics import compute_metrics, energy_breakdowns, lifetime_report
@@ -113,26 +114,36 @@ def assemble_result(
     )
 
 
-def _finish(
-    config: ArchitectureConfig,
-    trace: Trace,
-    bank_stats: list[BankIdleStats],
-    cache_stats,
+def assemble_group(
+    configs,
+    trace_name: str,
+    horizon: int,
+    stats_batch,
+    hits: int,
+    accesses: int,
     updates_applied: int,
     flush_invalidations: int,
     lut: LifetimeLUT | None,
-) -> SimulationResult:
-    """Common result assembly for the banked engines."""
-    return assemble_result(
-        config,
-        trace.name,
-        trace.horizon,
-        bank_stats,
-        cache_stats,
-        updates_applied,
-        flush_invalidations,
-        lut,
-    )
+) -> list[SimulationResult]:
+    """One :func:`assemble_result` per config of a breakeven group.
+
+    The configs share every counter but their per-bank idleness:
+    ``stats_batch`` holds one bank-stats list per config, in order.
+    Every update flushed the cache once.
+    """
+    return [
+        assemble_result(
+            config,
+            trace_name,
+            horizon,
+            bank_stats,
+            CacheStats(hits=hits, misses=accesses - hits, flushes=updates_applied),
+            updates_applied,
+            flush_invalidations,
+            lut,
+        )
+        for config, bank_stats in zip(configs, stats_batch)
+    ]
 
 
 class ReferenceSimulator:
@@ -192,9 +203,10 @@ class ReferenceSimulator:
             accountant.on_access(routed.physical_bank, cycle)
 
         bank_stats = accountant.finalize(trace.horizon)
-        return _finish(
+        return assemble_result(
             config,
-            trace,
+            trace.name,
+            trace.horizon,
             bank_stats,
             cache.stats,
             policy.updates_applied,

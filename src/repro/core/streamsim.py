@@ -1,28 +1,30 @@
 """Streaming (out-of-core) simulation: chunked traces, carried state.
 
-The one-shot fast engine (:mod:`repro.core.fastsim`) needs the whole
-trace resident to sort and scan it. This module is its streaming
-counterpart: the trace arrives as :class:`~repro.trace.stream.TraceChunk`
-windows and every piece of engine state is *carried* across chunk
-boundaries instead of recomputed from a global view —
+The one-shot fast engine (:mod:`repro.core.fastsim`) sees a whole
+trace as the single chunk of its :class:`~repro.core.plan.TracePlan`.
+This module feeds it a stream instead: the trace arrives as
+:class:`~repro.trace.stream.TraceChunk` windows, one
+:class:`~repro.core.plan.StreamingPlan` chunk at a time, and the
+engine state that spans chunks is *carried* —
 
-* **hits/flushes** — a real cache-content model per (bit split, ways,
-  schedule) identity: direct-mapped geometries carry one tag per set
-  (:class:`_DirectMappedTracker`), set-associative ones carry the full
-  LRU stacks (:class:`_LruTracker`, the stack walk of
-  :func:`~repro.core.fastsim._grouped_lru` with an initial state).
-  Both match the one-shot counts exactly because a cache set's
-  contents after any access prefix are history-independent summaries
-  the carried state captures completely;
-* **routing** — the indexing policy object advances at each update
-  boundary as it fires (the reference engine's lazy drain), and each
-  chunk is routed and bank-sorted locally;
+* **hits/flushes** — the fast engine's cache-content trackers, one per
+  (bit split, ways, schedule) identity: direct-mapped geometries carry
+  one tag per set (:class:`~repro.core.fastsim._DirectMappedTracker`,
+  the same tracker that counts a whole trace), set-associative ones
+  the full LRU stacks (:class:`~repro.core.fastsim._LruTracker`, the
+  stack walk of :func:`~repro.core.fastsim._grouped_lru` with an
+  initial state). Both match the one-shot counts exactly because a
+  cache set's contents after any access prefix are history-independent
+  summaries the carried state captures completely;
+* **routing** — :meth:`~repro.core.plan.TracePlan.route` advances the
+  cursor's carried indexing policy at each update boundary as it fires
+  (the reference engine's lazy drain) and bank-sorts the chunk;
 * **idleness** — the carry-state
   :class:`~repro.power.idleness.StreamingGapAccumulator`, whose only
   cross-chunk state is each bank's last-access cycle;
-* **epochs/decode** — shared per chunk through
-  :class:`~repro.core.plan.StreamingPlan`, so a multi-configuration
-  pass decodes each chunk once per distinct key.
+* **epochs/decode** — the plan's sections of the current chunk, so a
+  multi-configuration pass decodes and brackets each chunk once per
+  distinct key; the update schedules drain across chunks.
 
 Every finalized :class:`~repro.core.results.SimulationResult` is
 **bit-identical** to the one-shot engine on the materialized trace (the
@@ -48,148 +50,30 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from repro.aging.lut import LifetimeLUT
-from repro.cache.stats import CacheStats
 from repro.core.engine import resolve_engine, supports_streaming, validate_engine
-from repro.core.plan import StreamingPlan, TracePlan
+from repro.core.fastsim import (
+    _DirectMappedTracker,
+    _LruTracker,
+    hits_key,
+    validate_breakeven_group,
+)
+from repro.core.plan import StreamingPlan
 from repro.core.results import SimulationResult
-from repro.core.simulator import assemble_result
+from repro.core.simulator import assemble_group
 from repro.errors import SimulationError
-from repro.kernels import dispatch as kernels
 from repro.power.idleness import StreamingGapAccumulator
 from repro.trace.stream import TraceStream
 
 
-class _CarriedTracker:
-    """Carried cache-content state, advanced chunk by chunk.
-
-    Subclasses hold the per-set state and implement ``flush`` (an
-    update fired: count the surviving lines, start the epoch cold) and
-    ``_segment`` (advance through one epoch segment's accesses).
-    """
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.flush_invalidations = 0
-        self._chunk_id = -1
-
-    def flush(self) -> None:
-        raise NotImplementedError
-
-    def _segment(self, index: np.ndarray, tag: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def process_chunk(self, plan: StreamingPlan, config) -> None:
-        """Advance through the current chunk (idempotent per chunk)."""
-        if plan.chunk_id == self._chunk_id:
-            return
-        self._chunk_id = plan.chunk_id
-        geometry = config.geometry
-        index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
-        _, starts = plan.epoch_segments(config)
-        for segment in range(len(starts) - 1):
-            if segment > 0:
-                self.flush()
-            lo, hi = int(starts[segment]), int(starts[segment + 1])
-            if lo < hi:
-                self._segment(index[lo:hi], tag[lo:hi])
-
-
-class _DirectMappedTracker(_CarriedTracker):
-    """Carried cache-content state of a direct-mapped geometry.
-
-    One tag (plus a valid bit) per set — exactly what a direct-mapped
-    cache remembers — so the adjacent-tag hit rule of the one-shot
-    engine extends across chunk boundaries: the first access of a set
-    within a chunk compares against the carried tag, later ones against
-    their in-chunk predecessor.
-    """
-
-    def __init__(self, num_sets: int, ways: int) -> None:
-        super().__init__()
-        self.tags = np.zeros(num_sets, dtype=np.int64)
-        self.valid = np.zeros(num_sets, dtype=bool)
-
-    def flush(self) -> None:
-        self.flush_invalidations += int(np.count_nonzero(self.valid))
-        self.valid[:] = False
-
-    def _segment(self, index: np.ndarray, tag: np.ndarray) -> None:
-        n = index.size
-        if n == 0:
-            return
-        order = np.lexsort((np.arange(n), index))
-        idx_sorted = index[order]
-        tag_sorted = tag[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = idx_sorted[1:] != idx_sorted[:-1]
-        # Non-first accesses of a set-run hit iff their in-chunk
-        # predecessor (same set, adjacent after the sort) carried the
-        # same tag — the one-shot adjacent comparison, verbatim.
-        self.hits += int(np.count_nonzero(~first[1:] & (tag_sorted[1:] == tag_sorted[:-1])))
-        first_pos = np.flatnonzero(first)
-        first_idx = idx_sorted[first_pos]
-        first_tag = tag_sorted[first_pos]
-        self.hits += int(
-            np.count_nonzero(self.valid[first_idx] & (self.tags[first_idx] == first_tag))
-        )
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        last[:-1] = idx_sorted[1:] != idx_sorted[:-1]
-        last_pos = np.flatnonzero(last)
-        self.tags[idx_sorted[last_pos]] = tag_sorted[last_pos]
-        self.valid[idx_sorted[last_pos]] = True
-
-
-class _LruTracker(_CarriedTracker):
-    """Carried LRU stacks of a set-associative geometry.
-
-    The full ``(num_sets, ways)`` recency stacks are the carried state;
-    each chunk segment advances them through
-    :func:`repro.kernels.lru_segment` (the carried-state sibling of the
-    one-shot walk behind
-    :func:`~repro.core.fastsim._grouped_lru`), starting
-    from the carried contents instead of cold. Exact for the same
-    reason the one-shot walk is: an LRU set's contents are a
-    history-independent function of its most recent distinct tags.
-    """
-
-    def __init__(self, num_sets: int, ways: int) -> None:
-        super().__init__()
-        self.stacks = np.full((num_sets, ways), -1, dtype=np.int64)
-
-    def flush(self) -> None:
-        self.flush_invalidations += int(np.count_nonzero(self.stacks != -1))
-        self.stacks[:] = -1
-
-    def _segment(self, index: np.ndarray, tag: np.ndarray) -> None:
-        if index.size == 0:
-            return
-        order = np.argsort(index, kind="stable")
-        self.hits += kernels.lru_segment(index[order], tag[order], self.stacks)
-
-
 def _hit_tracker(plan: StreamingPlan, config):
-    """Shared hit/flush tracker for the config's functional identity.
-
-    Keyed exactly like the one-shot plan's ``hits`` section — bit
-    split × ways × schedule — so
-    configurations differing only in banking, policy or power
-    management share one cache-content walk per pass.
-    """
+    """Shared hit/flush tracker for the config's functional identity,
+    keyed like the one-shot plan's hit counts (:func:`hits_key`)."""
     geometry = config.geometry
-    key = (
-        "hits",
-        geometry.offset_bits,
-        geometry.index_bits,
-        geometry.ways,
-        TracePlan.schedule_key(config),
-    )
-    cls = _DirectMappedTracker if geometry.ways == 1 else _LruTracker
-    return plan.persistent(key, lambda: cls(geometry.num_sets, geometry.ways))
+    key = hits_key(config)
+    if geometry.ways == 1:
+        return plan.persistent(key, lambda: _DirectMappedTracker(geometry.num_sets))
+    return plan.persistent(key, lambda: _LruTracker(geometry.num_sets, geometry.ways))
 
 
 class StreamCursor:
@@ -207,13 +91,10 @@ class StreamCursor:
     def __init__(self, configs, plan: StreamingPlan) -> None:
         if not configs:
             raise SimulationError("a stream cursor needs at least one config")
-        from repro.core.fastsim import validate_breakeven_group
-
         validate_breakeven_group(configs)
         self.configs = list(configs)
         self.base = configs[0]
         self.policy = self.base.make_policy()
-        self.num_banks = self.base.num_banks
         # An unmanaged cache's effective breakeven is horizon + 1 — not
         # known until the stream ends — but its accounting is simply
         # "no gap ever converts": the accumulator's None (infinite)
@@ -222,41 +103,19 @@ class StreamCursor:
             config.breakeven() if config.power_managed else None
             for config in self.configs
         ]
-        self.gaps = StreamingGapAccumulator(self.num_banks, breakevens)
+        self.gaps = StreamingGapAccumulator(self.base.num_banks, breakevens)
         self.tracker = _hit_tracker(plan, self.base)
         self.updates_applied = 0
         self.accesses = 0
 
     def process(self, plan: StreamingPlan) -> None:
         """Fold the plan's current chunk into the carried state."""
-        chunk = plan.chunk
-        n = len(chunk)
+        n = len(plan.chunk)
         if n == 0:
             return
-        boundaries, starts = plan.epoch_segments(self.base)
+        boundaries, _ = plan.epoch_starts(self.base)
         self.tracker.process_chunk(plan, self.base)
-        geometry = self.base.geometry
-        if self.num_banks == 1:
-            sorted_cycles = chunk.cycles
-            splits = np.array([0, n], dtype=np.int64)
-        else:
-            logical = plan.logical_banks(
-                geometry.offset_bits, geometry.index_bits, self.num_banks
-            )
-            physical = np.empty(n, dtype=np.min_scalar_type(self.num_banks - 1))
-            for segment in range(len(starts) - 1):
-                if segment > 0:
-                    self.policy.update()
-                lo, hi = int(starts[segment]), int(starts[segment + 1])
-                if lo == hi:
-                    continue
-                physical[lo:hi] = self.policy.mapping()[logical[lo:hi]]
-            order = np.argsort(physical, kind="stable")
-            sorted_cycles = chunk.cycles[order]
-            splits = np.searchsorted(
-                physical[order], np.arange(self.num_banks + 1)
-            ).astype(np.int64)
-        self.gaps.update(sorted_cycles, splits)
+        self.gaps.update(*plan.route(self.base, self.policy))
         self.updates_applied += int(boundaries.size)
         self.accesses += n
 
@@ -264,28 +123,17 @@ class StreamCursor:
         self, horizon: int, trace_name: str, lut: LifetimeLUT | None
     ) -> list[SimulationResult]:
         """Close the window at ``horizon``; one result per group config."""
-        stats_batch = self.gaps.finalize(horizon)
-        hits = self.tracker.hits
-        misses = self.accesses - hits
-        flush_invalidations = self.tracker.flush_invalidations
-        results = []
-        for config, bank_stats in zip(self.configs, stats_batch):
-            cache_stats = CacheStats(
-                hits=hits, misses=misses, flushes=self.updates_applied
-            )
-            results.append(
-                assemble_result(
-                    config,
-                    trace_name,
-                    horizon,
-                    bank_stats,
-                    cache_stats,
-                    self.updates_applied,
-                    flush_invalidations,
-                    lut,
-                )
-            )
-        return results
+        return assemble_group(
+            self.configs,
+            trace_name,
+            horizon,
+            self.gaps.finalize(horizon),
+            self.tracker.hits,
+            self.accesses,
+            self.updates_applied,
+            self.tracker.flush_invalidations,
+            lut,
+        )
 
 
 def _run_pass(stream: TraceStream, plan: StreamingPlan, cursors) -> int:

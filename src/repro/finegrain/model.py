@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from repro.cache.geometry import CacheGeometry
 from repro.errors import ConfigurationError
 from repro.indexing.policies import POLICY_NAMES
+from repro.indexing.update import UpdateSchedule
 from repro.power.energy import EnergyModel, TechnologyParams
 
 
@@ -59,6 +60,12 @@ class FineGrainConfig:
     def make_energy_model(self) -> "LineEnergyModel":
         """Line-level energy model for this configuration."""
         return LineEnergyModel(self.geometry, self.technology)
+
+    def make_update_schedule(self) -> UpdateSchedule:
+        """Periodic update schedule (inactive for static indexing)."""
+        return UpdateSchedule(
+            None if self.policy == "static" else self.update_period_cycles
+        )
 
     def breakeven(self) -> int:
         """Per-line breakeven time in cycles."""

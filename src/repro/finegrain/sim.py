@@ -14,7 +14,10 @@ Re-indexing here permutes the *full* n-bit index:
 
 Both are bijections, so within an epoch hit/miss behaviour can be
 tracked on the logical index (the simulator flushes on update, exactly
-like the banked cache).
+like the banked cache): the fast engine's direct-mapped tracker
+(:class:`~repro.core.fastsim._DirectMappedTracker`) counts hits and
+flush invalidations over the epochs the shared
+:class:`~repro.core.plan.TracePlan` brackets, one line per "set".
 
 Two front doors share one measurement pass:
 
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aging.lut import LifetimeLUT
+from repro.core.fastsim import _DirectMappedTracker
 from repro.core.plan import TracePlan, ensure_plan
 from repro.finegrain.model import FineGrainConfig
 from repro.hw.lfsr import GaloisLFSR
@@ -128,8 +132,9 @@ class FineGrainSimulator:
     """Trace-driven simulator for :class:`FineGrainConfig`.
 
     An optional shared :class:`~repro.core.plan.TracePlan` supplies the
-    cached address decode (the layer this simulator has in common with
-    the banked engines); results are identical with or without one.
+    cached address decode and epoch bracketing (the layers this
+    simulator has in common with the banked engines); results are
+    identical with or without one.
     """
 
     def __init__(
@@ -145,21 +150,15 @@ class FineGrainSimulator:
         self.plan = plan
 
     # ------------------------------------------------------------------
-    def _remap_epochs(self, index: np.ndarray, cycles: np.ndarray):
-        """Yield ``(lo, hi, physical_index_slice)`` per re-indexing epoch."""
+    def _remap(self, index: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Physical line of every access: epoch ``e`` (trace positions
+        ``starts[e]:starts[e + 1]``) sees ``e`` updates of the policy."""
         config = self.config
         num_lines = config.geometry.num_lines
         n_bits = config.geometry.index_bits
-        period = config.update_period_cycles if config.policy != "static" else None
-        if period is None or index.size == 0:
-            yield 0, index.size, index, 0
-            return
-
-        last_cycle = int(cycles[-1])
-        boundaries = np.arange(period, last_cycle + 1, period, dtype=np.int64)
-        starts = np.concatenate(
-            ([0], np.searchsorted(cycles, boundaries, side="left"), [index.size])
-        )
+        if len(starts) == 2:
+            return index
+        physical = np.empty_like(index)
         lfsr = GaloisLFSR(16, seed=0xACE1) if config.policy == "scrambling" else None
         offset = 0
         word = 0
@@ -173,10 +172,10 @@ class FineGrainSimulator:
                     word = lfsr.low_bits(min(n_bits, lfsr.width))
             lo, hi = int(starts[epoch]), int(starts[epoch + 1])
             if config.policy == "probing":
-                physical = (index[lo:hi] + offset) % num_lines
+                physical[lo:hi] = (index[lo:hi] + offset) % num_lines
             else:
-                physical = index[lo:hi] ^ word
-            yield lo, hi, physical, epoch
+                physical[lo:hi] = index[lo:hi] ^ word
+        return physical
 
     # ------------------------------------------------------------------
     def measure(self, trace: Trace, breakeven: int | None = None) -> FineGrainMeasurement:
@@ -196,30 +195,22 @@ class FineGrainSimulator:
         plan = ensure_plan(self.plan, trace)
         index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
 
-        physical = np.empty(len(trace), dtype=np.int64)
-        hits = 0
-        updates = 0
-        flush_invalidations = 0
-        open_lines = 0
-        for lo, hi, phys, epoch in self._remap_epochs(index, trace.cycles):
-            physical[lo:hi] = phys
-            # The previous epoch's surviving lines are dropped by the
-            # boundary flush that opened this one.
-            flush_invalidations += open_lines
-            epoch_hits, open_lines = _epoch_hits(index[lo:hi], tag[lo:hi])
-            hits += epoch_hits
-            updates = epoch
-        misses = len(trace) - hits
+        boundaries, starts = plan.epoch_starts(config)
+        # The logical index identifies the line within an epoch (the
+        # remap is a bijection), and each update flushes the cache.
+        tracker = _DirectMappedTracker(num_lines)
+        tracker.advance(index, tag, starts)
+        physical = self._remap(index, starts)
 
         line_stats = _per_line_stats(
             physical, trace.cycles, num_lines, breakeven, horizon
         )
         return FineGrainMeasurement(
             line_stats=tuple(line_stats),
-            hits=hits,
-            misses=misses,
-            updates_applied=updates,
-            flush_invalidations=flush_invalidations,
+            hits=tracker.hits,
+            misses=len(trace) - tracker.hits,
+            updates_applied=len(boundaries),
+            flush_invalidations=tracker.flush_invalidations,
             breakeven=breakeven,
         )
 
@@ -254,21 +245,6 @@ class FineGrainSimulator:
             lifetime_years=float(lifetimes.min()),
             line_lifetimes_years=lifetimes,
         )
-
-
-def _epoch_hits(index: np.ndarray, tag: np.ndarray) -> tuple[int, int]:
-    """Hits and distinct lines touched within one cold-started epoch
-    (same logic as the fast engine)."""
-    if index.size == 0:
-        return 0, 0
-    order = np.lexsort((np.arange(index.size), index))
-    idx_sorted = index[order]
-    tag_sorted = tag[order]
-    same_line = idx_sorted[1:] == idx_sorted[:-1]
-    same_tag = tag_sorted[1:] == tag_sorted[:-1]
-    hits = int(np.count_nonzero(same_line & same_tag))
-    distinct_lines = int(np.count_nonzero(~same_line)) + 1
-    return hits, distinct_lines
 
 
 def _per_line_stats(

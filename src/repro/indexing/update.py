@@ -122,7 +122,7 @@ class UpdateSchedule:
         return 1 + (horizon_cycles - 1 - first) // self.period_cycles
 
     def boundaries_up_to(self, last_cycle: int) -> np.ndarray:
-        """All firing cycles <= ``last_cycle`` (for the fast engine)."""
+        """All firing cycles <= ``last_cycle``."""
         if self._events is not None:
             events = np.asarray(self._events, dtype=np.int64)
             return events[events <= last_cycle]

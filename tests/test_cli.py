@@ -101,6 +101,45 @@ class TestCLI:
         assert main(["sweep", "--breakevens", "5,x"]) == 2
         assert "comma-separated integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["policies", "--banks", "3"],
+            ["arch", "--banks", "3"],
+            ["cell", "--p0", "2"],
+            ["profile", "nosuch"],
+            ["sweep", "--windows", "5"],
+            ["estimate", "validate", "--banks", "2,x"],
+        ],
+        ids=["policies", "arch", "cell", "profile", "sweep", "estimate"],
+    )
+    def test_invalid_input_exits_2_without_traceback(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "stats", "sha", "--windows", "20", "--json"],
+            ["profile", "sha", "--size", "8"],
+            ["estimate", "validate", "--benchmarks", "sha", "--banks", "2",
+             "--windows", "20"],
+        ],
+        ids=["trace-stats", "profile", "estimate-validate"],
+    )
+    def test_global_seed_reaches_generated_workloads(self, capsys, argv):
+        outputs = []
+        for seed in ("7", "2011"):
+            assert main(["--seed", seed, *argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+        # The default seed is 2011.
+        assert main(argv) == 0
+        assert capsys.readouterr().out == outputs[1]
+
     def test_sweep_save_writes_loadable_results(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
         assert main(

@@ -296,10 +296,10 @@ class TestNarrowRouting:
             update_period_cycles=None if policy == "static" else 20000,
         )
         plan = TracePlan(trace)
-        route = plan.bank_order(config)
+        sorted_cycles, route_splits = plan.route(config, config.make_policy())
         cycles, splits = int64_bank_order(plan, config)
-        assert np.array_equal(route.sorted_cycles, cycles)
-        assert np.array_equal(route.splits, splits)
+        assert np.array_equal(sorted_cycles, cycles)
+        assert np.array_equal(route_splits, splits)
         # The trace reaches the top bank ids, where uint8 ends.
         assert splits[-1] - splits[-2] > 0
 

@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 from repro.cache.directmapped import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import AccessOutcome
-from repro.core.fastsim import _epoch_hits
+from repro.core.fastsim import _DirectMappedTracker
 from repro.core.plan import TracePlan
+
+
+def epoch_hits(index: np.ndarray, tag: np.ndarray) -> tuple[int, int]:
+    """Hits and valid lines left by one cold-started direct-mapped epoch."""
+    tracker = _DirectMappedTracker(int(index.max()) + 1 if index.size else 1)
+    tracker.advance(index, tag, np.array([0, index.size]))
+    return tracker.hits, int(np.count_nonzero(tracker.valid))
 
 
 class TestEpochHits:
@@ -21,11 +28,11 @@ class TestEpochHits:
         return sum(1 for a in addresses if cache.access(int(a)) is AccessOutcome.HIT)
 
     def test_empty(self):
-        hits, lines = _epoch_hits(np.empty(0, np.int64), np.empty(0, np.int64))
+        hits, lines = epoch_hits(np.empty(0, np.int64), np.empty(0, np.int64))
         assert (hits, lines) == (0, 0)
 
     def test_single_access_is_miss(self):
-        hits, lines = _epoch_hits(
+        hits, lines = epoch_hits(
             np.array([5], dtype=np.int64), np.array([0], dtype=np.int64)
         )
         assert (hits, lines) == (0, 1)
@@ -33,17 +40,17 @@ class TestEpochHits:
     def test_repeat_hits(self):
         index = np.array([5, 5, 5], dtype=np.int64)
         tag = np.array([1, 1, 1], dtype=np.int64)
-        assert _epoch_hits(index, tag) == (2, 1)
+        assert epoch_hits(index, tag) == (2, 1)
 
     def test_conflict_thrash(self):
         index = np.array([5, 5, 5, 5], dtype=np.int64)
         tag = np.array([1, 2, 1, 2], dtype=np.int64)
-        assert _epoch_hits(index, tag) == (0, 1)
+        assert epoch_hits(index, tag) == (0, 1)
 
     def test_distinct_lines_counted(self):
         index = np.array([1, 2, 3, 1], dtype=np.int64)
         tag = np.zeros(4, dtype=np.int64)
-        hits, lines = _epoch_hits(index, tag)
+        hits, lines = epoch_hits(index, tag)
         assert lines == 3
         assert hits == 1
 
@@ -54,7 +61,7 @@ class TestEpochHits:
         arr = np.asarray(addresses, dtype=np.int64)
         index = (arr >> geometry.offset_bits) & (geometry.num_sets - 1)
         tag = arr >> (geometry.offset_bits + geometry.index_bits)
-        hits, lines = _epoch_hits(index, tag)
+        hits, lines = epoch_hits(index, tag)
         assert hits == self.hits_by_model(geometry, addresses)
         assert lines == len(np.unique(index)) if addresses else lines == 0
 

@@ -144,10 +144,10 @@ class TestTracePlanCaching:
         config = ArchitectureConfig(
             CacheGeometry(8 * 1024, 16), num_banks=1, power_managed=False
         )
-        route = plan.bank_order(config)
+        sorted_cycles, splits = plan.route(config, config.make_policy())
         # Identity order: the sorted stream *is* the trace's cycle array.
-        assert route.sorted_cycles is random_trace.cycles
-        assert route.splits.tolist() == [0, len(random_trace)]
+        assert sorted_cycles is random_trace.cycles
+        assert splits.tolist() == [0, len(random_trace)]
 
     def test_idle_gaps_shared_across_power_axes(self, random_trace):
         plan = TracePlan(random_trace)

@@ -20,11 +20,12 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import AccessOutcome
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import _epoch_hits, _grouped_lru
+from repro.core.fastsim import _grouped_lru
 from repro.core.simulator import ReferenceSimulator, simulate
 from repro.trace.trace import Trace
 from tests.conftest import make_random_trace
 from tests.test_engines import assert_results_equal, run_both
+from tests.test_fastsim_internals import epoch_hits
 
 WAYS = [2, 4, 8]
 
@@ -55,7 +56,7 @@ class TestGroupedLRUKernel:
         tag = np.array([1, 2, 1, 2], dtype=np.int64)
         # The direct-mapped kernel thrashes here; 2-way absorbs it.
         assert epoch_hits_lru(index, tag, 2) == (2, 2)
-        assert _epoch_hits(index, tag) == (0, 1)
+        assert epoch_hits(index, tag) == (0, 1)
 
     def test_lru_victim_selection(self):
         index = np.zeros(5, dtype=np.int64)
