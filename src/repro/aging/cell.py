@@ -33,7 +33,8 @@ the arithmetic of a bisection run on its own, so results do not depend
 on the batch. :meth:`CharacterizationFramework.critical_shifts` memoizes
 its results on the framework by ``(p0, time exponent)`` — the prefactor
 does not enter the critical shift — so calibration's p0 = 0.5 solve is
-reused by its self-check and by the lifetime table.
+reused by its self-check and by the lifetime table's p0 = 0.5 row, the
+only row a cache query reads.
 """
 
 from __future__ import annotations

@@ -10,13 +10,17 @@ and thus, of the entire cache."*
 :class:`~repro.aging.cell.CharacterizationFramework` and answers queries
 with bilinear interpolation, one vectorised formula
 (:meth:`LifetimeLUT.lifetime_years_batch`) for a single sleep fraction
-and for a whole cache's banks or lines alike. Filling the table needs
-one critical-shift bisection per p0 value; all of them run in lockstep,
-one batched butterfly solve per step, and the framework memoizes each
-result, so the p0 = 0.5 row reuses the bisection its calibration
-already ran. The table is bit-identical to bisecting each p0 on its
-own, at a fraction of the per-call overhead, and
-:meth:`LifetimeLUT.default` builds it once per process.
+and for a whole cache's banks or lines alike. Each p0 row needs one
+critical-shift bisection, and a row is filled the first time a query
+reads it. A query that lands exactly on a grid p0 above the first gives
+the row below it zero weight, so it reads only its own row. Every cache
+query sits at p0 = 0.5, whose bisection calibration has already run and
+the framework memoizes, so answering it bisects nothing. Reading the
+whole :attr:`LifetimeLUT.table` bisects the missing rows in lockstep,
+one batched butterfly solve per step. A row bisected on its own is
+bit-identical to the same row bisected in lockstep, so the table and
+every query are the same whichever rows were filled first, and
+:meth:`LifetimeLUT.default` shares one LUT per process.
 """
 
 from __future__ import annotations
@@ -68,26 +72,35 @@ class LifetimeLUT:
         self.framework = framework if framework is not None else CharacterizationFramework()
         self.p0_grid = np.linspace(0.0, 1.0, p0_points)
         self.psleep_grid = np.linspace(0.0, psleep_max, psleep_points)
-        self.table = self._build()
+        # Rows filled so far, by p0 index. A row is stored only once it
+        # is complete, so threads sharing the LUT never read half a row;
+        # two threads filling the same row store equal values.
+        self._rows: dict[int, np.ndarray] = {}
 
-    def _build(self) -> np.ndarray:
-        """Fill the grid.
+    @property
+    def table(self) -> np.ndarray:
+        """The full (p0, Psleep) lifetime grid, as a fresh array.
 
-        One butterfly bisection is needed per p0 value, all bisected
-        together; the Psleep axis is then filled through the drift law's
-        exact time-scaling (see :mod:`repro.aging.cell`).
+        Rows no query has read yet are bisected together in one lockstep
+        call; each is identical to the row a query would have filled.
         """
-        fw = self.framework
-        # One lockstep bisection for the whole p0 axis; the lifetimes
-        # below read its memoized shifts.
-        fw.critical_shifts(self.p0_grid)
-        eta = fw.nbti.sleep_recovery_efficiency
-        table = np.empty((self.p0_grid.size, self.psleep_grid.size))
-        for i, p0 in enumerate(self.p0_grid):
-            base = fw.lifetime_years(float(p0), 0.0)
+        self.framework.critical_shifts(self.p0_grid)
+        return np.array([self._row(k) for k in range(self.p0_grid.size)])
+
+    def _row(self, k: int) -> np.ndarray:
+        """Row ``k`` of the table, filled on first use.
+
+        The Psleep axis follows from one sleep-free lifetime through the
+        drift law's exact time-scaling (see :mod:`repro.aging.cell`).
+        """
+        row = self._rows.get(k)
+        if row is None:
+            fw = self.framework
+            base = fw.lifetime_years(float(self.p0_grid[k]), 0.0)
             # Exact scaling: lifetime(psleep) = base / (1 - eta * psleep).
-            table[i, :] = base / (1.0 - eta * self.psleep_grid)
-        return table
+            row = base / (1.0 - fw.nbti.sleep_recovery_efficiency * self.psleep_grid)
+            self._rows[k] = row
+        return row
 
     def lifetime_years(self, p0: float, psleep: float) -> float:
         """Interpolate the lifetime for the given stress profile."""
@@ -137,7 +150,12 @@ class LifetimeLUT:
         y0, y1 = self.psleep_grid[j], self.psleep_grid[j1]
         tx = (p0 - x0) / (x1 - x0)
         ty = (ps - y0) / (y1 - y0)
-        row0, row1 = self.table[i], self.table[i + 1]
+        # A p0 on any grid node but the first gives tx == 1.0, so row i
+        # has weight zero: its terms are zero for any finite row, and
+        # reading row i + 1 in its place changes no bit and leaves row i
+        # unfilled.
+        row1 = self._row(i + 1)
+        row0 = row1 if tx == 1.0 else self._row(i)
         f00, f01 = row0[j], row0[j1]
         f10, f11 = row1[j], row1[j1]
         # (1 - tx) and (1 - ty) are each one rounding, so naming them

@@ -155,8 +155,7 @@ class VariationModel:
         p0: float = 0.5,
     ) -> LifetimeDistribution:
         """Monte-Carlo the lifetime of a bank (min over its cells)."""
-        if samples < 1:
-            raise ModelError("need at least one Monte-Carlo sample")
+        _check_monte_carlo(cells_per_bank, samples)
         rng = np.random.default_rng(seed)
         nominal = self.framework.lifetime_years(p0, psleep)
         minima = np.empty(samples)
@@ -173,10 +172,13 @@ class VariationModel:
         seed: int = 2011,
     ) -> LifetimeDistribution:
         """Monte-Carlo the cache lifetime: min over banks of min over cells."""
+        _check_monte_carlo(cells_per_bank, samples)
         rng = np.random.default_rng(seed)
         nominals = [
             self.framework.lifetime_years(0.5, float(ps)) for ps in sleep_fractions
         ]
+        if not nominals:
+            raise ModelError("need at least one bank")
         minima = np.empty(samples)
         for i in range(samples):
             worst = np.inf
@@ -185,3 +187,11 @@ class VariationModel:
                 worst = min(worst, nominal * float(self.lifetime_scale(offsets).min()))
             minima[i] = worst
         return LifetimeDistribution(samples=minima)
+
+
+def _check_monte_carlo(cells_per_bank: int, samples: int) -> None:
+    """Reject Monte-Carlo sizes that would leave nothing to take a minimum of."""
+    if cells_per_bank < 1:
+        raise ModelError("need at least one cell per bank")
+    if samples < 1:
+        raise ModelError("need at least one Monte-Carlo sample")

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-The characterization framework and lifetime LUT cost about a second to
-build (lockstep butterfly-curve bisection), so they are session-scoped
+The characterization framework costs a calibration bisection and the
+lifetime LUT one more per p0 row it fills, so both are session-scoped
 and the LUT reuses the framework's memoized critical shifts; everything
 else is cheap and constructed per test.
 """

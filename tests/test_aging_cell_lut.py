@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.aging.lifetime import (
 from repro.aging.lut import LifetimeLUT
 from repro.aging.variation import VariationModel
 from repro.errors import ModelError
+from tests.test_derivation_identity import scalar_oracle
 
 
 class TestCharacterization:
@@ -175,21 +178,103 @@ class TestCharacterizationPins:
         curve = framework.aging_curve(points=13)
         assert tuple(float(s).hex() for s in curve.snm_volts) == self.AGING_CURVE_SNM
 
-    def test_default_lut_bisects_balanced_p0_once(self, monkeypatch):
-        """Calibration's p0 = 0.5 bisection is reused by its self-check
-        and by the table row: 11 bisections for 11 p0 values."""
-        rows = []
-        bisect = CharacterizationFramework.failing_scales
-
-        def spy(self, ratio_a, ratio_b, **kwargs):
-            rows.extend(zip(ratio_a.tolist(), ratio_b.tolist()))
-            return bisect(self, ratio_a, ratio_b, **kwargs)
-
-        monkeypatch.setattr(CharacterizationFramework, "failing_scales", spy)
+    def test_balanced_queries_bisect_only_the_calibration_row(self, bisections):
+        """Calibration's p0 = 0.5 bisection serves every p0 = 0.5 query;
+        reading the table bisects the other 10 rows in one lockstep call."""
         lut = LifetimeLUT()
+        lut.lifetime_years(0.5, 0.3)
+        lut.lifetime_years_batch(0.5, [0.0, 0.42, 1.0])
+        bank_lifetimes_years([0.1, 0.9], lut=lut)
         # p0 = 0.5 is the only profile whose two pull-ups age alike.
-        assert rows.count((1.0, 1.0)) == 1
-        assert len(rows) == lut.p0_grid.size
+        assert bisections == [[(1.0, 1.0)]]
+        lut.table
+        assert len(bisections) == 2
+        assert len(set(bisections[1])) == lut.p0_grid.size - 1
+        assert (1.0, 1.0) not in bisections[1]
+        lut.table
+        assert len(bisections) == 2
+
+
+@pytest.fixture()
+def bisections(monkeypatch):
+    """The rows of every ``failing_scales`` call, one list per call."""
+    calls: list[list[tuple[float, float]]] = []
+    bisect = CharacterizationFramework.failing_scales
+
+    def spy(self, ratio_a, ratio_b, **kwargs):
+        calls.append(list(zip(ratio_a.tolist(), ratio_b.tolist())))
+        return bisect(self, ratio_a, ratio_b, **kwargs)
+
+    monkeypatch.setattr(CharacterizationFramework, "failing_scales", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def eager_lut() -> LifetimeLUT:
+    """A default-grid LUT whose whole table was bisected in one lockstep call."""
+    lut = LifetimeLUT(CharacterizationFramework())
+    lut.table
+    return lut
+
+
+class TestLazyRows:
+    """A row filled on first use equals the row of a lockstep table."""
+
+    FRACTIONS = [0.0, 0.013, 0.2, 0.4125, 0.68, 0.9999, 1.0]
+
+    @pytest.mark.parametrize("k", [0, 3, 4, 10])
+    def test_row_bisected_alone_equals_lockstep_row(self, k, eager_lut, bisections):
+        # The grid nodes p0 = 0.0, 0.3, 0.4 and 1.0; the edge rows each
+        # have one unstressed pull-up.
+        lut = LifetimeLUT(CharacterizationFramework())
+        p0 = float(lut.p0_grid[k])
+        got = lut.lifetime_years_batch(p0, lut.psleep_grid)
+        assert got.tobytes() == eager_lut.table[k].tobytes()
+        # Calibration's row, then each row the query read on its own
+        # (p0 = 0.0 also reads row 1, at weight zero).
+        assert [len(rows) for rows in bisections] == [1] * (3 if k == 0 else 2)
+
+    def test_off_grid_query_matches_eager_recipe(self, eager_lut):
+        lut = LifetimeLUT(CharacterizationFramework())
+        fractions = [*self.FRACTIONS, *map(float, lut.psleep_grid)]
+        got = lut.lifetime_years_batch(0.35, fractions)
+        expected = [scalar_oracle(eager_lut, 0.35, ps) for ps in fractions]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
+    def test_first_queries_from_threads(self, eager_lut):
+        lut = LifetimeLUT(CharacterizationFramework())
+        barrier = threading.Barrier(8)
+        results: dict[int, bytes] = {}
+
+        def query(n: int) -> None:
+            barrier.wait()
+            results[n] = lut.lifetime_years_batch((0.35, 0.5)[n % 2], self.FRACTIONS).tobytes()
+
+        threads = [threading.Thread(target=query, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        serial = {
+            p0: eager_lut.lifetime_years_batch(p0, self.FRACTIONS).tobytes()
+            for p0 in (0.35, 0.5)
+        }
+        assert results == {n: serial[(0.35, 0.5)[n % 2]] for n in range(8)}
+        assert lut.table.tobytes() == eager_lut.table.tobytes()
+
+    def test_pickled_before_first_query(self, eager_lut):
+        lut = pickle.loads(pickle.dumps(LifetimeLUT(CharacterizationFramework())))
+        for p0 in (0.35, 0.5, 1.0):
+            got = lut.lifetime_years_batch(p0, self.FRACTIONS)
+            expected = eager_lut.lifetime_years_batch(p0, self.FRACTIONS)
+            assert got.tobytes() == expected.tobytes()
+        assert lut.table.tobytes() == eager_lut.table.tobytes()
+
+    def test_table_is_read_only(self, lut):
+        with pytest.raises(AttributeError):
+            lut.table = np.zeros((3, 21))
+        lut.table[0, 0] = -1.0
+        assert lut.table[0, 0] > 0.0
 
 
 class TestLinearizedModel:

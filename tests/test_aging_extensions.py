@@ -162,6 +162,23 @@ class TestVariation:
         assert dist.percentile(1) <= dist.percentile(50) <= dist.percentile(99)
         assert dist.yield_lifetime == dist.percentile(1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.bank_lifetime_distribution(0, 0.5),
+            lambda m: m.bank_lifetime_distribution(16, 0.5, samples=0),
+            lambda m: m.cache_lifetime_distribution([0.5], 0),
+            lambda m: m.cache_lifetime_distribution([0.5], 10, samples=0),
+            lambda m: m.cache_lifetime_distribution([0.5], 10, samples=-1),
+            lambda m: m.cache_lifetime_distribution([], 10),
+        ],
+        ids=["no-cells", "no-samples", "cache-no-cells", "cache-no-samples",
+             "cache-negative-samples", "no-banks"],
+    )
+    def test_rejects_empty_monte_carlo(self, model, call):
+        with pytest.raises(ModelError):
+            call(model)
+
     def test_validation(self, framework):
         with pytest.raises(ModelError):
             VariationModel(framework, sigma_vth=-0.1)
