@@ -23,9 +23,15 @@ from repro.aging.lut import LifetimeLUT
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.core.simulator import simulate
-from repro.finegrain import FineGrainConfig, FineGrainSimulator
 from repro.trace.generator import WorkloadGenerator
 from repro.trace.mediabench import profile_for
+
+
+def fine_config(geometry, policy="static", period=None) -> ArchitectureConfig:
+    """A fine-grain template config (the engine ignores ``num_banks``)."""
+    return ArchitectureConfig(
+        geometry, num_banks=2, policy=policy, update_period_cycles=period
+    )
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +56,10 @@ def test_granularity_comparison(benchmark, setup):
             result = simulate(config, trace, lut)
             rows.append((label, result.lifetime_years, result.energy_savings))
         for label, policy in (("fine static [20]", "static"), ("fine probing [7]", "probing")):
-            config = FineGrainConfig(
-                geometry, policy=policy,
-                update_period_cycles=trace.horizon // 32 if policy != "static" else None,
+            config = fine_config(
+                geometry, policy, trace.horizon // 32 if policy != "static" else None
             )
-            result = FineGrainSimulator(config, lut).run(trace)
+            result = simulate(config, trace, lut, engine="finegrain")
             rows.append((label, result.lifetime_years, result.energy_savings))
         return rows
 
@@ -80,28 +85,28 @@ def test_granularity_comparison(benchmark, setup):
 def test_fine_grain_uniformity(setup):
     """[7]'s optimality: re-indexing makes per-line idleness uniform."""
     geometry, trace, lut = setup
-    static = FineGrainSimulator(FineGrainConfig(geometry), lut).run(trace)
-    probing = FineGrainSimulator(
-        FineGrainConfig(
-            geometry, policy="probing", update_period_cycles=trace.horizon // 32
-        ),
+    static = simulate(fine_config(geometry), trace, lut, engine="finegrain")
+    probing = simulate(
+        fine_config(geometry, "probing", trace.horizon // 32),
+        trace,
         lut,
-    ).run(trace)
-    print(
-        f"\nper-line idleness spread: static={static.idleness_spread:.3f} "
-        f"probing={probing.idleness_spread:.3f}"
+        engine="finegrain",
     )
-    assert probing.idleness_spread < static.idleness_spread
+    static_spread = static.metrics["idleness_spread"]
+    probing_spread = probing.metrics["idleness_spread"]
+    print(
+        f"\nper-line idleness spread: static={static_spread:.3f} "
+        f"probing={probing_spread:.3f}"
+    )
+    assert probing_spread < static_spread
     # Near-uniform: all line lifetimes within a few percent of each other.
-    lifetimes = probing.line_lifetimes_years
-    assert lifetimes.max() / lifetimes.min() < 1.25
+    lifetimes = probing.lifetime.bank_lifetimes_years
+    assert max(lifetimes) / min(lifetimes) < 1.25
 
 
 def test_fine_grain_throughput(benchmark, setup):
-    """The vectorized per-line engine stays fast despite 1024 lines."""
+    """The per-line template stays fast despite 1024 lines."""
     geometry, trace, lut = setup
-    config = FineGrainConfig(
-        geometry, policy="probing", update_period_cycles=trace.horizon // 16
-    )
-    result = benchmark(lambda: FineGrainSimulator(config, lut).run(trace))
-    assert result.line_accesses.sum() == len(trace)
+    config = fine_config(geometry, "probing", trace.horizon // 16)
+    result = benchmark(lambda: simulate(config, trace, lut, engine="finegrain"))
+    assert sum(s.accesses for s in result.bank_stats) == len(trace)

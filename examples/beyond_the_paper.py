@@ -25,7 +25,6 @@ from repro.aging.flipping import flip_gain
 from repro.aging.lut import LifetimeLUT
 from repro.aging.thermal import thermal_bank_lifetimes
 from repro.aging.variation import VariationModel
-from repro.finegrain import FineGrainConfig, FineGrainSimulator
 from repro.utils.tables import format_table
 
 
@@ -40,11 +39,13 @@ def granularity_study(geometry, trace, lut) -> None:
         rows.append([f"banked M={banks} (paper)", result.lifetime_years,
                      100 * result.energy_savings])
     for policy, label in (("static", "drowsy lines [20]"), ("probing", "dyn. indexing [7]")):
-        config = FineGrainConfig(
-            geometry, policy=policy,
+        # The fine-grain template ignores num_banks: its power domains
+        # are the cache lines.
+        config = ArchitectureConfig(
+            geometry, num_banks=2, policy=policy,
             update_period_cycles=trace.horizon // 32 if policy != "static" else None,
         )
-        result = FineGrainSimulator(config, lut).run(trace)
+        result = simulate(config, trace, lut, engine="finegrain")
         rows.append([label, result.lifetime_years, 100 * result.energy_savings])
     print(format_table(
         ["architecture", "lifetime [y]", "Esav [%]"], rows,

@@ -77,7 +77,7 @@ from repro.campaign import (
 from repro.core.serialize import ResultRecord, load_results, save_results
 from repro.errors import ReproError
 from repro.experiments import ExperimentRunner, ExperimentSettings
-from repro.finegrain import FineGrainConfig, FineGrainEngine, FineGrainSimulator
+from repro.finegrain import FineGrainEngine
 from repro.hw.overhead import estimate_overhead
 from repro.indexing import make_policy
 from repro.power import EnergyModel, TechnologyParams, breakeven_cycles
@@ -135,8 +135,6 @@ __all__ = [
     "LifetimeLUT",
     "ExperimentRunner",
     "ExperimentSettings",
-    "FineGrainConfig",
-    "FineGrainSimulator",
     "FineGrainEngine",
     "sweep",
     "stream_sweep",

@@ -204,7 +204,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ServiceError(f"bad Content-Length {header!r}")
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw.decode("utf-8"))

@@ -305,8 +305,11 @@ class CampaignStore:
 
         Disk-backed stores answer straight from the SQLite index without
         opening a single record file; memory-only stores filter their
-        payloads in Python with the same semantics.
+        payloads in Python with the same semantics. A negative
+        ``limit`` is refused on both tiers.
         """
+        if limit is not None and limit < 0:
+            raise ServiceError(f"limit must be non-negative, got {limit}")
         index = self._ready_index()
         if index is not None:
             return index.where(limit=limit, **filters)

@@ -26,14 +26,16 @@ re-indexing epochs with numpy:
   (:func:`_grouped_lru`). Epochs start cold (the update flushed).
 
 The hit/flush trackers carry their per-set state across calls, so the
-same :class:`_DirectMappedTracker` counts a whole trace here, a stream
-chunk by chunk in :mod:`repro.core.streamsim`, and the fine-grain
-template's lines in :mod:`repro.finegrain.sim`.
+same :class:`_DirectMappedTracker` counts a whole trace here and a
+stream chunk by chunk in :mod:`repro.core.streamsim`.
 
 Across a sweep, everything breakeven-independent — decode, epoch
 bracketing, hit counts, the bank sort — is shared between points through
 :class:`repro.core.plan.TracePlan`, and :func:`run_breakeven_group`
 evaluates a whole ``breakeven_override`` axis from one gap computation.
+The fine-grain template (:mod:`repro.finegrain.engine`) is this
+pipeline with one bank per cache line: it reads the same plan layers
+and the same plan-cached hit counts (:func:`plan_counts`).
 The kernels run on the dispatcher's process-wide backend
 (:mod:`repro.kernels.dispatch`); every backend is bit-identical.
 """
@@ -256,6 +258,27 @@ def hits_key(config) -> tuple:
     )
 
 
+def plan_counts(plan: TracePlan, config) -> tuple[int, int, int]:
+    """``(updates_applied, hits, flush_invalidations)`` of ``config``
+    over the plan's trace.
+
+    Reads the plan's decode and epoch bracketing and caches the
+    hit/flush walk under :func:`hits_key`, so the banked engine's
+    breakeven groups and the fine-grain template share one walk per
+    bit split and schedule.
+    """
+    geometry = config.geometry
+    index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
+    boundaries, starts = plan.epoch_starts(config)
+    hits, flush_invalidations = plan.cached(
+        hits_key(config),
+        lambda: _functional_counts(
+            index, tag, starts, geometry.ways, geometry.num_sets
+        ),
+    )
+    return len(boundaries), hits, flush_invalidations
+
+
 def validate_breakeven_group(configs) -> None:
     """Reject groups whose configs differ in anything but the breakeven.
 
@@ -292,16 +315,7 @@ def run_breakeven_group(
     base = configs[0]
     validate_breakeven_group(configs)
     plan = ensure_plan(plan, trace)
-
-    geometry = base.geometry
-    index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
-    boundaries, starts = plan.epoch_starts(base)
-    hits, flush_invalidations = plan.cached(
-        hits_key(base),
-        lambda: _functional_counts(
-            index, tag, starts, geometry.ways, geometry.num_sets
-        ),
-    )
+    updates_applied, hits, flush_invalidations = plan_counts(plan, base)
     # Per-bank idleness over the whole run (sleep is oblivious to
     # mapping changes; only the physical access stream matters). The
     # breakeven-independent gap structure is cached per routing, so
@@ -318,7 +332,7 @@ def run_breakeven_group(
         stats_batch,
         hits,
         len(trace),
-        len(boundaries),
+        updates_applied,
         flush_invalidations,
         lut,
     )

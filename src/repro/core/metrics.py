@@ -208,9 +208,8 @@ def _finegrain_breakdowns(
     leak = model.line_leakage_power()
     drowsy = model.line_drowsy_power()
     transition = model.line_transition_energy()
-    # Summed over lines this reproduces LineEnergyModel.total_energy
-    # exactly: every access pays the full (monolithic) access energy no
-    # matter which line it hits.
+    # Every access pays the full (monolithic) access energy no matter
+    # which line it hits.
     return tuple(
         BankEnergyBreakdown(
             dynamic=s.accesses * access,

@@ -17,13 +17,14 @@ sections live as long as the plan; a :class:`StreamingPlan` only adds
 stream and drops the previous chunk's sections (bounding memory at
 O(chunk) however long the stream). The address decode, epoch
 bracketing and bank routing (:meth:`TracePlan.route`) therefore exist
-once for the one-shot, streamed and fine-grain paths.
+once for the one-shot, streamed and fine-grain paths; the fine-grain
+template reads the routing with one bank per cache line.
 Persistent sections — the update schedules epoch bracketing drains,
 the streaming engine's carried hit trackers — survive across chunks.
 
 The plan is engine-agnostic shared state:
-:func:`~repro.core.fastsim.run_breakeven_group` (and, for the decode and
-epoch layers, :class:`~repro.finegrain.sim.FineGrainSimulator`) accept
+:func:`~repro.core.fastsim.run_breakeven_group` and the ``finegrain``
+engine (:class:`~repro.finegrain.engine.FineGrainEngine`) accept
 one and build a private plan when none is given — sharing is an
 optimization, never a requirement, and every cached section is a pure
 function of (chunk, key), so results are bit-identical with or without
@@ -106,12 +107,10 @@ class TracePlan:
 
         ``None`` means no updates ever fire (static indexing, or a
         dynamic policy with neither a period nor explicit events).
-        Configs without explicit events (the fine-grain template's) are
-        periodic.
         """
         if config.policy == "static":
             return None
-        events = getattr(config, "update_events", None)
+        events = config.update_events
         if events is not None:
             return ("events", events)
         if config.update_period_cycles is None:

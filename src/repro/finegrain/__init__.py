@@ -9,17 +9,19 @@ the SRAM array internals (per-line sleep devices, as in Gated-Vdd [19]
 and Drowsy Caches [20]).
 
 This package implements that fine-grain template so the coarse/fine
-trade-off can be measured rather than argued:
+trade-off can be measured rather than argued. It is the ``finegrain``
+engine (:class:`FineGrainEngine`, selected with
+``simulate(config, trace, lut, engine="finegrain")``): the fast engine's
+pipeline with one power domain per cache line, over the same
+:class:`~repro.core.config.ArchitectureConfig` and returning the same
+:class:`~repro.core.results.SimulationResult`:
 
-* :class:`FineGrainConfig` — a monolithic array with one drowsy switch
-  per line and an n-bit remap function f() over the full index;
-* :class:`FineGrainSimulator` — vectorized trace-driven engine with
-  per-line idle accounting (same sleep rule and breakeven semantics as
-  the bank-level Block Control);
 * ``policy="static"`` reproduces a conventional **drowsy cache**
   (Flautner et al., ISCA'02): per-line sleep, no re-indexing;
 * ``policy="probing"``/``"scrambling"`` reproduce **dynamic indexing**
-  [7]: per-line sleep plus full-index remapping.
+  [7]: per-line sleep plus full-index remapping;
+* :class:`LineEnergyModel` prices the per-line counters (the
+  ``"finegrain"`` measurement template) and gives the line breakeven.
 
 Energy model: unlike the paper's banked organization, a fine-grain
 monolithic array saves *no dynamic energy* (every access still drives
@@ -31,15 +33,10 @@ bound, coarse-grain banking recovers most of it while also cutting
 dynamic energy and without touching the array internals.
 """
 
-from repro.finegrain.model import FineGrainConfig, LineEnergyModel
-from repro.finegrain.sim import FineGrainMeasurement, FineGrainResult, FineGrainSimulator
+from repro.finegrain.model import LineEnergyModel
 from repro.finegrain.engine import FineGrainEngine
 
 __all__ = [
-    "FineGrainConfig",
     "LineEnergyModel",
-    "FineGrainSimulator",
-    "FineGrainMeasurement",
-    "FineGrainResult",
     "FineGrainEngine",
 ]

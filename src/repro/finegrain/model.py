@@ -1,77 +1,19 @@
-"""Configuration and energy model of the line-granularity template.
+"""Energy model of the line-granularity template.
 
 The array is monolithic (one bank); each of its L lines has a drowsy
 supply switch controlled by a per-line idle counter, exactly the
 architectural template of Drowsy Caches [20] / dynamic indexing [7].
+The ``"finegrain"`` measurement template (:mod:`repro.core.metrics`)
+prices each line's counters with this model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.cache.geometry import CacheGeometry
 from repro.errors import ConfigurationError
-from repro.indexing.policies import POLICY_NAMES
-from repro.indexing.update import UpdateSchedule
 from repro.power.energy import EnergyModel, TechnologyParams
-
-
-@dataclass(frozen=True)
-class FineGrainConfig:
-    """A monolithic cache with per-line drowsy control and optional
-    full-index re-indexing.
-
-    Attributes
-    ----------
-    geometry:
-        Cache geometry (direct-mapped).
-    policy:
-        ``static`` (a plain drowsy cache), ``probing`` or ``scrambling``
-        (dynamic indexing over the full n-bit index, [7]).
-    update_period_cycles:
-        Re-indexing period; ``None`` disables updates.
-    technology:
-        Shared technology coefficients.
-    breakeven_override:
-        Per-line breakeven time; computed from the model when ``None``.
-    """
-
-    geometry: CacheGeometry
-    policy: str = "static"
-    update_period_cycles: int | None = None
-    technology: TechnologyParams = field(default_factory=TechnologyParams)
-    breakeven_override: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.geometry.ways != 1:
-            raise ConfigurationError(
-                "the fine-grain template models direct-mapped caches"
-            )
-        if self.policy not in POLICY_NAMES:
-            raise ConfigurationError(
-                f"unknown policy {self.policy!r}; known: {', '.join(POLICY_NAMES)}"
-            )
-        if self.update_period_cycles is not None and self.update_period_cycles < 1:
-            raise ConfigurationError("update period must be >= 1 cycle")
-        if self.breakeven_override is not None and self.breakeven_override < 1:
-            raise ConfigurationError("breakeven must be >= 1 cycle")
-
-    def make_energy_model(self) -> "LineEnergyModel":
-        """Line-level energy model for this configuration."""
-        return LineEnergyModel(self.geometry, self.technology)
-
-    def make_update_schedule(self) -> UpdateSchedule:
-        """Periodic update schedule (inactive for static indexing)."""
-        return UpdateSchedule(
-            None if self.policy == "static" else self.update_period_cycles
-        )
-
-    def breakeven(self) -> int:
-        """Per-line breakeven time in cycles."""
-        if self.breakeven_override is not None:
-            return self.breakeven_override
-        return self.make_energy_model().line_breakeven_cycles()
 
 
 class LineEnergyModel:
@@ -131,25 +73,3 @@ class LineEnergyModel:
         if saved <= 0:
             raise ConfigurationError("drowsy state saves no leakage")
         return max(1, math.ceil(self.line_transition_energy() / saved))
-
-    def total_energy(
-        self,
-        accesses: int,
-        total_cycles: int,
-        total_sleep_cycles: int,
-        total_transitions: int,
-    ) -> float:
-        """Total energy (pJ) given aggregate line activity."""
-        if min(accesses, total_cycles, total_sleep_cycles, total_transitions) < 0:
-            raise ConfigurationError("activity counters must be non-negative")
-        active_line_cycles = self.num_lines * total_cycles - total_sleep_cycles
-        return (
-            accesses * self.access_energy()
-            + active_line_cycles * self.line_leakage_power()
-            + total_sleep_cycles * self.line_drowsy_power()
-            + total_transitions * self.line_transition_energy()
-        )
-
-    def baseline_energy(self, accesses: int, total_cycles: int) -> float:
-        """The same unmanaged monolithic baseline as the banked model."""
-        return self._array.unmanaged_energy(accesses, total_cycles)

@@ -97,17 +97,32 @@ class ScramblingPolicy(IndexingPolicy):
     Quasi-uniform: the residual imbalance decays as 1/sqrt(N) with the
     number of updates N (Section IV-B2); in any realistic deployment N
     is large enough to make the sub-optimality negligible.
+
+    A bank address wider than the LFSR (the fine-grain template's
+    domains over more than 2**16 lines) is scrambled in its low
+    ``lfsr_width`` bits: the remapper is built that wide and its word
+    is XORed into the full address.
     """
 
     name = "scrambling"
 
     def __init__(self, num_banks: int, lfsr_width: int = 16, seed: int = 0xACE1) -> None:
         super().__init__(num_banks)
-        self._remapper = ScramblingRemapper(self.p_bits, lfsr_width=lfsr_width, seed=seed)
+        self._remapper = ScramblingRemapper(
+            min(self.p_bits, lfsr_width), lfsr_width=lfsr_width, seed=seed
+        )
 
     @property
     def remapper(self) -> StaticRemapper:
         return self._remapper
+
+    def physical_bank(self, logical_bank: int) -> int:
+        """``logical_bank XOR word`` over the full bank address."""
+        if not 0 <= logical_bank < self.num_banks:
+            raise ConfigurationError(
+                f"bank {logical_bank} out of range for {self.num_banks} banks"
+            )
+        return logical_bank ^ self._remapper.word
 
     def mapping(self) -> np.ndarray:
         """Vector form of ``i XOR word``."""

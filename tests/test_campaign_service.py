@@ -264,6 +264,20 @@ class TestIndex:
         with pytest.raises(ServiceError, match="unknown index column"):
             store.best("hit_rate; DROP TABLE records")
 
+    def test_negative_limit_is_rejected_on_both_tiers(self, tmp_path):
+        """SQLite reads ``LIMIT -1`` as no limit and a list slice as
+        "all but the last": both tiers refuse it instead."""
+        spec = small_campaign()
+        disk = CampaignStore(tmp_path)
+        run_campaign(spec, store=disk)
+        memory = CampaignStore()
+        run_campaign(spec, store=memory)
+        for store in (disk, memory):
+            with pytest.raises(ServiceError, match="limit"):
+                store.where(limit=-1)
+            assert store.where(limit=0) == []
+            assert len(store.where(limit=1)) == 1
+
     def test_rebuild_after_deleting_index_db(self, tmp_path):
         spec = small_campaign()
         drain_dir(spec, tmp_path)
@@ -685,6 +699,38 @@ class TestHTTPService:
             client.records(nope=1)
         with pytest.raises(ServiceError, match="unknown path"):
             client._request("GET", "/teapot")
+
+    def test_negative_limit_gets_a_400(self, server):
+        import urllib.error
+        import urllib.request
+
+        with pytest.raises(ServiceError, match="limit"):
+            ServiceClient(server.url).records(limit=-1)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(server.url + "/records?limit=-1", timeout=30)
+        assert excinfo.value.code == 400
+        excinfo.value.close()
+
+    @pytest.mark.parametrize("length", ["twelve", "-1"])
+    def test_bad_content_length_gets_a_400(self, server, length):
+        """A non-integer Content-Length used to drop the connection
+        without a reply, and a negative one to block until the client
+        hung up."""
+        import http.client
+        from urllib.parse import urlsplit
+
+        url = urlsplit(server.url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            connection.putrequest("POST", "/specs")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(b"{}")
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert ServiceClient(server.url).status()["specs"] == []
 
     @pytest.mark.parametrize(
         "change",

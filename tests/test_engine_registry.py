@@ -4,6 +4,7 @@ joining sweeps, campaigns, the runner and the CLI."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.core.engine import (
 from repro.core.simulator import ReferenceSimulator, simulate
 from repro.core.plan import TracePlan
 from repro.errors import ConfigurationError, SimulationError, UnknownEngineError
-from repro.finegrain import FineGrainConfig, FineGrainSimulator
+from repro.finegrain import LineEnergyModel
 from tests.conftest import make_random_trace
 
 
@@ -317,34 +318,32 @@ class TestFineGrainEngine:
         with pytest.raises(SimulationError, match="finegrain"):
             simulate(setassoc, trace, lut, engine="finegrain")
 
-    def test_matches_the_direct_finegrain_simulator(self, config, trace, lut):
+    def test_matches_the_banked_engines_with_one_bank_per_line(
+        self, config, trace, lut
+    ):
+        """The template is the banked machine with one bank per line
+        sleeping at the line breakeven: same counters, line for line,
+        as the fast engine and the reference oracle."""
         result = simulate(config, trace, lut, engine="finegrain")
-        direct = FineGrainSimulator(
-            FineGrainConfig(
-                config.geometry,
-                policy=config.policy,
-                update_period_cycles=config.update_period_cycles,
-            ),
-            lut,
-        ).run(trace)
+        breakeven = LineEnergyModel(config.geometry).line_breakeven_cycles()
         assert result.template == "finegrain"
         assert len(result.bank_stats) == config.geometry.num_lines
-        assert result.cache_stats.hits == direct.hits
-        assert result.cache_stats.misses == direct.misses
-        assert result.updates_applied == direct.updates_applied
-        assert result.energy_pj == pytest.approx(direct.energy_pj, rel=1e-12)
-        assert result.baseline_energy_pj == pytest.approx(
-            direct.baseline_energy_pj, rel=1e-12
+        assert result.metrics["line_breakeven_cycles"] == float(breakeven)
+        per_line = replace(
+            config,
+            num_banks=config.geometry.num_lines,
+            breakeven_override=breakeven,
         )
-        assert np.allclose(
-            result.bank_idleness, direct.line_sleep_fraction, rtol=0, atol=0
-        )
-        assert result.lifetime_years == pytest.approx(
-            direct.lifetime_years, rel=1e-9
-        )
-        assert result.metrics["line_breakeven_cycles"] == float(
-            FineGrainConfig(config.geometry).breakeven()
-        )
+        for engine in ("fast", "reference"):
+            banked = simulate(per_line, trace, lut, engine=engine)
+            assert result.bank_stats == banked.bank_stats, engine
+            for counter in ("hits", "misses", "flushes"):
+                assert getattr(result.cache_stats, counter) == getattr(
+                    banked.cache_stats, counter
+                ), (engine, counter)
+            assert result.updates_applied == banked.updates_applied
+            assert result.flush_invalidations == banked.flush_invalidations
+            assert result.baseline_energy_pj == banked.baseline_energy_pj
 
     def test_unmanaged_config_never_sleeps(self, trace, lut):
         config = ArchitectureConfig(

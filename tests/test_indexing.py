@@ -96,6 +96,21 @@ class TestScramblingPolicy:
         assert many < few
         assert many < 0.1
 
+    def test_bank_address_wider_than_the_lfsr(self):
+        """2**17 banks (the fine-grain template's lines in a 2 MiB /
+        16 B cache): the 16-bit word scrambles the low bits, a bijection
+        on the full address."""
+        policy = ScramblingPolicy(2**17)
+        for _ in range(3):
+            policy.update()
+        mapping = policy.mapping()
+        assert 0 < int(mapping[0]) < 2**16
+        assert np.array_equal(np.sort(mapping), np.arange(2**17))
+        for bank in (0, 5, 2**16 + 5, 2**17 - 1):
+            assert policy.physical_bank(bank) == int(mapping[bank])
+        with pytest.raises(ConfigurationError):
+            policy.physical_bank(2**17)
+
     def test_deterministic(self):
         a = ScramblingPolicy(4, seed=123)
         b = ScramblingPolicy(4, seed=123)

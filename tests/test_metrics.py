@@ -317,22 +317,16 @@ class TestRecomputeFromStoredCounters:
 
 
 class TestZeroBaselineGuards:
-    def test_finegrain_result_energy_savings_guard(self):
+    def test_finegrain_result_energy_savings_guard(self, lut):
         import numpy as np
 
-        from repro.finegrain.sim import FineGrainResult
+        from repro.trace.trace import Trace
 
-        degenerate = FineGrainResult(
-            line_sleep_fraction=np.zeros(4),
-            line_accesses=np.zeros(4, dtype=np.int64),
-            hits=0,
-            misses=0,
-            updates_applied=0,
-            energy_pj=0.0,
-            baseline_energy_pj=0.0,
-            lifetime_years=2.93,
-            line_lifetimes_years=np.full(4, 2.93),
-        )
+        # An empty trace over a zero-cycle horizon: zero baseline energy.
+        empty = Trace(np.empty(0, np.int64), np.empty(0, np.int64), horizon=0)
+        config = ArchitectureConfig(CacheGeometry(64, 16), num_banks=1)
+        degenerate = simulate(config, empty, lut, engine="finegrain")
+        assert degenerate.baseline_energy_pj == 0.0
         assert degenerate.energy_savings == 0.0
         assert degenerate.hit_rate == 0.0
 
