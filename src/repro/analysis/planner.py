@@ -530,7 +530,9 @@ class ResultCache(Protocol):
 def run_search(
     grid: PlannedGrid,
     search: SearchSpec,
-    simulate: Callable[[list[int], Callable[[int, Any], None]], object],
+    simulate: Callable[
+        [list[int], Callable[[Sequence[int], Sequence[Any]], None]], object
+    ],
     estimate: Callable[[int], Any],
     simulated: ResultCache,
     estimated: ResultCache,
@@ -538,11 +540,11 @@ def run_search(
     """Run ``search``'s strategy over ``grid``, evaluating through caches.
 
     ``simulate(indices, on_result)`` simulates the grid points at
-    ``indices`` as one batch and reports each result as
-    ``on_result(position, result)``; it is called only for points not
-    already in ``simulated``, whose entries are written as results
-    arrive. ``estimate(index)`` estimates one point missing from
-    ``estimated``. A sweep passes dicts; a campaign passes views of its
+    ``indices`` as one batch and reports results as they come, a group
+    at a time, as ``on_result(positions, results)``; it is called only
+    for points not already in ``simulated``, whose entries are written
+    as results arrive. ``estimate(index)`` estimates one point missing
+    from ``estimated``. A sweep passes dicts; a campaign passes views of its
     store keyed by each point's simulate- and estimate-fidelity keys,
     so a rerun reuses every stored result and persists every new one.
     """
@@ -552,8 +554,9 @@ def run_search(
         fresh = [i for i in chosen if i not in simulated]
         if fresh:
 
-            def record(position: int, result: Any) -> None:
-                simulated[fresh[position]] = result
+            def record(positions: Sequence[int], results: Sequence[Any]) -> None:
+                for position, result in zip(positions, results):
+                    simulated[fresh[position]] = result
 
             simulate(fresh, record)
         return [simulated[i] for i in chosen]

@@ -163,10 +163,10 @@ def _simulate_combos(
     to it for every banked configuration). Engines without one — the
     reference oracle, the fine-grain template, any registered custom
     engine — and grids without a breakeven axis fall back to per-point
-    dispatch. ``on_result(position, result)`` is invoked as soon as
-    each point's result exists (per point, or per breakeven group),
-    which is what lets a campaign persist finished work before the
-    batch completes.
+    dispatch. ``on_result(positions, results)`` is invoked once per
+    breakeven group (per point without a breakeven axis) as soon as
+    the group's results exist, which is what lets a campaign persist
+    finished work group by group before the batch completes.
     """
     if not isinstance(trace, Trace):
         return stream_selected(
@@ -204,14 +204,14 @@ def _simulate_combos(
         if run_group is not None:
             batch = run_group(configs, trace, lut=lut, plan=plan)
         else:
-            batch = (
+            batch = [
                 simulate(config, trace, lut, engine=engine, plan=plan)
                 for config in configs
-            )
+            ]
         for position, result in zip(members, batch):
             results[position] = result
-            if on_result is not None:
-                on_result(position, result)
+        if on_result is not None:
+            on_result(members, batch)
     return results
 
 
@@ -282,10 +282,12 @@ def simulate_selected(
     module-level factory (``functools.partial`` of a bound method, say)
     rather than a lambda or a local function.
 
-    ``on_result(position, result)`` fires as results become available —
-    per point or breakeven group serially, per finished chunk in
-    parallel mode — so callers can persist progress incrementally
-    instead of waiting for the whole batch.
+    ``on_result(positions, results)`` fires as results become
+    available — once per breakeven group serially (per point on a grid
+    without a breakeven axis), once per finished chunk in parallel
+    mode — with the batch's ``combos`` positions and their results, so
+    callers can persist progress one batch at a time instead of
+    waiting for the whole grid.
     """
     # Validate up front: the breakeven-grouped path never reaches
     # simulate()'s own engine check, and a typo'd engine must not
@@ -325,8 +327,7 @@ def simulate_selected(
             # if a later chunk (or the caller) dies.
             for chunk in pool.map(_simulate_chunk, payloads):
                 if on_result is not None:
-                    for offset, result in enumerate(chunk):
-                        on_result(len(results) + offset, result)
+                    on_result(range(len(results), len(results) + len(chunk)), chunk)
                 results.extend(chunk)
             return results
     return _simulate_combos(

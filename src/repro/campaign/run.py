@@ -26,7 +26,12 @@ Consequences (pinned by the tests):
   was already persisted atomically;
 * widening an axis simulates only the new points;
 * a trace is not even materialized unless one of its points is missing,
-  so resuming a finished campaign costs only hash computations.
+  so resuming a finished campaign costs only hash computations, plus
+  one index query per trace that re-adds the rows of record files a
+  crash left unindexed (:meth:`~repro.campaign.store.CampaignStore.reconcile`);
+* results are committed one breakeven group at a time
+  (:meth:`~repro.campaign.store.CampaignStore.put_group`), so an
+  interruption loses at most the groups still in flight.
 """
 
 from __future__ import annotations
@@ -448,23 +453,27 @@ def run_campaign(
         points = spec.trace_points(trace_spec)
         keys = [point.key() for point in points]
         if search is not None:
+            store.reconcile([*keys, *(point.key_at("estimate") for point in points)])
             _search_trace(
                 spec, grid, store, search, points, keys, shared_lut, parallel, counts
             )
         elif workers is None:
+            store.reconcile(keys)
             missing = _missing_indices(store, keys)
             if missing:
                 # A chunked trace runs as one shared pass over its stream
                 # (records are bit-identical to the in-memory path, so
                 # chunked and unchunked runs resume each other); any
                 # other trace is materialized only now, so a covered
-                # trace costs nothing to resume. Each result is stored
+                # trace costs nothing to resume. Each batch is stored
                 # the moment it exists: an interruption loses at most
                 # the in-flight batch.
                 source = _streaming_source(spec, trace_spec) or trace_spec.build()
                 _simulate_points(
                     spec, grid, source, missing, shared_lut, parallel,
-                    lambda j, result: store.put(keys[missing[j]], result),
+                    lambda positions, results: store.put_group(
+                        [(keys[missing[j]], r) for j, r in zip(positions, results)]
+                    ),
                 )
                 counts["simulated"] += len(missing)
         all_points.extend(_stored_points(store, trace_spec, points, keys))

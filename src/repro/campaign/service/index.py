@@ -4,9 +4,18 @@ The record files stay the source of truth — the index (``index.db`` in
 the campaign directory) is a derived, disposable acceleration
 structure: one row per ``(trace_hash, config_hash)`` carrying the
 point's spec axes (``num_banks``, ``policy``, geometry, schedule…) and
-its headline metrics, so membership counts, ``where()`` filters and
-``best()`` queries run without opening a single JSON file. Delete or
-corrupt ``index.db`` and the next query rebuilds it from the files.
+its headline metrics, so counts, ``where()`` filters and ``best()``
+queries run without opening a single JSON file. Delete or corrupt
+``index.db`` and the next query rebuilds it from the files; a busy
+(locked) database is never mistaken for a corrupt one.
+
+Rows are written after their record files, one transaction per
+:meth:`CampaignIndex.add` call — the store adds a whole breakeven
+group's rows at once. A crash between the two leaves files without
+rows; :meth:`~repro.campaign.store.CampaignStore.reconcile` re-adds
+them from the files (one :meth:`CampaignIndex.config_hashes` query per
+trace), and the campaign runner and the claim queue call it before
+they look for missing work.
 
 Process discipline
 ------------------
@@ -18,7 +27,8 @@ here are created lazily, per thread *and* per pid: every thread of
 every (possibly forked) worker process gets its own connection the
 first time it touches the index, which makes the index safe under the
 claim-based work queue's multi-process drains and the HTTP server's
-handler threads alike.
+handler threads alike. The schema is checked once per connection, when
+it opens, not once per query.
 
 Concurrent writers rely on SQLite's own file locking with a generous
 busy timeout; rows are idempotent upserts keyed by the record identity,
@@ -30,7 +40,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ServiceError
 
@@ -170,6 +180,7 @@ class CampaignIndex:
         return connection
 
     def _connection(self) -> sqlite3.Connection:
+        """This thread's connection, opened and schema-checked on first use."""
         connection: sqlite3.Connection | None = getattr(self._local, "connection", None)
         if connection is not None and getattr(self._local, "pid", None) == os.getpid():
             return connection
@@ -177,6 +188,11 @@ class CampaignIndex:
         # even closed — closing rolls back the parent's locks); drop
         # the reference and open a fresh one for this pid/thread.
         connection = self._connect()
+        try:
+            self._ensure_schema(connection)
+        except sqlite3.Error:
+            connection.close()
+            raise
         self._local.connection = connection
         self._local.pid = os.getpid()
         return connection
@@ -233,27 +249,44 @@ class CampaignIndex:
         except OSError:
             pass
 
+    def _unavailable(self, exc: sqlite3.OperationalError) -> ServiceError:
+        """Roll back this thread's open transaction; the error to raise."""
+        connection: sqlite3.Connection | None = getattr(self._local, "connection", None)
+        if connection is not None and getattr(self._local, "pid", None) == os.getpid():
+            try:
+                connection.rollback()
+            except sqlite3.Error:
+                self.close()
+        return ServiceError(f"campaign index {self.path} is unavailable: {exc}")
+
     def _guarded(self, operation: Callable[[sqlite3.Connection], Any]) -> Any:
         """Run ``operation``; on corruption, rebuild from files and retry.
 
-        Any :class:`sqlite3.DatabaseError` — a truncated file, a schema
-        from a previous version, garbage bytes — demotes the database
-        to "absent": it is deleted and rebuilt from the record files,
-        then the operation runs once more. A second failure propagates
-        as :class:`~repro.errors.ServiceError` (the store directory
-        itself is unusable).
+        A non-operational :class:`sqlite3.DatabaseError` — a truncated
+        file, garbage bytes, a schema from a previous version — demotes
+        the database to "absent": it is deleted and rebuilt from the
+        record files, then the operation runs once more. A second
+        failure propagates as :class:`~repro.errors.ServiceError` (the
+        store directory itself is unusable).
+
+        An :class:`sqlite3.OperationalError` (above all "database is
+        locked" once the busy timeout runs out) says nothing about the
+        file's contents: it raises :class:`~repro.errors.ServiceError`
+        and leaves the file alone, since deleting it would drop the
+        rows a live writer is committing into it.
         """
         try:
-            connection = self._connection()
-            self._ensure_schema(connection)
-            return operation(connection)
+            return operation(self._connection())
+        except sqlite3.OperationalError as exc:
+            raise self._unavailable(exc) from exc
         except sqlite3.DatabaseError:
             self._reset()
         try:
             connection = self._connection()
-            self._ensure_schema(connection)
             self._fill(connection)
             return operation(connection)
+        except sqlite3.OperationalError as exc:
+            raise self._unavailable(exc) from exc
         except sqlite3.DatabaseError as exc:
             raise ServiceError(f"campaign index {self.path} is unusable: {exc}") from exc
 
@@ -269,11 +302,12 @@ class CampaignIndex:
     def _row_values(row: Row) -> tuple[Any, ...]:
         return tuple(row.get(name) for name in COLUMNS)
 
-    def add(self, row: Row) -> None:
-        """Upsert one record row (idempotent across concurrent writers)."""
+    def add(self, rows: Sequence[Row]) -> None:
+        """Upsert ``rows`` in one transaction (idempotent across writers)."""
+        values = [self._row_values(row) for row in rows]
 
         def _add(connection: sqlite3.Connection) -> None:
-            connection.execute(self._INSERT, self._row_values(row))
+            connection.executemany(self._INSERT, values)
             connection.commit()
 
         self._guarded(_add)
@@ -297,6 +331,8 @@ class CampaignIndex:
     def ensure_built(self) -> None:
         """Build the database now if it is absent or corrupt."""
         if not os.path.exists(self.path):
+            # A warm connection would still point at the deleted file.
+            self.close()
             self.rebuild()
         else:
             self._guarded(lambda connection: None)
@@ -322,6 +358,18 @@ class CampaignIndex:
             return [(row["trace_hash"], row["config_hash"]) for row in cursor]
 
         result: list[tuple[str, str]] = self._guarded(_keys)
+        return result
+
+    def config_hashes(self, trace_hash: str) -> set[str]:
+        """The config hashes indexed under ``trace_hash``."""
+
+        def _config_hashes(connection: sqlite3.Connection) -> set[str]:
+            cursor = connection.execute(
+                "SELECT config_hash FROM records WHERE trace_hash = ?", (trace_hash,)
+            )
+            return {row[0] for row in cursor}
+
+        result: set[str] = self._guarded(_config_hashes)
         return result
 
     def has(self, key: tuple[str, str]) -> bool:

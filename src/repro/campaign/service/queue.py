@@ -7,17 +7,21 @@ them twice. This module adds the missing coordination with nothing but
 the shared filesystem:
 
 claim → simulate → commit
-    A pass scans the store once per trace for its missing points and
-    works through them one breakeven group at a time (points differing
-    only in ``breakeven_override``; each point is its own group on a
-    grid without that axis). A worker takes each member by atomically
-    creating ``claims/<point_hash>.json`` (``O_CREAT | O_EXCL`` —
-    exactly one creator wins), simulates the members it won as one
-    batch, and per point commits the record through
-    :meth:`~repro.campaign.store.CampaignStore.put`, appends the commit
-    to its ``queue-log/<worker>.jsonl`` line log, and only then releases
-    the claim. A point is therefore simulated by at most one live
-    worker, on one host or many sharing the directory.
+    A pass scans the store once per trace for its missing points,
+    re-indexes record files a crash left without an index row
+    (:meth:`~repro.campaign.store.CampaignStore.reconcile`), and works
+    through the missing points one breakeven group at a time (points
+    differing only in ``breakeven_override``; each point is its own
+    group on a grid without that axis). A worker takes each member by
+    atomically creating ``claims/<point_hash>.json`` (``O_CREAT |
+    O_EXCL`` — exactly one creator wins) and simulates the members it
+    won as one batch. It commits the batch's records through one
+    :meth:`~repro.campaign.store.CampaignStore.put_group` (every file
+    written atomically, then every index row in one transaction), then
+    per point appends the commit to its ``queue-log/<worker>.jsonl``
+    line log and only then releases the claim. A point is therefore
+    simulated by at most one live worker, on one host or many sharing
+    the directory.
 
 leases (TTL + heartbeat)
     A claim is a *lease*, not a lock: its file's mtime is refreshed by a
@@ -54,6 +58,7 @@ import os
 import socket
 import threading
 import time
+from typing import Sequence
 
 from repro.aging.lut import LifetimeLUT
 from repro.campaign.run import (
@@ -281,7 +286,8 @@ def _drain_pass(
     """One claim→simulate→commit sweep over every trace.
 
     Returns (points simulated here, points left to other workers' live
-    leases). Each trace's store is scanned once. A streaming trace
+    leases). Each trace's store is scanned once, and its index rows are
+    reconciled with its record files. A streaming trace
     claims every missing point for one shared pass (fanned out with
     ``parallel``); an in-memory trace claims one breakeven group at a
     time and simulates its won members as one serial batch, so the
@@ -292,6 +298,7 @@ def _drain_pass(
     for trace_spec in spec.traces:
         keys = [point.key() for point in spec.trace_points(trace_spec)]
         missing = _missing_indices(store, keys)
+        store.reconcile(keys)
         stream = _streaming_source(spec, trace_spec)
         ids = grid.group_ids if grid.group_ids is not None else range(len(keys))
         units: dict[int | None, list[int]] = {}
@@ -315,15 +322,16 @@ def _drain_pass(
             try:
 
                 def on_result(
-                    j: int,
-                    result: SimulationResult,
+                    positions: Sequence[int],
+                    results: Sequence[SimulationResult],
                     _batch: list[int] = batch,
                     _keys: list[tuple[str, str]] = keys,
                 ) -> None:
-                    key = _keys[_batch[j]]
-                    store.put(key, result)
-                    queue.log_commit(key)
-                    queue.release(key)
+                    committed = [_keys[_batch[j]] for j in positions]
+                    store.put_group(list(zip(committed, results)))
+                    for key in committed:
+                        queue.log_commit(key)
+                        queue.release(key)
 
                 if source is None:
                     # Materialized on the trace's first won group; the
@@ -417,14 +425,17 @@ def drain_campaign(
     complete loops out over a process pool; ``parallel`` fans out each
     worker's streaming passes (see :func:`drain_worker`). Returns the
     total number of points simulated by the workers of *this* call — a
-    fully covered campaign drains with zero.
+    fully covered campaign drains with zero. Before anything else, the
+    index rows a crash left out are re-added from the record files.
     """
     if workers < 1:
         raise ServiceError(f"workers must be >= 1, got {workers}")
     shared_lut = lut if lut is not None else LifetimeLUT.default()
     store = CampaignStore(directory)
     _write_manifest(spec, store)
-    if campaign_status(spec, store).missing == 0:
+    keys = [point.key() for point in spec.points()]
+    store.reconcile(keys)
+    if not _missing_indices(store, keys):
         return 0
     if workers == 1:
         return drain_worker(

@@ -32,16 +32,25 @@ place — each move is one atomic :func:`os.replace` of the *same bytes*,
 so migration is resumable, idempotent, and byte-preserving.
 
 Opening a store is O(1): nothing is scanned or created at construction.
-Membership tests are path-existence checks and enumeration is served by
-the per-store SQLite index (:mod:`repro.campaign.service.index`), which
-is derived from — and rebuilt from — the record files; the files remain
-the only source of truth.
+Membership tests (``key in store``) are path-existence checks;
+enumeration, counts and queries are served by the per-store SQLite
+index (:mod:`repro.campaign.service.index`), which is derived from —
+and rebuilt from — the record files; the files remain the only source
+of truth.
+
+Writes are durable per group: :meth:`CampaignStore.put_group` writes
+each record file atomically, then upserts the whole group's index rows
+in one transaction (:meth:`CampaignStore.put` is a one-record group).
+A crash between the two leaves files the index does not list; they
+still count as stored, and :meth:`CampaignStore.reconcile` re-adds
+their rows, which the campaign runner and the claim queue do before
+they look for missing work.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.campaign.codec import content_hash, short_hash
 from repro.campaign.service.index import (
@@ -248,29 +257,80 @@ class CampaignStore:
         self, key: tuple[str, str], result: SimulationResult
     ) -> dict[str, Any]:
         """Store ``result`` under ``key`` in both tiers; returns its payload."""
-        payload = result_to_dict(result)
-        self._records[key] = payload
-        self._results[key] = result
-        if self.directory is not None:
-            path = self._shard_path(key)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            write_json_atomic(
-                path,
-                {
-                    "key": {"trace_hash": key[0], "config_hash": key[1]},
-                    "record": payload,
-                },
-            )
-            # A record written before the sharded layout is superseded
-            # by the shard file; drop it so each key has one file.
-            try:
-                os.unlink(self._legacy_path(key))
-            except OSError:
-                pass
-            if self._index is not None:
+        return self.put_group([(key, result)])[0]
+
+    def put_group(
+        self, items: Sequence[tuple[tuple[str, str], SimulationResult]]
+    ) -> list[dict[str, Any]]:
+        """Store each ``(key, result)`` in both tiers; returns the payloads.
+
+        Every record file is written atomically, one after another; the
+        group's index rows are then upserted in one transaction. If a
+        write fails, the exception propagates before any row is added
+        and the files already written stay stored (``reconcile`` indexes
+        them).
+        """
+        payloads: list[dict[str, Any]] = []
+        rows: list[Row] = []
+        for key, result in items:
+            payload = result_to_dict(result)
+            self._records[key] = payload
+            self._results[key] = result
+            payloads.append(payload)
+            if self.directory is not None:
+                rows.append(self._write_record(key, payload))
+        if rows and self._index is not None:
+            self._index.add(rows)
+        return payloads
+
+    def _write_record(self, key: tuple[str, str], payload: dict[str, Any]) -> Row:
+        """Write ``key``'s shard file atomically; returns its index row."""
+        assert self.directory is not None
+        path = self._shard_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_json_atomic(
+            path,
+            {
+                "key": {"trace_hash": key[0], "config_hash": key[1]},
+                "record": payload,
+            },
+        )
+        # A record written before the sharded layout is superseded by
+        # the shard file; drop it so each key has one file.
+        try:
+            os.unlink(self._legacy_path(key))
+        except OSError:
+            pass
+        return index_row(key[0], key[1], os.path.relpath(path, self.directory), payload)
+
+    def reconcile(self, keys: Iterable[tuple[str, str]]) -> int:
+        """Index the record files among ``keys`` that have no row.
+
+        A crash between a group's file writes and its index commit
+        leaves files the index does not list. Per trace this runs one
+        query for the indexed config hashes and opens only the files of
+        keys missing from it, so a consistent store opens no record
+        file; the healed rows are upserted in one transaction. Returns
+        the number of rows added.
+        """
+        index = self._ready_index()
+        if index is None:
+            return 0
+        by_trace: dict[str, set[str]] = {}
+        for trace_hash, config_hash in keys:
+            by_trace.setdefault(trace_hash, set()).add(config_hash)
+        rows: list[Row] = []
+        for trace_hash, config_hashes in by_trace.items():
+            for config_hash in sorted(config_hashes - index.config_hashes(trace_hash)):
+                path = self._disk_path((trace_hash, config_hash))
+                if path is None:
+                    continue
+                key, record = read_record_file(path)
                 rel_path = os.path.relpath(path, self.directory)
-                self._index.add(index_row(key[0], key[1], rel_path, payload))
-        return payload
+                rows.append(index_row(key[0], key[1], rel_path, record))
+        if rows:
+            index.add(rows)
+        return len(rows)
 
     def records(self) -> list[ResultRecord]:
         """Every stored record (stable key order)."""

@@ -212,8 +212,8 @@ def stream_selected(
     ``open_stream_cursor`` capability (the fast engines'); an engine
     without it fails loudly. Results come back in ``combos`` order,
     bit-identical to the in-memory path, and
-    ``on_result(position, result)`` fires per point after its group
-    finalizes.
+    ``on_result(positions, results)`` fires once per group, with its
+    members' positions and results, after the group finalizes.
     """
     validate_engine(engine)
     if not combos:
@@ -248,6 +248,6 @@ def stream_selected(
         group_results = cursors[group_id].finalize(horizon, stream.name, shared_lut)
         for position, result in zip(members, group_results):
             results[position] = result
-            if on_result is not None:
-                on_result(position, result)
+        if on_result is not None:
+            on_result(members, group_results)
     return results

@@ -5,7 +5,9 @@ layout and its in-place flat-store migration, the SQLite index (file-free
 queries, rebuild after deletion/corruption), the claim-based work queue
 (lease exclusivity, TTL expiry after a killed worker, zero
 double-simulations across concurrent processes — asserted from the
-commit logs), and the stdlib HTTP front-end with its thin client.
+commit logs), the crash consistency of per-group commits (index rows
+reconciled with record files after a kill or a failed write), and the
+stdlib HTTP front-end with its thin client.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.campaign import (
 )
 from repro.campaign.codec import short_hash
 from repro.campaign.service.client import ServiceClient
-from repro.campaign.service.index import INDEX_FILENAME
+from repro.campaign.service.index import INDEX_FILENAME, CampaignIndex
 from repro.campaign.service.queue import WorkQueue, drain_campaign, drain_worker
 from repro.campaign.service.server import CampaignServer
 from repro.campaign.store import RESULTS_DIRNAME
@@ -39,6 +41,7 @@ from repro.campaign.tracespec import TraceSpec
 from repro.cache.geometry import CacheGeometry
 from repro.cli import main
 from repro.core.config import ArchitectureConfig
+from repro.core.serialize import ResultRecord, read_record_file
 from repro.errors import ConfigurationError, ServiceError
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -211,6 +214,10 @@ class TestLazyStore:
         payload = status_payload(spec, store)
         assert payload["done"] == status.total
         assert store.where(num_banks=2)  # index-served, no JSON opened
+        # Reconciling a consistent store, alone or as a covered drain's
+        # first step, opens no record file either.
+        assert store.reconcile(point.key() for point in spec.points()) == 0
+        assert drain_campaign(spec, tmp_path) == 0
 
     def test_open_missing_directory_creates_nothing(self, tmp_path):
         missing = tmp_path / "nope.d"
@@ -289,6 +296,10 @@ class TestIndex:
         fresh = CampaignStore(tmp_path)
         assert fresh.where() == before, "index must rebuild from the files"
         assert os.path.exists(index_path)
+        # A warm connection must not keep serving the deleted file.
+        os.unlink(index_path)
+        assert store.where() == before
+        assert os.path.exists(index_path)
 
     def test_rebuild_after_corrupting_index_db(self, tmp_path):
         spec = small_campaign()
@@ -299,6 +310,60 @@ class TestIndex:
         store = CampaignStore(tmp_path)
         assert len(store.where()) == len(list(store.keys()))
         assert campaign_status(spec, store).missing == 0
+
+
+    def test_locked_index_raises_and_keeps_its_file(self, tmp_path, monkeypatch):
+        """Lock contention is not corruption: once the busy timeout runs
+        out, reads and writes raise ServiceError, and the file, its
+        inode and its rows survive (nothing is rebuilt)."""
+        drain_dir(small_campaign(), tmp_path)
+        index_path = os.path.join(str(tmp_path), INDEX_FILENAME)
+        inode = os.stat(index_path).st_ino
+        rows = CampaignStore(tmp_path).where()
+        key = (rows[0]["trace_hash"], rows[0]["config_hash"])
+        result = CampaignStore(tmp_path).get_result(key)
+        connect = CampaignIndex._connect
+
+        def impatient(self):
+            connection = connect(self)
+            connection.execute("PRAGMA busy_timeout = 50")
+            return connection
+
+        rebuilt = []
+        iter_rows = CampaignStore._iter_disk_rows
+
+        def spy_rows(self):
+            rebuilt.append(self.directory)
+            return iter_rows(self)
+
+        monkeypatch.setattr(CampaignIndex, "_connect", impatient)
+        monkeypatch.setattr(CampaignStore, "_iter_disk_rows", spy_rows)
+        locker = CampaignIndex(index_path, lambda: [])
+        locker._connection().execute("BEGIN EXCLUSIVE")
+        store = CampaignStore(tmp_path)
+        try:
+            with pytest.raises(ServiceError, match="locked"):
+                store.where()
+            with pytest.raises(ServiceError, match="locked"):
+                store.put(key, result)
+        finally:
+            locker._connection().rollback()
+            locker.close()
+        assert rebuilt == []
+        assert os.stat(index_path).st_ino == inode
+        assert store.where() == rows
+
+    def test_warm_connection_checks_schema_once(self, tmp_path):
+        """The schema is checked when a connection opens: a warm
+        connection's query issues exactly its own statement."""
+        drain_dir(small_campaign(), tmp_path)
+        store = CampaignStore(tmp_path)
+        first = store.where()
+        statements: list[str] = []
+        store.index._connection().set_trace_callback(statements.append)
+        assert store.where() == first
+        assert len(statements) == 1
+        assert statements[0].startswith("SELECT * FROM records")
 
 
 # ----------------------------------------------------------------------
@@ -449,11 +514,20 @@ class TestDrain:
             group_sizes.append(len(configs))
             return run_group(configs, *args, **kwargs)
 
+        index_adds = []
+        add = CampaignIndex.add
+
+        def spy_add(self, rows):
+            index_adds.append(len(rows))
+            return add(self, rows)
+
         monkeypatch.setattr(CampaignStore, "__contains__", spy_contains)
         monkeypatch.setattr(fastsim, "run_breakeven_group", spy_group)
+        monkeypatch.setattr(CampaignIndex, "add", spy_add)
         assert drain_worker(spec, tmp_path) == points
         assert len(probes) <= 3 * points
         assert group_sizes == [3] * (points // 3)
+        assert index_adds == group_sizes, "one index transaction per group"
 
     def test_partially_leased_group_drains_around_the_held_point(self, tmp_path):
         """A point of a breakeven group leased elsewhere does not hold
@@ -638,6 +712,126 @@ class TestDrain:
         for point in spec.points():
             assert point.key() in store
             assert store.get_record(point.key()) is not None
+
+
+# ----------------------------------------------------------------------
+# Crash consistency of group commits
+# ----------------------------------------------------------------------
+def record_file_keys(directory) -> set[tuple[str, str]]:
+    """Keys named by the record files (each file must parse)."""
+    keys = set()
+    root = os.path.join(os.fspath(directory), RESULTS_DIRNAME)
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            key, payload = read_record_file(os.path.join(dirpath, name))
+            ResultRecord.from_dict(payload)
+            keys.add(key)
+    return keys
+
+
+def indexed_keys(directory) -> set[tuple[str, str]]:
+    return {
+        (row["trace_hash"], row["config_hash"])
+        for row in CampaignStore(directory).where()
+    }
+
+
+def record_inodes(directory) -> dict[str, int]:
+    root = os.path.join(os.fspath(directory), RESULTS_DIRNAME)
+    return {
+        path: os.stat(os.path.join(root, path)).st_ino
+        for path in record_files(directory)
+    }
+
+
+def grouped_campaign(banks, breakevens) -> CampaignSpec:
+    return small_campaign(
+        axes={"num_banks": list(banks), "breakeven_override": list(breakevens)}
+    )
+
+
+class TestGroupCommitCrashes:
+    #: The child dies inside the given index commit, after that group's
+    #: record files were written and before their rows are committed.
+    CHILD = (
+        "import os, sys\n"
+        "from repro.campaign import CampaignSpec, run_campaign\n"
+        "from repro.campaign.service.index import CampaignIndex\n"
+        "spec = CampaignSpec.load(sys.argv[1])\n"
+        "crash_at = int(sys.argv[3])\n"
+        "workers = None if sys.argv[4] == 'None' else int(sys.argv[4])\n"
+        "calls = []\n"
+        "add = CampaignIndex.add\n"
+        "def dying_add(self, rows):\n"
+        "    calls.append(len(rows))\n"
+        "    if len(calls) == crash_at:\n"
+        "        os._exit(9)\n"
+        "    add(self, rows)\n"
+        "CampaignIndex.add = dying_add\n"
+        "run_campaign(spec, sys.argv[2], workers=workers)\n"
+    )
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    @pytest.mark.parametrize("crash_at", [2, 3], ids=["points-missing", "none-missing"])
+    def test_crash_between_files_and_rows_is_reconciled(
+        self, tmp_path, workers, crash_at
+    ):
+        spec = grouped_campaign([2, 4, 8], [None, 20, 80])
+        groups, size = 3, 3
+        spec_file = tmp_path / "spec.json"
+        spec.save(spec_file)
+        directory = tmp_path / "campaign.d"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(spec_file), str(directory),
+             str(crash_at), str(workers)],
+            cwd=os.path.dirname(os.path.dirname(__file__)),
+            env=dict(os.environ, PYTHONPATH="src"),
+        )
+        assert proc.returncode == 9
+        written = crash_at * size
+        on_disk = record_inodes(directory)
+        assert len(on_disk) == written
+        assert len(indexed_keys(directory)) == written - size
+
+        result = run_campaign(spec, directory, workers=workers)
+        assert result.simulated == groups * size - written
+        after = record_inodes(directory)
+        assert {path: after[path] for path in on_disk} == on_disk, (
+            "a record already on disk was simulated again"
+        )
+        assert indexed_keys(directory) == record_file_keys(directory)
+        assert len(after) == groups * size
+        commits = [commit[:2] for commit in read_commit_log(directory)]
+        assert len(commits) == len(set(commits))
+
+    def test_write_failure_mid_group_releases_leases(self, tmp_path, monkeypatch):
+        """The second group's fifth record write fails: the error
+        propagates, every lease is released, and the next drain
+        finishes with index rows equal to record files."""
+        import repro.campaign.store as store_module
+
+        spec = grouped_campaign([2, 4], [None, 10, 20, 40, 80, 160])
+        directory = tmp_path / "campaign.d"
+        writes = []
+        write = store_module.write_json_atomic
+
+        def failing_write(path, payload):
+            writes.append(path)
+            if len(writes) == 6 + 5:
+                raise OSError("disk full")
+            write(path, payload)
+
+        monkeypatch.setattr(store_module, "write_json_atomic", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            drain_campaign(spec, directory)
+        monkeypatch.undo()
+        assert os.listdir(directory / "claims") == []
+        assert len(record_files(directory)) == 10
+        assert len(indexed_keys(directory)) == 6
+        assert drain_campaign(spec, directory) == 2
+        assert len(record_files(directory)) == 12
+        assert indexed_keys(directory) == record_file_keys(directory)
+        assert not os.listdir(directory / "claims")
 
 
 # ----------------------------------------------------------------------
