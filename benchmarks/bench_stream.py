@@ -7,11 +7,14 @@ than RAM can be simulated end to end. This benchmark measures that
 instead of asserting it:
 
 * **one-shot** — generate the full synthetic trace in memory, simulate
-  with the vectorized engine (the PR 2 path);
+  with the vectorized engine, whose idleness is one arrival-order scan
+  of the whole routed trace into a gap spectrum
+  (:meth:`~repro.core.plan.TracePlan.idle_gaps`);
 * **streamed** — the same workload through
   :meth:`~repro.trace.generator.WorkloadGenerator.stream` and
-  :func:`~repro.core.streamsim.simulate_stream`; the trace is never
-  resident.
+  :func:`~repro.core.streamsim.simulate_stream`, the same scan carried
+  chunk by chunk (:class:`~repro.power.idleness.StreamingGapAccumulator`);
+  the trace is never resident.
 
 Each mode runs in its own subprocess (``--mode``), because peak RSS is
 a high-water mark of the whole process — the two paths must not share

@@ -18,9 +18,9 @@ the stream for the whole grid.
 
 The grid does not pay the full per-point cost: a shared
 :class:`~repro.core.plan.TracePlan` memoizes the address decode, epoch
-boundaries and bank-sorted access stream across points, and points that
+boundaries and per-bank gap spectrum across points, and points that
 differ only in ``breakeven_override`` are simulated as one
-:func:`~repro.core.fastsim.run_breakeven_group` — one gap computation
+:func:`~repro.core.fastsim.run_breakeven_group` — one gap spectrum
 for the whole breakeven axis. Every result stays bit-identical to an
 independent per-point simulation (the tests hold the two together).
 

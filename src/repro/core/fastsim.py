@@ -10,10 +10,10 @@ re-indexing epochs with numpy:
   (:meth:`~repro.core.plan.TracePlan.route`);
 * idleness: the sleep rule only looks at per-bank access-cycle gaps,
   and banks sleep straight through mapping changes, so all banks' stats
-  come from one gap structure of the bank-sorted stream
-  (:meth:`~repro.core.plan.TracePlan.idle_gaps`), thresholded at every
-  breakeven of a group by :func:`~repro.power.idleness.threshold_gaps`
-  (held to the per-bank
+  come from one gap spectrum, filled by an arrival-order scan of the
+  routed trace (:meth:`~repro.core.plan.TracePlan.idle_gaps`) and
+  thresholded at every breakeven of a group by
+  :meth:`~repro.power.idleness.GapSpectrum.threshold` (held to the per-bank
   :func:`~repro.power.idleness.stats_from_access_cycles` oracle by the
   tests) into one table that
   :func:`~repro.core.simulator.assemble_group` derives the group's
@@ -32,9 +32,9 @@ same :class:`_DirectMappedTracker` counts a whole trace here and a
 stream chunk by chunk in :mod:`repro.core.streamsim`.
 
 Across a sweep, everything breakeven-independent — decode, epoch
-bracketing, hit counts, the bank sort — is shared between points through
+bracketing, hit counts, the gap spectrum — is shared between points through
 :class:`repro.core.plan.TracePlan`, and :func:`run_breakeven_group`
-evaluates a whole ``breakeven_override`` axis from one gap computation.
+evaluates a whole ``breakeven_override`` axis from one gap spectrum.
 The fine-grain template (:mod:`repro.finegrain.engine`) is this
 pipeline with one bank per cache line: it reads the same plan layers
 and the same plan-cached hit counts (:func:`plan_counts`).
@@ -56,7 +56,6 @@ from repro.core.simulator import _effective_breakeven, assemble_group
 from repro.aging.lut import LifetimeLUT
 from repro.errors import SimulationError
 from repro.kernels import dispatch as kernels
-from repro.power.idleness import threshold_gaps
 from repro.trace.trace import Trace
 
 
@@ -306,8 +305,8 @@ def run_breakeven_group(
 
     The breakeven time only enters the per-bank idleness thresholding,
     so the whole group shares one decode, one epoch bracketing, one
-    hit/miss computation and one bank sort; the batched idleness kernel
-    then evaluates every breakeven from a single gap computation.
+    hit/miss computation and one gap spectrum, which evaluates every
+    breakeven from suffix sums.
     Returns one :class:`~repro.core.results.SimulationResult` per
     config, in order, each bit-identical to simulating that config
     alone.
@@ -320,16 +319,16 @@ def run_breakeven_group(
     updates_applied, hits, flush_invalidations = plan_counts(plan, base)
     # Per-bank idleness over the whole run (sleep is oblivious to
     # mapping changes; only the physical access stream matters). The
-    # breakeven-independent gap structure is cached per routing, so
+    # breakeven-independent gap spectrum is cached per routing, so
     # even *separate* groups sharing a routing (e.g. a power_managed
-    # or technology axis) pay for the sort-and-gap pass once.
+    # or technology axis) pay for the scan once.
     gaps = plan.idle_gaps(base)
     breakevens = [_effective_breakeven(config, trace.horizon) for config in configs]
     return assemble_group(
         configs,
         trace.name,
         trace.horizon,
-        threshold_gaps(gaps, breakevens),
+        gaps.threshold(breakevens),
         hits,
         len(trace),
         updates_applied,

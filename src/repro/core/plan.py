@@ -3,8 +3,8 @@
 A design-space sweep simulates one trace under dozens of configurations,
 and most of the per-point work is identical across the grid: the address
 decode depends only on the geometry's bit split, the re-indexing epoch
-boundaries only on the update schedule, and the bank-sorted access
-stream only on the routing (bank count × policy × schedule). A plan
+boundaries only on the update schedule, and the per-bank idle-gap
+spectrum only on the routing (bank count × policy × schedule). A plan
 memoizes each of those sections keyed by exactly the configuration
 fields it depends on, so e.g. a ``breakeven_override`` axis reuses
 *everything* and a ``policy`` axis still reuses the decode and the
@@ -18,9 +18,13 @@ stream and drops the previous chunk's sections (bounding memory at
 O(chunk) however long the stream). The address decode, epoch
 bracketing and bank routing (:meth:`TracePlan.route`) therefore exist
 once for the one-shot, streamed and fine-grain paths; the fine-grain
-template reads the routing with one bank per cache line.
+template reads the routing with one bank per cache line. Routing sorts
+nothing: it hands the idle-gap scan the chunk in arrival order with one
+logical → physical bank table per epoch, and the scan does the gather
+(:class:`~repro.power.idleness.BankRouting`).
 Persistent sections — the update schedules epoch bracketing drains,
-the streaming engine's carried hit trackers — survive across chunks.
+the streaming engine's carried hit trackers and routings — survive
+across chunks.
 
 The plan is engine-agnostic shared state:
 :func:`~repro.core.fastsim.run_breakeven_group` and the ``finegrain``
@@ -35,10 +39,12 @@ own plan.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.power.idleness import IdleGapStructure, idle_gaps_from_sorted_accesses
+from repro.power.idleness import BankRouting, GapSpectrum
 from repro.trace.trace import Trace
 from repro.utils.bitops import log2_exact, mask
 
@@ -54,8 +60,8 @@ class TracePlan:
         refuse mismatched traces.
     """
 
-    #: FIFO capacity of the per-routing idle-gap cache — the only layer
-    #: holding O(accesses) arrays per *routing* rather than per trace.
+    #: FIFO capacity of the per-routing gap-spectrum cache, the one
+    #: section kept per *routing* rather than per trace.
     max_gap_routings: int = 8
 
     def __init__(self, trace: Trace | None) -> None:
@@ -67,12 +73,15 @@ class TracePlan:
 
     # ------------------------------------------------------------------
     def matches(self, trace: Trace) -> bool:
-        """True when ``trace`` is the plan's trace (identity or equality)."""
+        """True when ``trace`` is the plan's trace (identity or equality).
+
+        A :class:`StreamingPlan` has no trace and matches none."""
         mine = self.trace
         if mine is trace:
             return True
         return (
-            len(mine) == len(trace)
+            mine is not None
+            and len(mine) == len(trace)
             and mine.horizon == trace.horizon
             and bool(np.array_equal(mine.cycles, trace.cycles))
             and bool(np.array_equal(mine.addresses, trace.addresses))
@@ -160,72 +169,81 @@ class TracePlan:
 
         return self.cached(key, compute)
 
-    def route(self, config, policy) -> tuple[np.ndarray, np.ndarray]:
-        """Route the chunk through ``config`` and sort it by (bank, arrival).
-
-        ``policy`` is the indexing policy in force at the chunk's first
-        access, advanced here once per update that fires within the
-        chunk: a fresh policy for a whole trace, the carried one for a
-        stream. Returns ``(sorted_cycles, splits)``: bank ``b`` owns
-        ``sorted_cycles[splits[b]:splits[b + 1]]``.
-
-        With a single bank the stream is already sorted and the stable
-        argsort is skipped outright. Otherwise the physical bank ids are
-        held in the narrowest unsigned dtype that fits them (uint8 up to
-        256 banks, uint16 above), for which numpy's stable argsort is an
-        O(n) radix sort instead of a timsort of int64 keys. A stable
-        sort has exactly one valid result, so the permutation — and
-        everything derived from it — is identical to sorting int64 ids.
-        """
-        cycles = self.chunk.cycles
-        n = cycles.size
-        num_banks = config.num_banks
-        if num_banks == 1:
-            return cycles, np.array([0, n], dtype=np.int64)
+    @staticmethod
+    def routing_key(config) -> tuple:
+        """Hashable identity of the config's routing: bit split × bank
+        count × policy × schedule. Breakeven, power management and
+        technology drop out, and so does the period of a static
+        policy."""
         geometry = config.geometry
-        index, _ = self.decode(geometry.offset_bits, geometry.index_bits)
-        # The logical bank of every set: the index's top bits. An epoch's
-        # mapping turns this table into each set's physical bank.
-        set_banks = np.arange(1 << geometry.index_bits) >> (
-            geometry.index_bits - log2_exact(num_banks)
-        )
-        _, starts = self.epoch_starts(config)
-        physical = np.empty(n, dtype=np.min_scalar_type(num_banks - 1))
-        for epoch in range(len(starts) - 1):
-            if epoch > 0:
-                policy.update()
-            lo, hi = int(starts[epoch]), int(starts[epoch + 1])
-            if lo < hi:
-                physical[lo:hi] = policy.mapping()[set_banks][index[lo:hi]]
-        order = np.argsort(physical, kind="stable")
-        splits = np.searchsorted(physical[order], np.arange(num_banks + 1))
-        return cycles[order], splits
-
-    def idle_gaps(self, config) -> IdleGapStructure:
-        """Cached breakeven-independent idle-gap structure per routing.
-
-        This is the layer the fast engine's idleness accounting reads:
-        the bank sort (:meth:`route`, with a fresh policy) is computed
-        transiently and only the gap structure — the part every
-        breakeven re-thresholds — is kept. The cache holds at most
-        :attr:`max_gap_routings` structures (FIFO eviction), bounding
-        plan memory on grids with many routings; eviction only costs a
-        re-sort if an old routing recurs, never correctness.
-        """
-        geometry = config.geometry
-        key = (
-            "gaps",
+        return (
             geometry.offset_bits,
             geometry.index_bits,
             config.num_banks,
             config.policy,
-            self.schedule_key(config),
+            TracePlan.schedule_key(config),
         )
 
+    def route(self, config, policy) -> Iterator[BankRouting]:
+        """Route the chunk through ``config``, in arrival order.
+
+        ``policy`` is the indexing policy in force at the chunk's first
+        access, advanced here once per update that fires within the
+        chunk as the routing is consumed: a fresh policy for a whole
+        trace, the carried one for a stream. Yields
+        :class:`~repro.power.idleness.BankRouting` runs covering the
+        chunk in order; each holds the set index of its accesses and
+        one logical → physical table per epoch that has accesses, in the
+        narrowest unsigned dtype that holds the bank ids, and the gap
+        scan does the gather. Nothing is sorted.
+
+        Almost always one run. The tables are cut into runs of at most
+        ``max(1, accesses // banks)`` epochs, so they never outgrow the
+        chunk even with one bank per cache line.
+        """
+        cycles = self.chunk.cycles
+        num_banks = config.num_banks
+        geometry = config.geometry
+        index, _ = self.decode(geometry.offset_bits, geometry.index_bits)
+        shift = geometry.index_bits - log2_exact(num_banks)
+        _, starts = self.epoch_starts(config)
+        dtype = np.min_scalar_type(num_banks - 1)
+        rows_per_run = max(1, cycles.size // num_banks)
+        tables: list[np.ndarray] = []
+        bounds: list[int] = []
+        for epoch in range(len(starts) - 1):
+            if epoch > 0:
+                policy.update()
+            lo, hi = int(starts[epoch]), int(starts[epoch + 1])
+            if lo == hi:
+                continue
+            if len(tables) == rows_per_run:
+                yield _run(cycles, index, bounds + [lo], tables, shift)
+                tables, bounds = [], []
+            tables.append(policy.mapping().astype(dtype))
+            bounds.append(lo)
+        if tables:
+            yield _run(cycles, index, bounds + [cycles.size], tables, shift)
+
+    def idle_gaps(self, config) -> GapSpectrum:
+        """Cached per-bank idle-gap spectrum per routing.
+
+        This is the layer the fast engine's idleness accounting reads:
+        one arrival-order scan of :meth:`route` (with a fresh policy)
+        over the whole trace, which every breakeven then re-thresholds.
+        The cache holds at most :attr:`max_gap_routings` spectra (FIFO
+        eviction), bounding plan memory on grids with many routings;
+        eviction only costs a re-scan if an old routing recurs, never
+        correctness.
+        """
+        key = ("gaps", *self.routing_key(config))
+
         def compute():
-            sorted_cycles, splits = self.route(config, config.make_policy())
-            return idle_gaps_from_sorted_accesses(
-                sorted_cycles, splits, 0, self.trace.horizon
+            return GapSpectrum.scan(
+                self.route(config, config.make_policy()),
+                config.num_banks,
+                0,
+                self.trace.horizon,
             )
 
         gaps = self.cached(key, compute)
@@ -237,6 +255,18 @@ class TracePlan:
                 if stale != key:
                     del self._cache[stale]
         return gaps
+
+
+def _run(cycles, index, bounds: list[int], tables: list[np.ndarray], shift: int) -> BankRouting:
+    """The routing of positions ``bounds[0]:bounds[-1]``, one table per epoch."""
+    lo, hi = bounds[0], bounds[-1]
+    return BankRouting(
+        cycles[lo:hi],
+        index[lo:hi],
+        np.asarray(bounds, dtype=np.int64) - lo,
+        np.stack(tables),
+        shift,
+    )
 
 
 class StreamingPlan(TracePlan):
@@ -262,6 +292,11 @@ def ensure_plan(plan: TracePlan | None, trace: Trace) -> TracePlan:
     """The plan to use for ``trace``: validate a given one, else build one."""
     if plan is None:
         return TracePlan(trace)
+    if plan.trace is None:
+        raise SimulationError(
+            "a StreamingPlan serves stream cursors; simulating a trace "
+            "needs a TracePlan of that trace"
+        )
     if not plan.matches(trace):
         raise SimulationError("trace plan was built for a different trace")
     return plan

@@ -16,12 +16,16 @@ engine state that spans chunks is *carried* —
   initial state). Both match the one-shot counts exactly because a
   cache set's contents after any access prefix are history-independent
   summaries the carried state captures completely;
-* **routing** — :meth:`~repro.core.plan.TracePlan.route` advances the
-  cursor's carried indexing policy at each update boundary as it fires
-  (the reference engine's lazy drain) and bank-sorts the chunk;
-* **idleness** — the carry-state
-  :class:`~repro.power.idleness.StreamingGapAccumulator`, whose only
-  cross-chunk state is each bank's last-access cycle;
+* **routing and idleness** — one :class:`_CarriedRouting` per
+  distinct routing (:meth:`~repro.core.plan.TracePlan.routing_key`),
+  shared by every cursor that routes the same way: its carried
+  indexing policy advances at each update boundary as it fires (the
+  reference engine's lazy drain, in
+  :meth:`~repro.core.plan.TracePlan.route`), and its
+  :class:`~repro.power.idleness.StreamingGapAccumulator` scans the
+  chunk in arrival order into a gap spectrum, carrying only each bank's
+  last-access cycle and the spectrum's counts. Each cursor thresholds
+  the shared spectrum once, at its breakevens, when it finalizes;
 * **epochs/decode** — the plan's sections of the current chunk, so a
   multi-configuration pass decodes and brackets each chunk once per
   distinct key; the update schedules drain across chunks.
@@ -76,16 +80,39 @@ def _hit_tracker(plan: StreamingPlan, config):
     return plan.persistent(key, lambda: _LruTracker(geometry.num_sets, geometry.ways))
 
 
+class _CarriedRouting:
+    """A routing's carried indexing policy and idle-gap scan.
+
+    Persistent in the streaming plan under the routing's key, so the
+    cursors that route the same way (breakeven groups differing in a
+    power axis, or static groups differing only in their update
+    period) scan each chunk once between them.
+    """
+
+    def __init__(self, config) -> None:
+        self.policy = config.make_policy()
+        self.gaps = StreamingGapAccumulator(config.num_banks)
+        self._chunk_id = -1
+
+    def process_chunk(self, plan: StreamingPlan, config) -> None:
+        """Scan the plan's current chunk (idempotent per chunk)."""
+        if plan.chunk_id == self._chunk_id:
+            return
+        self._chunk_id = plan.chunk_id
+        for routing in plan.route(config, self.policy):
+            self.gaps.update(routing)
+
+
 class StreamCursor:
     """Carried state of one breakeven-group over a chunked pass.
 
     One cursor fully describes the simulation of a group of
     configurations differing only in ``breakeven_override``: the
-    shared hit tracker, the advancing indexing policy, and a
-    :class:`~repro.power.idleness.StreamingGapAccumulator` thresholding
-    every breakeven of the group from the same carried gap state.
-    Memory is O(num_sets × ways + num_banks × breakevens + chunk) —
-    independent of stream length.
+    shared hit tracker, the shared :class:`_CarriedRouting` (indexing
+    policy and gap spectrum), and the group's breakevens, at which the
+    spectrum is thresholded when the pass ends. Memory is
+    O(num_sets × ways + num_banks × cutoff + chunk) — independent of
+    stream length.
     """
 
     def __init__(self, configs, plan: StreamingPlan) -> None:
@@ -94,17 +121,19 @@ class StreamCursor:
         validate_breakeven_group(configs)
         self.configs = list(configs)
         self.base = configs[0]
-        self.policy = self.base.make_policy()
         # An unmanaged cache's effective breakeven is horizon + 1 — not
         # known until the stream ends — but its accounting is simply
-        # "no gap ever converts": the accumulator's None (infinite)
+        # "no gap ever converts": the spectrum's None (infinite)
         # threshold, bit-identical in every counter.
-        breakevens = [
+        self.breakevens = [
             config.breakeven() if config.power_managed else None
             for config in self.configs
         ]
-        self.gaps = StreamingGapAccumulator(self.base.num_banks, breakevens)
         self.tracker = _hit_tracker(plan, self.base)
+        self.routing = plan.persistent(
+            ("routing", *plan.routing_key(self.base)),
+            lambda: _CarriedRouting(self.base),
+        )
         self.updates_applied = 0
         self.accesses = 0
 
@@ -115,7 +144,7 @@ class StreamCursor:
             return
         boundaries, _ = plan.epoch_starts(self.base)
         self.tracker.process_chunk(plan, self.base)
-        self.gaps.update(*plan.route(self.base, self.policy))
+        self.routing.process_chunk(plan, self.base)
         self.updates_applied += int(boundaries.size)
         self.accesses += n
 
@@ -127,7 +156,7 @@ class StreamCursor:
             self.configs,
             trace_name,
             horizon,
-            self.gaps.finalize_table(horizon),
+            self.routing.gaps.finalize_table(horizon, self.breakevens),
             self.tracker.hits,
             self.accesses,
             self.updates_applied,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.core.engine import Engine, register_engine
+from repro.core.plan import ensure_plan
 from repro.estimate.model import estimate_result
 from repro.trace.stats import TraceProfile, profile_trace, summarize_trace
 
@@ -49,8 +50,9 @@ class EstimateEngine(Engine):
 
     @staticmethod
     def _profile(trace, geometry: CacheGeometry, num_banks: int, plan) -> TraceProfile:
-        if plan is None or not plan.matches(trace):
+        if plan is None:
             return profile_trace(trace, geometry, num_banks)
+        plan = ensure_plan(plan, trace)
         shape = (geometry.size_bytes, geometry.line_size, geometry.ways)
         summary = plan.cached(
             ("estimate-summary", *shape), lambda: summarize_trace(trace, geometry)

@@ -32,14 +32,6 @@ NAME = "cext"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernels.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-fvisibility=hidden")
 
-#: Error codes of _ckernels.c mapped onto the numpy backend's exact
-#: SimulationError messages, so backends fail identically.
-_ERRORS = {
-    -1: "access cycles must be strictly increasing",
-    -2: "access cycles outside the observation window",
-    -3: "chunk accesses must be later than every prior access",
-}
-
 _lib: ctypes.CDLL | None = None
 _load_error: str | None = None
 
@@ -103,19 +95,16 @@ def _build() -> tuple[ctypes.CDLL | None, str | None]:
 
 _i64 = ctypes.c_int64
 _p64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_ptr = ctypes.c_void_p
 
 _SIGNATURES = {
-    "repro_gap_extract": (
+    # Raw addresses: the scan runs once per chunk and routing, where
+    # ndpointer's per-argument checks cost more than scanning a small
+    # chunk. gap_scan makes the inputs contiguous and the dispatcher
+    # has checked the carried buffers' dtype and layout.
+    "repro_gap_scan": (
         _i64,
-        [_p64, _i64, _p64, _i64, _i64, _i64, _p64, _p64, _p64, _p64, _p64],
-    ),
-    "repro_gap_threshold_batch": (
-        None,
-        [_p64, _p64, _i64, _i64, _p64, _i64, _p64, _p64],
-    ),
-    "repro_stream_gap_update": (
-        _i64,
-        [_p64, _p64, _i64, _p64, _p64, _p64, _p64, _p64, _i64, _p64, _p64],
+        [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _i64, _i64, _i64, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr],
     ),
     "repro_lru_walk": (_i64, [_p64, _p64, _i64, _i64, _p64, _p64]),
     "repro_lru_segment": (_i64, [_p64, _p64, _i64, _p64, _i64]),
@@ -154,89 +143,37 @@ def _contig(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
-def _raise_code(code: int) -> None:
-    raise SimulationError(_ERRORS.get(code, f"kernel error {code}"))
-
-
 # ----------------------------------------------------------------------
 # Backend contract (see repro.kernels.dispatch for semantics)
 # ----------------------------------------------------------------------
-def gap_extract(cycles, splits, start_cycle, end_cycle):
+def gap_scan(cycles, index, starts, tables, shift, last, accesses, dense):
     lib = _library()
-    cycles = _contig(cycles)
-    splits = _contig(splits)
-    num_banks = splits.size - 1
-    capacity = cycles.size + 3 * num_banks
-    gap_values = np.empty(capacity, dtype=np.int64)
-    gap_banks = np.empty(capacity, dtype=np.int64)
-    accesses = np.empty(num_banks, dtype=np.int64)
-    idle_intervals = np.empty(num_banks, dtype=np.int64)
-    idle_cycles = np.empty(num_banks, dtype=np.int64)
-    count = lib.repro_gap_extract(
-        cycles,
-        cycles.size,
-        splits,
-        num_banks,
-        start_cycle,
-        end_cycle,
-        gap_values,
-        gap_banks,
-        accesses,
-        idle_intervals,
-        idle_cycles,
+    n = cycles.size
+    cycles, index, starts = _contig(cycles), _contig(index), _contig(starts)
+    tables = np.ascontiguousarray(tables)
+    overflow = np.empty((2, n), dtype=np.int64)
+    over_banks = overflow.ctypes.data
+    count = lib.repro_gap_scan(
+        cycles.ctypes.data,
+        index.ctypes.data,
+        n,
+        starts.ctypes.data,
+        starts.size - 1,
+        tables.ctypes.data,
+        tables.itemsize,
+        tables.shape[1],
+        shift,
+        last.ctypes.data,
+        accesses.ctypes.data,
+        last.size,
+        dense.ctypes.data,
+        dense.shape[1],
+        over_banks,
+        over_banks + 8 * n,
     )
     if count < 0:
-        _raise_code(count)
-    return (
-        gap_values[:count].copy(),
-        gap_banks[:count].copy(),
-        accesses,
-        idle_intervals,
-        idle_cycles,
-    )
-
-
-def gap_threshold_batch(gap_values, gap_banks, num_banks, breakevens, useful, sleep):
-    lib = _library()
-    lib.repro_gap_threshold_batch(
-        _contig(gap_values),
-        _contig(gap_banks),
-        int(gap_values.size),
-        int(num_banks),
-        _contig(breakevens),
-        int(breakevens.size),
-        useful,
-        sleep,
-    )
-
-
-def stream_gap_update(
-    cycles,
-    splits,
-    last_event,
-    accesses,
-    idle_intervals,
-    idle_cycles,
-    breakevens,
-    useful,
-    sleep,
-):
-    lib = _library()
-    code = lib.repro_stream_gap_update(
-        _contig(cycles),
-        _contig(splits),
-        int(last_event.size),
-        last_event,
-        accesses,
-        idle_intervals,
-        idle_cycles,
-        _contig(breakevens),
-        int(breakevens.size),
-        useful,
-        sleep,
-    )
-    if code < 0:
-        _raise_code(code)
+        return count, None, None
+    return 0, overflow[0, :count].copy(), overflow[1, :count].copy()
 
 
 def lru_walk(tags, starts, ways):

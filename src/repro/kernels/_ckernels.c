@@ -1,26 +1,26 @@
 /* Compiled integer-exact simulation kernels.
  *
  * C implementations of the hot inner loops behind
- * ``repro.kernels.dispatch``: the idle-gap extraction and breakeven
- * thresholding of ``repro.power.idleness``, the streaming carry-state
- * gap pass, and the LRU walks shared by ``repro.core.fastsim`` and
- * ``repro.core.streamsim``. Built on demand by ``repro.kernels._cext``
- * (cc -O2 -shared) and loaded through ctypes; every function operates
- * on int64 buffers only, so results are bit-identical to the numpy
- * backend by construction (the differential fuzz suite enforces it).
+ * ``repro.kernels.dispatch``: the arrival-order idle-gap scan that
+ * fills ``repro.power.idleness.GapSpectrum`` (one-shot and carried
+ * across stream chunks alike), and the LRU walks shared by
+ * ``repro.core.fastsim`` and ``repro.core.streamsim``. Three kernels in
+ * all. Built on demand by ``repro.kernels._cext`` (cc -O2 -shared) and
+ * loaded through ctypes; counters are int64 buffers, so results are
+ * bit-identical to the numpy backend by construction (the differential
+ * fuzz suite enforces it).
  *
- * Error contract: functions that validate their input return 0 on
- * success or a negative REPRO_ERR_* code; the ctypes wrapper maps the
- * code onto the exact SimulationError message the numpy backend
- * raises.
+ * Error contract: functions that validate their input return a
+ * negative REPRO_ERR_* code on failure; the dispatcher maps the code
+ * onto the exact SimulationError message the numpy backend's code
+ * maps to.
  */
 
 #include <stdint.h>
 
-#define REPRO_OK 0
 #define REPRO_ERR_NONMONOTONIC (-1)
-#define REPRO_ERR_WINDOW (-2)
-#define REPRO_ERR_NOT_LATER (-3)
+#define REPRO_ERR_NOT_LATER (-2)
+#define REPRO_ERR_RANGE (-3)
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -28,146 +28,87 @@
 #define REPRO_EXPORT __attribute__((visibility("default")))
 #endif
 
-/* Idle-gap extraction over the bank-sorted access stream.
- *
- * Bank b owns cycles[splits[b]:splits[b+1]] (strictly increasing).
- * Emits every positive idle gap (value, bank) — leading, interior,
- * trailing, and the whole-window gap of a never-accessed bank — and
- * folds per-bank accesses / idle_intervals / idle_cycles counters.
- * Gap ordering is per bank (the consumers only ever reduce over the
- * multiset, which the numpy backend produces in a different but
- * equivalent order).
- *
- * Returns the number of gaps written (capacity needed: n + 3 *
- * num_banks), or a negative error code.
- */
-REPRO_EXPORT int64_t repro_gap_extract(
-    const int64_t *cycles, int64_t n,
-    const int64_t *splits, int64_t num_banks,
-    int64_t start_cycle, int64_t end_cycle,
-    int64_t *gap_values, int64_t *gap_banks,
-    int64_t *accesses, int64_t *idle_intervals, int64_t *idle_cycles)
+/* The physical bank of table entry k, the tables held in unsigned
+ * `width`-byte integers (1, 2, 4 or 8; the narrowest that holds the
+ * bank ids). */
+static inline int64_t table_entry(const void *tables, int64_t width, int64_t k)
 {
-    int64_t window = end_cycle - start_cycle;
+    switch (width) {
+    case 1:
+        return ((const uint8_t *)tables)[k];
+    case 2:
+        return ((const uint16_t *)tables)[k];
+    case 4:
+        return ((const uint32_t *)tables)[k];
+    default:
+        return (int64_t)((const uint64_t *)tables)[k];
+    }
+}
+
+/* Arrival-order idle-gap scan of one run of accesses.
+ *
+ * Epoch e owns positions starts[e]..starts[e+1]; access i of epoch e
+ * lands in physical bank tables[e * table_banks + (index[i] >> shift)],
+ * so the set -> physical-bank gather happens here, one table row per
+ * epoch. Each access closes the idle gap since its bank's carried
+ * last[] access: a gap of length g, 0 < g < cutoff, adds one to
+ * dense[bank * cutoff + g]; a longer one is written to
+ * over_banks/over_lengths (capacity n). last[] and accesses[] advance;
+ * trailing gaps stay open for the caller to close.
+ *
+ * Returns the number of overflow gaps written, or an error code for
+ * the first violating access in arrival order: REPRO_ERR_RANGE when its
+ * index falls outside the tables or its bank outside last[] (num_banks
+ * entries), REPRO_ERR_NOT_LATER when it is no later than its bank's
+ * last access before this call, REPRO_ERR_NONMONOTONIC when it is no
+ * later than an earlier access of this call.
+ */
+REPRO_EXPORT int64_t repro_gap_scan(
+    const int64_t *cycles, const int64_t *index, int64_t n,
+    const int64_t *starts, int64_t n_epochs,
+    const void *tables, int64_t width, int64_t table_banks, int64_t shift,
+    int64_t *last, int64_t *accesses, int64_t num_banks,
+    int64_t *dense, int64_t cutoff,
+    int64_t *over_banks, int64_t *over_lengths)
+{
     int64_t out = 0;
     (void)n;
-    for (int64_t b = 0; b < num_banks; ++b) {
-        int64_t lo = splits[b], hi = splits[b + 1];
-        int64_t count = hi - lo;
-        accesses[b] = count;
-        idle_intervals[b] = 0;
-        idle_cycles[b] = 0;
-        if (count == 0) {
-            if (window > 0) {
-                gap_values[out] = window;
-                gap_banks[out] = b;
-                ++out;
-                idle_intervals[b] = 1;
-                idle_cycles[b] = window;
-            }
-            continue;
-        }
-        int64_t prev = start_cycle - 1;
-        for (int64_t i = lo; i < hi; ++i) {
+    for (int64_t e = 0; e < n_epochs; ++e) {
+        int64_t row = e * table_banks;
+        for (int64_t i = starts[e]; i < starts[e + 1]; ++i) {
+            int64_t logical = index[i] >> shift;
+            if ((uint64_t)logical >= (uint64_t)table_banks)
+                return REPRO_ERR_RANGE;
+            int64_t b = table_entry(tables, width, row + logical);
+            if ((uint64_t)b >= (uint64_t)num_banks)
+                return REPRO_ERR_RANGE;
             int64_t c = cycles[i];
-            if (c < start_cycle || c >= end_cycle)
-                return REPRO_ERR_WINDOW;
-            if (c <= prev && i > lo)
-                return REPRO_ERR_NONMONOTONIC;
-            int64_t gap = c - prev - 1;
-            if (gap > 0) {
-                gap_values[out] = gap;
-                gap_banks[out] = b;
-                ++out;
-                idle_intervals[b] += 1;
-                idle_cycles[b] += gap;
+            int64_t gap = c - last[b] - 1;
+            if (gap < 0) {
+                /* Error path: did bank b see an earlier access of this call? */
+                for (int64_t f = 0; f <= e; ++f) {
+                    int64_t stop = f < e ? starts[f + 1] : i;
+                    for (int64_t j = starts[f]; j < stop; ++j) {
+                        if (table_entry(tables, width, f * table_banks + (index[j] >> shift)) == b)
+                            return REPRO_ERR_NONMONOTONIC;
+                    }
+                }
+                return REPRO_ERR_NOT_LATER;
             }
-            prev = c;
-        }
-        int64_t trailing = end_cycle - prev - 1;
-        if (trailing > 0) {
-            gap_values[out] = trailing;
-            gap_banks[out] = b;
-            ++out;
-            idle_intervals[b] += 1;
-            idle_cycles[b] += trailing;
+            if (gap > 0) {
+                if (gap < cutoff) {
+                    dense[b * cutoff + gap] += 1;
+                } else {
+                    over_banks[out] = b;
+                    over_lengths[out] = gap;
+                    ++out;
+                }
+            }
+            last[b] = c;
+            accesses[b] += 1;
         }
     }
     return out;
-}
-
-/* Threshold an extracted gap multiset at each breakeven.
- *
- * breakevens[r] < 0 means infinite (no gap ever converts — how an
- * unmanaged configuration is accounted). useful/sleep are (n_be,
- * num_banks) row-major buffers the caller zeroed.
- */
-REPRO_EXPORT void repro_gap_threshold_batch(
-    const int64_t *gap_values, const int64_t *gap_banks, int64_t n_gaps,
-    int64_t num_banks,
-    const int64_t *breakevens, int64_t n_be,
-    int64_t *useful, int64_t *sleep)
-{
-    for (int64_t r = 0; r < n_be; ++r) {
-        int64_t be = breakevens[r];
-        if (be < 0)
-            continue;
-        int64_t *u = useful + r * num_banks;
-        int64_t *s = sleep + r * num_banks;
-        for (int64_t i = 0; i < n_gaps; ++i) {
-            int64_t gap = gap_values[i];
-            if (gap > be) {
-                int64_t b = gap_banks[i];
-                u[b] += 1;
-                s[b] += gap - be;
-            }
-        }
-    }
-}
-
-/* Fold one bank-sorted chunk into streaming carry-state counters.
- *
- * The fused core of StreamingGapAccumulator.update(): per-bank gaps
- * are closed against last_event (leading) and within the chunk
- * (interior), every breakeven row is thresholded in the same pass, and
- * last_event/accesses advance. Trailing gaps stay open — finalize()
- * closes them. useful/sleep are (n_be, num_banks) row-major.
- */
-REPRO_EXPORT int64_t repro_stream_gap_update(
-    const int64_t *cycles,
-    const int64_t *splits, int64_t num_banks,
-    int64_t *last_event, int64_t *accesses,
-    int64_t *idle_intervals, int64_t *idle_cycles,
-    const int64_t *breakevens, int64_t n_be,
-    int64_t *useful, int64_t *sleep)
-{
-    for (int64_t b = 0; b < num_banks; ++b) {
-        int64_t lo = splits[b], hi = splits[b + 1];
-        if (lo == hi)
-            continue;
-        int64_t prev = last_event[b];
-        for (int64_t i = lo; i < hi; ++i) {
-            int64_t c = cycles[i];
-            if (c <= prev)
-                return i == lo ? REPRO_ERR_NOT_LATER : REPRO_ERR_NONMONOTONIC;
-            int64_t gap = c - prev - 1;
-            if (gap > 0) {
-                idle_intervals[b] += 1;
-                idle_cycles[b] += gap;
-                for (int64_t r = 0; r < n_be; ++r) {
-                    int64_t be = breakevens[r];
-                    if (be >= 0 && gap > be) {
-                        useful[r * num_banks + b] += 1;
-                        sleep[r * num_banks + b] += gap - be;
-                    }
-                }
-            }
-            prev = c;
-        }
-        accesses[b] += hi - lo;
-        last_event[b] = prev;
-    }
-    return REPRO_OK;
 }
 
 /* Cold-started LRU walk over contiguous tag groups.

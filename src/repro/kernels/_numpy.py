@@ -25,123 +25,130 @@ from repro.errors import SimulationError
 NAME = "numpy"
 
 
-def gap_extract(
+#: Error codes of :func:`gap_scan`, shared with the C kernel; the
+#: dispatcher maps them onto its messages.
+ERR_NONMONOTONIC = -1
+ERR_NOT_LATER = -2
+ERR_RANGE = -3
+
+
+def gap_scan(
     cycles: np.ndarray,
-    splits: np.ndarray,
-    start_cycle: int,
-    end_cycle: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Extract every bank's positive idle gaps from the sorted stream.
+    index: np.ndarray,
+    starts: np.ndarray,
+    tables: np.ndarray,
+    shift: int,
+    last: np.ndarray,
+    accesses: np.ndarray,
+    dense: np.ndarray,
+) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """Fold one run of arrival-order accesses into a gap spectrum.
 
-    Returns ``(gap_values, gap_banks, accesses, idle_intervals,
-    idle_cycles)``; see :func:`repro.kernels.dispatch.gap_extract` for
-    the contract (the caller has already validated the splits
-    partition and the window sign).
+    Returns ``(code, over_banks, over_lengths)``; see
+    :func:`repro.kernels.dispatch.stream_gap_update` for the contract.
+    The C kernel scans in arrival order; this one bank-sorts the run
+    (a stable argsort of the narrow bank ids, an O(n) radix sort) and
+    counts the same gap multiset with integer ops, so ``dense``,
+    ``last`` and ``accesses`` end bit-identical, and the overflow gaps
+    are the same multiset.
     """
-    num_banks = splits.size - 1
-    window = int(end_cycle - start_cycle)
-    accesses = np.diff(splits)
-    occupied_ids = np.flatnonzero(accesses > 0)
-    empty_ids = np.flatnonzero(accesses == 0)
-    if cycles.size:
-        if cycles.min() < start_cycle or cycles.max() >= end_cycle:
-            raise SimulationError("access cycles outside the observation window")
-        bank_of = np.repeat(np.arange(num_banks), accesses)
-        same_bank = bank_of[1:] == bank_of[:-1]
-        deltas = np.diff(cycles)
-        if np.any(deltas[same_bank] <= 0):
-            raise SimulationError("access cycles must be strictly increasing")
-        interior = deltas[same_bank] - 1
-        interior_banks = bank_of[1:][same_bank]
-        leading = cycles[splits[occupied_ids]] - start_cycle
-        trailing = end_cycle - cycles[splits[occupied_ids + 1] - 1] - 1
-    else:
-        interior = np.empty(0, dtype=np.int64)
-        interior_banks = np.empty(0, dtype=np.int64)
-        leading = trailing = np.empty(0, dtype=np.int64)
+    num_banks, cutoff = dense.shape
+    n = cycles.size
+    if n == 0:
+        return 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    banks = np.empty(n, dtype=tables.dtype)
+    outside = np.zeros(n, dtype=bool)
+    for epoch in range(starts.size - 1):
+        lo, hi = int(starts[epoch]), int(starts[epoch + 1])
+        logical = index[lo:hi] >> shift
+        missing = (logical < 0) | (logical >= tables.shape[1])
+        banks[lo:hi] = tables[epoch][np.where(missing, 0, logical)]
+        outside[lo:hi] = missing
+    outside |= banks >= num_banks
+    if outside.any():
+        # The C kernel stops at whichever comes first in arrival order:
+        # the out-of-range access or a gap violation before it.
+        first_bad = int(np.argmax(outside))
+        code = 0
+        if first_bad:
+            order, _, _, first, gaps = _bank_gaps(cycles[:first_bad], banks[:first_bad], last)
+            code = _violation(order, first, gaps)
+        return (code or ERR_RANGE), None, None
+    order, sorted_banks, sorted_cycles, first, gaps = _bank_gaps(cycles, banks, last)
+    code = _violation(order, first, gaps)
+    if code:
+        return code, None, None
+    final = np.empty(n, dtype=bool)
+    final[:-1] = first[1:]
+    final[-1] = True
+    last[sorted_banks[final]] = sorted_cycles[final]
+    accesses += np.bincount(sorted_banks, minlength=num_banks)
+    short = (gaps > 0) & (gaps < cutoff)
+    np.add.at(dense.reshape(-1), sorted_banks[short] * cutoff + gaps[short], 1)
+    long = gaps >= cutoff
+    return 0, sorted_banks[long], gaps[long]
 
-    # A never-accessed bank idles the whole window in one gap.
-    gap_values = np.concatenate(
-        [interior, leading, trailing, np.full(empty_ids.size, window, dtype=np.int64)]
-    )
-    gap_banks = np.concatenate([interior_banks, occupied_ids, occupied_ids, empty_ids])
-    positive = gap_values > 0
-    gap_values = gap_values[positive]
-    gap_banks = gap_banks[positive]
 
-    idle_intervals = np.bincount(gap_banks, minlength=num_banks)
-    idle_cycles = np.zeros(num_banks, dtype=np.int64)
-    np.add.at(idle_cycles, gap_banks, gap_values)
-    return gap_values, gap_banks, accesses, idle_intervals, idle_cycles
+def _bank_gaps(cycles: np.ndarray, banks: np.ndarray, last: np.ndarray):
+    """A non-empty run bank-sorted: ``(order, sorted_banks,
+    sorted_cycles, first, gaps)``, ``first`` marking each bank's first
+    access and ``gaps`` each access's gap since its bank's previous one
+    (``last`` for the first)."""
+    order = np.argsort(banks, kind="stable")
+    sorted_banks = banks[order].astype(np.int64)
+    sorted_cycles = cycles[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    first[1:] = sorted_banks[1:] != sorted_banks[:-1]
+    previous = np.empty(order.size, dtype=np.int64)
+    previous[1:] = sorted_cycles[:-1]
+    previous[first] = last[sorted_banks[first]]
+    return order, sorted_banks, sorted_cycles, first, sorted_cycles - previous - 1
+
+
+def _violation(order: np.ndarray, first: np.ndarray, gaps: np.ndarray) -> int:
+    """The error code of the first access, in arrival order, that is no
+    later than its bank's previous access (0 when there is none)."""
+    bad = np.flatnonzero(gaps < 0)
+    if bad.size == 0:
+        return 0
+    at = bad[np.argmin(order[bad])]
+    return ERR_NOT_LATER if first[at] else ERR_NONMONOTONIC
 
 
 def gap_threshold_batch(
-    gap_values: np.ndarray,
-    gap_banks: np.ndarray,
-    num_banks: int,
+    count_suffix: np.ndarray,
+    length_suffix: np.ndarray,
+    over_banks: np.ndarray,
+    over_lengths: np.ndarray,
+    over_counts: np.ndarray,
     breakevens: np.ndarray,
-    useful: np.ndarray,
-    sleep: np.ndarray,
-) -> None:
-    """Threshold the gap multiset at each breakeven row (``-1`` = infinite).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold a counted gap spectrum at each breakeven row.
 
-    Accumulates into the caller-zeroed ``(n_be, num_banks)`` int64
-    buffers ``useful``/``sleep``.
+    Returns the ``(useful, sleep)`` ``(rows, banks)`` int64 matrices;
+    see :func:`repro.kernels.dispatch.gap_threshold_batch`.
     """
-    for row in range(breakevens.size):
-        breakeven = int(breakevens[row])
+    num_banks, width = count_suffix.shape
+    cutoff = width - 1
+    useful = np.zeros((breakevens.size, num_banks), dtype=np.int64)
+    sleep = np.zeros((breakevens.size, num_banks), dtype=np.int64)
+    for row, breakeven in enumerate(breakevens.tolist()):
         if breakeven < 0:
             continue
-        mask = gap_values > breakeven
-        banks = gap_banks[mask]
-        useful[row] += np.bincount(banks, minlength=num_banks)
-        np.add.at(sleep[row], banks, gap_values[mask] - breakeven)
-
-
-def stream_gap_update(
-    cycles: np.ndarray,
-    splits: np.ndarray,
-    last_event: np.ndarray,
-    accesses: np.ndarray,
-    idle_intervals: np.ndarray,
-    idle_cycles: np.ndarray,
-    breakevens: np.ndarray,
-    useful: np.ndarray,
-    sleep: np.ndarray,
-) -> None:
-    """Fold one bank-sorted chunk into streaming carry-state counters.
-
-    Mutates every counter array in place; ``last_event`` advances to
-    each occupied bank's final cycle. Trailing gaps stay open.
-    """
-    num_banks = last_event.size
-    counts = np.diff(splits)
-    occupied = np.flatnonzero(counts > 0)
-    firsts = cycles[splits[occupied]]
-    lasts = cycles[splits[occupied + 1] - 1]
-    if np.any(firsts <= last_event[occupied]):
-        raise SimulationError("chunk accesses must be later than every prior access")
-    bank_of = np.repeat(np.arange(num_banks), counts)
-    same_bank = bank_of[1:] == bank_of[:-1]
-    deltas = np.diff(cycles)
-    if np.any(deltas[same_bank] <= 0):
-        raise SimulationError("access cycles must be strictly increasing")
-    interior = deltas[same_bank] - 1
-    interior_banks = bank_of[1:][same_bank]
-    leading = firsts - last_event[occupied] - 1
-    gap_values = np.concatenate([interior, leading])
-    gap_banks = np.concatenate([interior_banks, occupied])
-    positive = gap_values > 0
-    gap_values = gap_values[positive]
-    gap_banks = gap_banks[positive]
-    if gap_values.size:
-        idle_intervals += np.bincount(gap_banks, minlength=num_banks)
-        np.add.at(idle_cycles, gap_banks, gap_values)
-        gap_threshold_batch(
-            gap_values, gap_banks, num_banks, breakevens, useful, sleep
-        )
-    accesses[occupied] += counts[occupied]
-    last_event[occupied] = lasts
+        if breakeven < cutoff:
+            count = count_suffix[:, breakeven + 1]
+            total = length_suffix[:, breakeven + 1]
+        else:
+            longer = over_lengths > breakeven
+            banks = over_banks[longer]
+            count = np.zeros(num_banks, dtype=np.int64)
+            total = np.zeros(num_banks, dtype=np.int64)
+            np.add.at(count, banks, over_counts[longer])
+            np.add.at(total, banks, over_counts[longer] * over_lengths[longer])
+        useful[row] = count
+        sleep[row] = total - breakeven * count
+    return useful, sleep
 
 
 def lru_walk(

@@ -129,81 +129,136 @@ def _impl() -> ModuleType:
 
 
 # ----------------------------------------------------------------------
-# Kernels. Callers pre-validate structure (splits partition cycles,
-# window is positive); backends validate per-element invariants
-# (monotonicity, window membership) identically.
+# Kernels. The dispatcher validates structure (shapes, epoch brackets);
+# backends validate per-element invariants (index and bank ranges,
+# monotonicity) identically.
 # ----------------------------------------------------------------------
+_SCAN_ERRORS = {
+    "one-shot": {
+        _numpy.ERR_NONMONOTONIC: "access cycles must be strictly increasing",
+        _numpy.ERR_NOT_LATER: "access cycles outside the observation window",
+        _numpy.ERR_RANGE: "a set index or bank table entry is outside the routed banks",
+    },
+    "carried": {
+        _numpy.ERR_NONMONOTONIC: "access cycles must be strictly increasing",
+        _numpy.ERR_NOT_LATER: "chunk accesses must be later than every prior access",
+        _numpy.ERR_RANGE: "a set index or bank table entry is outside the routed banks",
+    },
+}
+
+
+def _scan(
+    kind: str,
+    cycles: np.ndarray,
+    index: np.ndarray,
+    starts: np.ndarray,
+    tables: np.ndarray,
+    shift: int,
+    last: np.ndarray,
+    accesses: np.ndarray,
+    dense: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the backend's scan; map its error code onto ``kind``'s message.
+
+    The shape checks here and the backends' range checks keep the C
+    kernel's reads and writes in bounds.
+    """
+    for name, array in (("last", last), ("accesses", accesses), ("dense", dense)):
+        if array.dtype != np.int64 or not array.flags.c_contiguous:
+            raise SimulationError(f"{name} must be a C-contiguous int64 array")
+    num_banks = last.size
+    if accesses.size != num_banks or dense.ndim != 2 or dense.shape[0] != num_banks:
+        raise SimulationError("carried scan state does not match the bank count")
+    if tables.dtype.kind != "u" or tables.ndim != 2 or tables.shape[0] != starts.size - 1:
+        raise SimulationError("need one unsigned bank table per epoch")
+    n = cycles.size
+    if (
+        index.size != n
+        or int(starts[0]) != 0
+        or int(starts[-1]) != n
+        or bool((starts[1:] < starts[:-1]).any())
+    ):
+        raise SimulationError("epoch brackets do not partition the accesses")
+    code: int
+    over_banks: np.ndarray
+    over_lengths: np.ndarray
+    code, over_banks, over_lengths = _impl().gap_scan(
+        cycles, index, starts, tables, int(shift), last, accesses, dense
+    )
+    if code < 0:
+        raise SimulationError(_SCAN_ERRORS[kind][code])
+    return over_banks, over_lengths
+
+
 def gap_extract(
     cycles: np.ndarray,
-    splits: np.ndarray,
-    start_cycle: int,
-    end_cycle: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Extract every bank's positive idle gaps from the sorted stream.
+    index: np.ndarray,
+    starts: np.ndarray,
+    tables: np.ndarray,
+    shift: int,
+    last: np.ndarray,
+    accesses: np.ndarray,
+    dense: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one-shot idle-gap scan: :func:`stream_gap_update` over a run of
+    a whole observation window.
 
-    Bank ``b`` owns ``cycles[splits[b]:splits[b + 1]]`` (strictly
-    increasing, inside ``[start_cycle, end_cycle)``). Returns
-    ``(gap_values, gap_banks, accesses, idle_intervals, idle_cycles)``:
-    the positive-gap multiset — leading, interior, trailing, and the
-    whole-window gap of a never-accessed bank — plus per-bank int64
-    counters. Gap ordering is backend-defined; consumers reduce over
-    the multiset only.
+    The caller starts ``last`` at ``start_cycle - 1`` and closes the
+    trailing gaps afterwards, so an access no later than its bank's
+    ``last`` on entry lies before the window and raises the window
+    error.
     """
-    result: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    result = _impl().gap_extract(cycles, splits, int(start_cycle), int(end_cycle))
-    return result
-
-
-def gap_threshold_batch(
-    gap_values: np.ndarray,
-    gap_banks: np.ndarray,
-    num_banks: int,
-    breakevens: np.ndarray,
-    useful: np.ndarray,
-    sleep: np.ndarray,
-) -> None:
-    """Threshold a gap multiset at each breakeven row.
-
-    For every row ``r``: a gap converts when ``gap > breakevens[r]``,
-    adding 1 to ``useful[r, bank]`` and ``gap - breakeven`` to
-    ``sleep[r, bank]``. ``breakevens[r] < 0`` means infinite (no gap
-    ever converts). Accumulates into the caller-zeroed ``(n_be,
-    num_banks)`` int64 buffers in place.
-    """
-    _impl().gap_threshold_batch(
-        gap_values, gap_banks, int(num_banks), breakevens, useful, sleep
-    )
+    return _scan("one-shot", cycles, index, starts, tables, shift, last, accesses, dense)
 
 
 def stream_gap_update(
     cycles: np.ndarray,
-    splits: np.ndarray,
-    last_event: np.ndarray,
+    index: np.ndarray,
+    starts: np.ndarray,
+    tables: np.ndarray,
+    shift: int,
+    last: np.ndarray,
     accesses: np.ndarray,
-    idle_intervals: np.ndarray,
-    idle_cycles: np.ndarray,
-    breakevens: np.ndarray,
-    useful: np.ndarray,
-    sleep: np.ndarray,
-) -> None:
-    """Fold one bank-sorted chunk into streaming carry-state counters.
+    dense: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold one run of arrival-order accesses into a carried gap spectrum.
 
-    The fused core of ``StreamingGapAccumulator.update``: per-bank gaps
-    close against ``last_event`` (leading) and within the chunk
-    (interior), every breakeven row is thresholded in the same pass,
-    and ``last_event``/``accesses`` advance. Trailing gaps stay open
-    for ``finalize``. All arrays are mutated in place.
+    Epoch ``e`` owns positions ``starts[e]:starts[e + 1]``, and its
+    access ``i`` lands in physical bank
+    ``tables[e, index[i] >> shift]`` (``tables`` in any unsigned
+    dtype, narrowest best; an index past the tables or a bank past
+    ``last`` raises). Each access closes the gap since its bank's
+    ``last`` access: a gap ``0 < g < cutoff`` (``cutoff =
+    dense.shape[1]``) adds one to ``dense[bank, g]``, a longer one is
+    returned. ``last`` and ``accesses`` advance in place; trailing gaps
+    stay open. Returns the overflow gaps ``(banks, lengths)`` as int64
+    arrays in a backend-defined order (consumers count them).
     """
-    _impl().stream_gap_update(
-        cycles,
-        splits,
-        last_event,
-        accesses,
-        idle_intervals,
-        idle_cycles,
-        breakevens,
-        useful,
-        sleep,
+    return _scan("carried", cycles, index, starts, tables, shift, last, accesses, dense)
+
+
+def gap_threshold_batch(
+    count_suffix: np.ndarray,
+    length_suffix: np.ndarray,
+    over_banks: np.ndarray,
+    over_lengths: np.ndarray,
+    over_counts: np.ndarray,
+    breakevens: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold a counted gap spectrum at each breakeven row.
+
+    ``count_suffix[b, k]``/``length_suffix[b, k]`` are the number and
+    summed length of bank ``b``'s gaps of length ``>= k`` for ``k <=
+    cutoff``; the overflow triples count the gaps of length ``>=
+    cutoff``. Row ``r`` of the returned ``(useful, sleep)`` matrices
+    holds ``#(gap > breakevens[r])`` and ``sum(gap > breakevens[r]) -
+    breakevens[r] * useful``; ``breakevens[r] < 0`` means infinite (no
+    gap converts). Integer-exact, and one numpy implementation on every
+    backend: a counted spectrum costs O(banks x breakevens) to
+    threshold.
+    """
+    return _numpy.gap_threshold_batch(
+        count_suffix, length_suffix, over_banks, over_lengths, over_counts, breakevens
     )
 
 

@@ -11,28 +11,28 @@ Three implementations are provided and tested against each other:
 * :class:`IdlenessAccountant` — incremental, used by the reference
   simulator (one update per access);
 * :func:`stats_from_access_cycles` — vectorized over a whole epoch of
-  one bank's access cycles; the differential oracle for the batched
-  kernel;
-* :func:`idle_gaps_from_sorted_accesses` + :func:`batch_stats_from_gaps`
-  — all banks at once from the bank-sorted access stream, broadcast
-  over a *vector* of breakeven values so a breakeven sweep axis costs
-  one gap computation. The fast simulator caches the gap structure per
-  routing (via :meth:`repro.core.plan.TracePlan.idle_gaps`) and calls
-  the thresholding half, :func:`threshold_gaps`, whose
-  :class:`IdlenessTable` keeps a breakeven group's counters as
-  integer columns; :func:`batch_stats_from_sorted_accesses` composes
-  the two for one-shot use.
+  one bank's access cycles; the differential oracle;
+* :class:`GapSpectrum` — all banks at once, as per-bank counts of
+  idle-gap lengths. One arrival-order scan
+  (:func:`repro.kernels.dispatch.stream_gap_update`) closes each gap
+  against its bank's carried last-access cycle as it happens, doing
+  the set → physical-bank gather of a :class:`BankRouting` itself, so
+  no access is ever sorted by bank. :meth:`GapSpectrum.threshold`
+  then answers a whole vector of breakevens from suffix sums,
+  integer-exact, into one :class:`IdlenessTable` of integer columns.
+  The fast engine caches one spectrum per routing (via
+  :meth:`repro.core.plan.TracePlan.idle_gaps`).
 
-A fourth, :class:`StreamingGapAccumulator`, is the carry-state variant
-for chunked (out-of-core) traces: per-bank last-access cycles are
-carried across chunk boundaries, counters fold incrementally, and the
-finalized stats are bit-identical to the one-shot kernels over the
-concatenated stream.
+:class:`StreamingGapAccumulator` is the same scan carried across the
+chunks of a stream: per-bank last-access cycles and the spectrum
+survive chunk boundaries, and the one threshold at the end is
+bit-identical to the one-shot spectrum over the concatenated stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -224,70 +224,64 @@ def stats_from_access_cycles(
     )
 
 
+
+
 @dataclass(frozen=True)
-class IdleGapStructure:
-    """The breakeven-independent idle-gap view of a bank-sorted stream.
+class BankRouting:
+    """A run of accesses in arrival order, and the bank each one goes to.
 
-    Extracting this is the only O(accesses) part of batched idleness
-    accounting; every breakeven value merely re-thresholds it. The fast
-    engine caches one per routing in the trace plan, so grids whose
-    points share a routing (breakeven, power-management or technology
-    axes) pay for the gap pass once.
+    Epoch ``e`` owns positions ``starts[e]:starts[e + 1]`` and sends
+    access ``i`` to physical bank ``tables[e, index[i] >> shift]``: the
+    routing layer hands over the set indices and one logical → physical
+    table per epoch (in the narrowest unsigned dtype that holds the bank
+    ids), and the gap scan does the gather. :meth:`direct` builds one
+    for accesses whose banks are already known.
     """
 
-    num_banks: int
-    window: int
-    accesses: np.ndarray
-    gap_values: np.ndarray
-    gap_banks: np.ndarray
-    idle_intervals: np.ndarray
-    idle_cycles: np.ndarray
+    cycles: np.ndarray
+    index: np.ndarray
+    starts: np.ndarray
+    tables: np.ndarray
+    shift: int = 0
+
+    @classmethod
+    def direct(cls, cycles, banks, num_banks: int) -> BankRouting:
+        """Accesses whose physical bank ids are ``banks``."""
+        cycles = np.asarray(cycles, dtype=np.int64)
+        banks = np.asarray(banks, dtype=np.int64)
+        if banks.shape != cycles.shape:
+            raise SimulationError("need one bank id per access")
+        if banks.size and (int(banks.min()) < 0 or int(banks.max()) >= num_banks):
+            raise SimulationError("bank id out of range")
+        table = np.arange(num_banks, dtype=np.min_scalar_type(num_banks - 1))
+        return cls(cycles, banks, np.array([0, cycles.size], dtype=np.int64), table[None, :])
 
 
-def idle_gaps_from_sorted_accesses(
-    sorted_cycles: np.ndarray,
-    splits: np.ndarray,
-    start_cycle: int,
-    end_cycle: int,
-) -> IdleGapStructure:
-    """Extract every bank's idle gaps from the bank-sorted stream.
+#: Dense cells (banks × cutoff) one gap spectrum may hold. The cutoff
+#: shrinks as the bank count grows, so the fine-grain template's
+#: per-line routing (up to 2**17 lines) stays bounded in total.
+DENSE_CELLS = 1 << 18
+#: The cutoff with few banks: gaps shorter than it are counted densely.
+MAX_CUTOFF = 1 << 10
 
-    Parameters
-    ----------
-    sorted_cycles:
-        Access cycles sorted by (bank, arrival): bank ``b`` occupies the
-        slice ``sorted_cycles[splits[b]:splits[b + 1]]``, strictly
-        increasing within each slice.
-    splits:
-        Segment boundaries, length ``num_banks + 1`` with
-        ``splits[-1] == sorted_cycles.size``.
-    start_cycle, end_cycle:
-        Observation window ``[start_cycle, end_cycle)``.
-    """
-    cycles = np.asarray(sorted_cycles, dtype=np.int64)
-    splits = np.asarray(splits, dtype=np.int64)
-    num_banks = splits.size - 1
-    if num_banks < 1:
-        raise SimulationError("need at least one bank segment")
-    window = int(end_cycle - start_cycle)
-    if window < 0:
-        raise SimulationError("end_cycle precedes start_cycle")
-    accesses = np.diff(splits)
-    if np.any(accesses < 0) or int(splits[0]) != 0 or int(splits[-1]) != cycles.size:
-        raise SimulationError("splits do not partition the access stream")
 
-    gap_values, gap_banks, accesses, idle_intervals, idle_cycles = kernels.gap_extract(
-        cycles, splits, start_cycle, end_cycle
-    )
-    return IdleGapStructure(
-        num_banks=num_banks,
-        window=window,
-        accesses=accesses,
-        gap_values=gap_values,
-        gap_banks=gap_banks,
-        idle_intervals=idle_intervals,
-        idle_cycles=idle_cycles,
-    )
+def spectrum_cutoff(num_banks: int) -> int:
+    """The dense cutoff of a spectrum over ``num_banks`` banks."""
+    return max(1, min(MAX_CUTOFF, DENSE_CELLS // num_banks))
+
+
+def _counted(banks: np.ndarray, lengths: np.ndarray, counts: np.ndarray):
+    """``(banks, lengths, counts)`` sorted by (bank, length), equal
+    pairs merged with their counts summed."""
+    if banks.size == 0:
+        return banks, lengths, counts
+    order = np.lexsort((lengths, banks))
+    banks, lengths, counts = banks[order], lengths[order], counts[order]
+    new = np.empty(banks.size, dtype=bool)
+    new[0] = True
+    new[1:] = (banks[1:] != banks[:-1]) | (lengths[1:] != lengths[:-1])
+    heads = np.flatnonzero(new)
+    return banks[heads], lengths[heads], np.add.reduceat(counts, heads)
 
 
 @dataclass(frozen=True)
@@ -338,186 +332,253 @@ class IdlenessTable:
         ]
 
 
-def threshold_gaps(gaps: IdleGapStructure, breakevens) -> IdlenessTable:
-    """Threshold a gap structure at each breakeven. Integer-exact.
+@dataclass(frozen=True, eq=False)
+class GapSpectrum:
+    """Per-bank counts of idle-gap lengths over an observation window.
 
-    A ``None`` breakeven means *infinite* (no gap ever converts to
-    sleep), matching :class:`StreamingGapAccumulator`; the kernels
-    encode it as ``-1``.
+    Everything the paper's idleness asks of a bank is how many of its
+    idle gaps are longer than the breakeven, and by how much, so a
+    bank's gaps are kept as counts, not as a list: ``dense[b, g]``
+    counts bank ``b``'s gaps of length ``g`` for ``0 < g < cutoff``
+    (column 0 stays 0); the longer ones are the sorted
+    ``(over_banks, over_lengths, over_counts)`` triples. ``accesses``
+    counts each bank's accesses and ``window`` is the window's length.
+
+    :meth:`threshold` derives a whole breakeven vector from suffix
+    sums over both parts (computed once per spectrum), and
+    :meth:`merge` is addition. Build one with :meth:`scan` or
+    :meth:`StreamingGapAccumulator.finalize`.
     """
-    num_banks = gaps.num_banks
-    breakeven_list = [
-        -1 if breakeven is None else int(breakeven) for breakeven in breakevens
-    ]
-    for breakeven in breakeven_list:
-        if breakeven != -1 and breakeven < 1:
-            raise SimulationError("breakeven must be >= 1 cycle")
-    breakeven_array = np.asarray(breakeven_list, dtype=np.int64)
-    useful = np.zeros((breakeven_array.size, num_banks), dtype=np.int64)
-    sleep = np.zeros((breakeven_array.size, num_banks), dtype=np.int64)
-    kernels.gap_threshold_batch(
-        gaps.gap_values,
-        gaps.gap_banks,
-        num_banks,
-        breakeven_array,
-        useful,
-        sleep,
-    )
-    return IdlenessTable(
-        window=gaps.window,
-        accesses=gaps.accesses,
-        idle_intervals=gaps.idle_intervals,
-        idle_cycles=gaps.idle_cycles,
-        useful=useful,
-        sleep=sleep,
-    )
+
+    window: int
+    accesses: np.ndarray
+    dense: np.ndarray
+    over_banks: np.ndarray
+    over_lengths: np.ndarray
+    over_counts: np.ndarray
+
+    @property
+    def num_banks(self) -> int:
+        return int(self.dense.shape[0])
+
+    @property
+    def cutoff(self) -> int:
+        return int(self.dense.shape[1])
+
+    @classmethod
+    def scan(cls, routings, num_banks: int, start_cycle: int, end_cycle: int) -> GapSpectrum:
+        """The spectrum of the window ``[start_cycle, end_cycle)`` from
+        its accesses, given as :class:`BankRouting` runs in arrival order.
+
+        One-shot: every bank starts busy at ``start_cycle - 1``, and
+        its trailing gap (a never-accessed bank's whole window) closes
+        at ``end_cycle``.
+        """
+        accumulator = StreamingGapAccumulator(num_banks, start_cycle)
+        for routing in routings:
+            accumulator._fold(kernels.gap_extract, routing)
+        return accumulator.finalize(end_cycle)
+
+    def merge(self, other: GapSpectrum) -> GapSpectrum:
+        """The sum of two spectra of the same banks: their windows,
+        accesses and gap counts add (a gap cut by the seam counts as
+        two)."""
+        if self.dense.shape != other.dense.shape:
+            raise SimulationError("spectra of different bank counts do not merge")
+        return GapSpectrum(
+            self.window + other.window,
+            self.accesses + other.accesses,
+            self.dense + other.dense,
+            *_counted(
+                np.concatenate((self.over_banks, other.over_banks)),
+                np.concatenate((self.over_lengths, other.over_lengths)),
+                np.concatenate((self.over_counts, other.over_counts)),
+            ),
+        )
+
+    @cached_property
+    def _suffix(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(count_suffix, length_suffix)``: the number and summed
+        length of each bank's gaps of length ``>= k``, ``k <= cutoff``."""
+        num_banks, cutoff = self.dense.shape
+        over_count = np.zeros(num_banks, dtype=np.int64)
+        over_total = np.zeros(num_banks, dtype=np.int64)
+        np.add.at(over_count, self.over_banks, self.over_counts)
+        np.add.at(over_total, self.over_banks, self.over_counts * self.over_lengths)
+        count_suffix = np.empty((num_banks, cutoff + 1), dtype=np.int64)
+        length_suffix = np.empty((num_banks, cutoff + 1), dtype=np.int64)
+        count_suffix[:, cutoff] = over_count
+        length_suffix[:, cutoff] = over_total
+        lengths = self.dense * np.arange(cutoff, dtype=np.int64)
+        count_suffix[:, :cutoff] = np.cumsum(self.dense[:, ::-1], axis=1)[:, ::-1]
+        length_suffix[:, :cutoff] = np.cumsum(lengths[:, ::-1], axis=1)[:, ::-1]
+        count_suffix[:, :cutoff] += over_count[:, None]
+        length_suffix[:, :cutoff] += over_total[:, None]
+        return count_suffix, length_suffix
+
+    def threshold(self, breakevens) -> IdlenessTable:
+        """Threshold every bank at each breakeven. Integer-exact.
+
+        Row ``r`` counts ``useful = #(gap > b)`` and ``sleep =
+        sum(gap > b) - b * useful`` for ``b = breakevens[r]``. A
+        ``None`` breakeven means *infinite* (no gap ever converts to
+        sleep), how an unmanaged cache is accounted without knowing the
+        horizon up front; the kernels encode it as ``-1``.
+        """
+        encoded = []
+        for breakeven in breakevens:
+            if breakeven is None:
+                encoded.append(-1)
+            elif breakeven < 1:
+                raise SimulationError("breakeven must be >= 1 cycle")
+            else:
+                encoded.append(int(breakeven))
+        count_suffix, length_suffix = self._suffix
+        useful, sleep = kernels.gap_threshold_batch(
+            count_suffix,
+            length_suffix,
+            self.over_banks,
+            self.over_lengths,
+            self.over_counts,
+            np.asarray(encoded, dtype=np.int64),
+        )
+        return IdlenessTable(
+            window=self.window,
+            accesses=self.accesses,
+            idle_intervals=count_suffix[:, 0].copy(),
+            idle_cycles=length_suffix[:, 0].copy(),
+            useful=useful,
+            sleep=sleep,
+        )
 
 
-def batch_stats_from_gaps(gaps: IdleGapStructure, breakevens) -> list[list[BankIdleStats]]:
-    """Threshold a gap structure at each breakeven: one stats list per
+def batch_stats_from_gaps(spectrum: GapSpectrum, breakevens) -> list[list[BankIdleStats]]:
+    """Threshold a gap spectrum at each breakeven: one stats list per
     breakeven, one :class:`BankIdleStats` per bank. Integer-exact.
 
-    The expanded form of :func:`threshold_gaps` (``None`` breakevens
-    included).
+    The expanded form of :meth:`GapSpectrum.threshold` (``None``
+    breakevens included).
     """
-    return threshold_gaps(gaps, breakevens).stats()
+    return spectrum.threshold(breakevens).stats()
 
 
 class StreamingGapAccumulator:
-    """Carry-state idleness accounting over a chunked access stream.
+    """Carry-state idle-gap scan over a chunked access stream.
 
-    The out-of-core counterpart of
-    :func:`idle_gaps_from_sorted_accesses` +
-    :func:`batch_stats_from_gaps`: chunks of the bank-sorted access
-    stream arrive one at a time through :meth:`update`, and the only
-    state carried across chunk boundaries is each bank's last-access
-    cycle — the open gap a silent bank is accumulating is implicit in
-    it and is closed by the bank's next access (whenever that chunk
-    arrives) or by :meth:`finalize`. Because the multiset of idle gaps
-    this induces is exactly the one-shot kernel's, the finalized
-    :class:`BankIdleStats` are **bit-identical** to
-    :func:`batch_stats_from_sorted_accesses` over the concatenated
-    stream (the streaming fuzz suite enforces this for adversarial
-    chunkings, including one-cycle chunks and chunk boundaries landing
-    exactly on gap edges).
+    Chunks arrive one at a time through :meth:`update`, each as
+    :class:`BankRouting` runs in arrival order, and the state carried
+    across chunk boundaries is each bank's last-access cycle plus the
+    spectrum's counts — the open gap a silent bank is accumulating is
+    implicit in its last access and closes at the bank's next access
+    (whenever that chunk arrives) or at :meth:`finalize`. Because the
+    multiset of idle gaps this induces is exactly the one-shot scan's,
+    the finalized :class:`GapSpectrum` is **bit-identical** to
+    :meth:`GapSpectrum.scan` over the concatenated stream (the streaming
+    fuzz suite enforces this for adversarial chunkings, including
+    one-cycle chunks and chunk boundaries landing exactly on gap
+    edges). Memory is O(banks × cutoff + distinct long gaps),
+    independent of the stream's length.
 
     Parameters
     ----------
     num_banks:
         Number of physical banks tracked.
-    breakevens:
-        Vector of breakeven times to threshold at; each entry is an
-        ``int >= 1`` or ``None``, where ``None`` means *infinite* (no
-        gap ever converts to sleep — how an unmanaged cache is
-        accounted without knowing the horizon up front).
     start_cycle:
         First cycle of the observation window.
     """
 
-    def __init__(
-        self,
-        num_banks: int,
-        breakevens,
-        start_cycle: int = 0,
-    ) -> None:
+    #: Uncounted overflow gaps held before they are merged into the
+    #: sorted triples.
+    pending_limit = 1 << 16
+
+    def __init__(self, num_banks: int, start_cycle: int = 0) -> None:
         if num_banks < 1:
             raise SimulationError("need at least one bank")
-        self.breakevens = list(breakevens)
-        for breakeven in self.breakevens:
-            if breakeven is not None and breakeven < 1:
-                raise SimulationError("breakeven must be >= 1 cycle")
         self.num_banks = num_banks
         self.start_cycle = start_cycle
-        # -1 encodes an infinite (None) breakeven for the kernels.
-        self._breakeven_array = np.asarray(
-            [-1 if b is None else int(b) for b in self.breakevens], dtype=np.int64
-        )
-        self._last_event = np.full(num_banks, start_cycle - 1, dtype=np.int64)
+        self._last = np.full(num_banks, start_cycle - 1, dtype=np.int64)
         self._accesses = np.zeros(num_banks, dtype=np.int64)
-        self._idle_intervals = np.zeros(num_banks, dtype=np.int64)
-        self._idle_cycles = np.zeros(num_banks, dtype=np.int64)
-        self._useful = np.zeros((len(self.breakevens), num_banks), dtype=np.int64)
-        self._sleep = np.zeros((len(self.breakevens), num_banks), dtype=np.int64)
-        self._finalized = False
+        self._dense = np.zeros((num_banks, spectrum_cutoff(num_banks)), dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        self._over = (empty, empty, empty)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_size = 0
+        self._spectrum: GapSpectrum | None = None
 
-    def _account_gaps(self, gap_values: np.ndarray, gap_banks: np.ndarray) -> None:
-        """Fold a batch of closed gaps (already ``> 0``) into the counters."""
-        if gap_values.size == 0:
-            return
-        self._idle_intervals += np.bincount(gap_banks, minlength=self.num_banks)
-        np.add.at(self._idle_cycles, gap_banks, gap_values)
-        for row, breakeven in enumerate(self.breakevens):
-            if breakeven is None:
-                continue
-            useful = gap_values > breakeven
-            banks = gap_banks[useful]
-            self._useful[row] += np.bincount(banks, minlength=self.num_banks)
-            np.add.at(self._sleep[row], banks, gap_values[useful] - breakeven)
+    def update(self, routing: BankRouting) -> None:
+        """Fold one run of the stream's accesses into the spectrum.
 
-    def update(self, sorted_cycles: np.ndarray, splits: np.ndarray) -> None:
-        """Fold one chunk of the bank-sorted stream into the counters.
-
-        ``sorted_cycles``/``splits`` have the layout of
-        :func:`idle_gaps_from_sorted_accesses`: bank ``b`` owns the
-        slice ``sorted_cycles[splits[b]:splits[b + 1]]``, strictly
-        increasing within each slice and later than every cycle the
-        bank has already seen.
+        Every access must be later than every access its bank has
+        already seen.
         """
-        if self._finalized:
-            raise SimulationError("accumulator already finalized")
-        cycles = np.asarray(sorted_cycles, dtype=np.int64)
-        splits = np.asarray(splits, dtype=np.int64)
-        if splits.size != self.num_banks + 1:
-            raise SimulationError("splits do not match the bank count")
-        counts = np.diff(splits)
-        if np.any(counts < 0) or int(splits[0]) != 0 or int(splits[-1]) != cycles.size:
-            raise SimulationError("splits do not partition the access stream")
-        if cycles.size == 0:
-            return
-        kernels.stream_gap_update(
-            cycles,
-            splits,
-            self._last_event,
-            self._accesses,
-            self._idle_intervals,
-            self._idle_cycles,
-            self._breakeven_array,
-            self._useful,
-            self._sleep,
-        )
+        self._fold(kernels.stream_gap_update, routing)
 
-    def finalize_table(self, end_cycle: int) -> IdlenessTable:
-        """Close every open gap to ``end_cycle`` and return the counters
-        as one :class:`IdlenessTable`, one row per breakeven in the
-        order the breakevens were given."""
-        if self._finalized:
+    def _fold(self, kernel, routing: BankRouting) -> None:
+        if self._spectrum is not None:
             raise SimulationError("accumulator already finalized")
+        if routing.cycles.size == 0:
+            return
+        banks, lengths = kernel(
+            routing.cycles,
+            routing.index,
+            routing.starts,
+            routing.tables,
+            routing.shift,
+            self._last,
+            self._accesses,
+            self._dense,
+        )
+        self._hold(banks, lengths)
+
+    def _hold(self, banks: np.ndarray, lengths: np.ndarray) -> None:
+        if banks.size:
+            self._pending.append((banks, lengths))
+            self._pending_size += banks.size
+            if self._pending_size >= self.pending_limit:
+                self._count_pending()
+
+    def _count_pending(self) -> None:
+        if not self._pending:
+            return
+        banks, lengths, counts = self._over
+        self._over = _counted(
+            np.concatenate([banks, *(b for b, _ in self._pending)]).astype(np.int64),
+            np.concatenate([lengths, *(g for _, g in self._pending)]),
+            np.concatenate([counts, np.ones(self._pending_size, dtype=np.int64)]),
+        )
+        self._pending = []
+        self._pending_size = 0
+
+    def finalize(self, end_cycle: int) -> GapSpectrum:
+        """Close every bank's open gap at ``end_cycle`` and return the
+        spectrum of ``[start_cycle, end_cycle)``.
+
+        Idempotent for one ``end_cycle``, so the cursors sharing an
+        accumulator each finalize it.
+        """
         window = int(end_cycle - self.start_cycle)
+        if self._spectrum is not None:
+            if window == self._spectrum.window:
+                return self._spectrum
+            raise SimulationError("accumulator already finalized")
         if window < 0:
             raise SimulationError("end_cycle precedes start_cycle")
-        if np.any(self._last_event >= end_cycle):
+        if np.any(self._last >= end_cycle):
             raise SimulationError("access cycles outside the observation window")
-        trailing = end_cycle - self._last_event - 1
-        banks = np.flatnonzero(trailing > 0)
-        self._account_gaps(trailing[banks], banks)
-        self._finalized = True
-        return IdlenessTable(
-            window=window,
-            accesses=self._accesses,
-            idle_intervals=self._idle_intervals,
-            idle_cycles=self._idle_cycles,
-            useful=self._useful,
-            sleep=self._sleep,
-        )
+        trailing = end_cycle - self._last - 1
+        short = np.flatnonzero((trailing > 0) & (trailing < self._dense.shape[1]))
+        self._dense[short, trailing[short]] += 1
+        long = np.flatnonzero(trailing >= self._dense.shape[1])
+        self._hold(long.astype(np.int64), trailing[long])
+        self._count_pending()
+        self._spectrum = GapSpectrum(window, self._accesses, self._dense, *self._over)
+        return self._spectrum
 
-    def finalize(self, end_cycle: int) -> list[list[BankIdleStats]]:
-        """Close every open gap to ``end_cycle`` and return the stats.
-
-        One list of per-bank :class:`BankIdleStats` per breakeven, in
-        the order the breakevens were given — the same shape as
-        :func:`batch_stats_from_gaps`.
-        """
-        return self.finalize_table(end_cycle).stats()
+    def finalize_table(self, end_cycle: int, breakevens) -> IdlenessTable:
+        """Close the window at ``end_cycle`` and threshold it once at
+        every breakeven: one :class:`IdlenessTable` row per breakeven,
+        in order."""
+        return self.finalize(end_cycle).threshold(breakevens)
 
 
 def batch_stats_from_sorted_accesses(
@@ -527,14 +588,24 @@ def batch_stats_from_sorted_accesses(
     start_cycle: int,
     end_cycle: int,
 ) -> list[list[BankIdleStats]]:
-    """All banks' idleness stats in one pass, for a vector of breakevens.
+    """All banks' idleness stats for a vector of breakevens, from a
+    bank-sorted access stream.
 
-    Convenience composition of :func:`idle_gaps_from_sorted_accesses`
-    and :func:`batch_stats_from_gaps`: the idle-gap structure is
-    computed once and each breakeven only re-thresholds it, so a
-    breakeven sweep axis costs one gap computation. Each returned list
-    is exactly equal to calling :func:`stats_from_access_cycles` per
-    bank slice (tests enforce it).
+    Bank ``b`` owns ``sorted_cycles[splits[b]:splits[b + 1]]``,
+    strictly increasing within the slice; ``splits`` has
+    ``num_banks + 1`` entries. The spectrum is scanned once and each
+    breakeven only re-thresholds it. Each returned list is exactly
+    equal to calling :func:`stats_from_access_cycles` per bank slice
+    (tests enforce it).
     """
-    gaps = idle_gaps_from_sorted_accesses(sorted_cycles, splits, start_cycle, end_cycle)
-    return batch_stats_from_gaps(gaps, breakevens)
+    cycles = np.asarray(sorted_cycles, dtype=np.int64)
+    splits = np.asarray(splits, dtype=np.int64)
+    num_banks = splits.size - 1
+    if num_banks < 1:
+        raise SimulationError("need at least one bank segment")
+    counts = np.diff(splits)
+    if np.any(counts < 0) or int(splits[0]) != 0 or int(splits[-1]) != cycles.size:
+        raise SimulationError("splits do not partition the access stream")
+    routing = BankRouting.direct(cycles, np.repeat(np.arange(num_banks), counts), num_banks)
+    spectrum = GapSpectrum.scan([routing], num_banks, start_cycle, end_cycle)
+    return batch_stats_from_gaps(spectrum, breakevens)

@@ -247,7 +247,7 @@ class NpzTraceStream(TraceStream):
 
     Compressed zip members decompress as whole arrays, so the *load* is
     not out-of-core; what this bounds is the simulation working set
-    (decode, sort, gap arrays all become per-chunk). For a load that is
+    (decode and routing arrays become per-chunk). For a load that is
     itself memory-mapped, use the directory format
     (:func:`save_trace_mmap` / :class:`MmapTraceStream`).
     """

@@ -3,7 +3,7 @@
 Result assembly turns measured counters into energy (one
 :class:`~repro.power.energy.EnergyModel` coefficient set per
 measurement), lifetimes (one vectorised LUT query per measurement) and
-the bank-sorted access stream (a stable radix sort of narrow bank ids).
+the per-bank gap spectrum (gathered from narrow bank-id tables).
 Each of these must reproduce the per-bank scalar derivation bit for
 bit, because stored records are re-derived from their counters. Pinned
 here:
@@ -13,7 +13,7 @@ here:
 * the vectorised LUT query against the scalar bilinear expression,
   element by element (Hypothesis), and its error checks;
 * routing at the edges of the narrow bank-id dtypes (256 and 512
-  banks) against an int64 stable argsort;
+  banks) against int64 bank ids and a stable argsort;
 * the fine-grain simulator's per-line lifetimes against the engine's
   metric path;
 * a breakeven group assembled as one table against per-config
@@ -57,7 +57,7 @@ from repro.core.serialize import result_to_dict
 from repro.core.simulator import assemble_group, assemble_result, simulate
 from repro.errors import ConfigurationError, ModelError
 from repro.kernels import dispatch
-from repro.power.idleness import BankIdleStats, IdlenessTable
+from repro.power.idleness import BankIdleStats, IdlenessTable, stats_from_access_cycles
 from repro.trace.trace import Trace
 from repro.utils.bitops import log2_exact
 from repro.utils.units import years_to_seconds
@@ -284,7 +284,8 @@ class TestEnergyDerivation:
 # Routing at the edges of the narrow bank-id dtypes
 # ----------------------------------------------------------------------
 def int64_bank_order(plan: TracePlan, config) -> tuple[np.ndarray, np.ndarray]:
-    """Routing with int64 bank ids and numpy's stable argsort."""
+    """The bank-sorted stream ``(cycles, splits)`` the spectrum scan
+    replaced, routed with int64 bank ids and numpy's stable argsort."""
     trace = plan.trace
     geometry = config.geometry
     index, _ = plan.decode(geometry.offset_bits, geometry.index_bits)
@@ -306,6 +307,8 @@ class TestNarrowRouting:
     @pytest.mark.parametrize("banks", [256, 512])
     @pytest.mark.parametrize("policy", ["static", "probing", "scrambling"])
     def test_bank_order_equals_int64_stable_argsort(self, banks, policy):
+        """The scan's in-kernel gather from narrow tables routes every
+        access where int64 bank ids and a stable argsort do."""
         # 16 KB, 16 B lines, direct-mapped: 1024 sets, so 512 banks
         # hold two sets each; 256 is the last count with uint8 ids.
         trace = make_random_trace(seed=banks + len(policy), length=6000)
@@ -316,10 +319,18 @@ class TestNarrowRouting:
             update_period_cycles=None if policy == "static" else 20000,
         )
         plan = TracePlan(trace)
-        sorted_cycles, route_splits = plan.route(config, config.make_policy())
+        [routing] = plan.route(config, config.make_policy())
+        assert routing.tables.dtype == (np.uint8 if banks == 256 else np.uint16)
         cycles, splits = int64_bank_order(plan, config)
-        assert np.array_equal(sorted_cycles, cycles)
-        assert np.array_equal(route_splits, splits)
+        breakevens = [1, 40, 900]
+        got = plan.idle_gaps(config).threshold(breakevens).stats()
+        for breakeven, row in zip(breakevens, got):
+            assert row == [
+                stats_from_access_cycles(
+                    cycles[splits[bank]:splits[bank + 1]], breakeven, 0, trace.horizon
+                )
+                for bank in range(banks)
+            ]
         # The trace reaches the top bank ids, where uint8 ends.
         assert splits[-1] - splits[-2] > 0
 

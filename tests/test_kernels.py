@@ -6,9 +6,10 @@ backend's integer counters when the on-demand C extension serves it —
 including error behavior and carry-state streaming. The hypothesis
 classes below pin that across banks, ways > 1, breakeven vectors
 (including infinite) and one-cycle chunk alignment, switching the
-process-wide backend with ``dispatch.use_backend``; the parallel
-streaming class pins the grid-chunk fan-out of a stream to the serial
-pass.
+process-wide backend with ``dispatch.use_backend``; the gap spectrum
+is also held to the sort-based gap extraction it replaced, kept here
+as the oracle. The parallel streaming class pins the grid-chunk
+fan-out of a stream to the serial pass.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from repro.core.streamsim import simulate_stream, stream_selected
 from repro.errors import ConfigurationError, ReproWarning, SimulationError
 from repro.kernels import dispatch
 from repro.power.idleness import (
+    BankRouting,
+    GapSpectrum,
     StreamingGapAccumulator,
     batch_stats_from_sorted_accesses,
 )
@@ -97,9 +100,44 @@ def on_backend(name, kernel, *args):
         return kernel(*args)
 
 
-def gap_multiset(gap_values, gap_banks):
-    """Backend-independent view of a gap batch (ordering is backend-defined)."""
-    return sorted(zip(gap_banks.tolist(), gap_values.tolist()))
+def sorted_gap_extraction(cycles, splits, start_cycle, end_cycle):
+    """The sort-based extraction the spectrum replaced: every positive
+    idle gap of a bank-sorted stream as sorted ``(bank, length)`` pairs
+    (leading, interior, trailing, and a never-accessed bank's window)."""
+    pairs = []
+    for bank in range(splits.size - 1):
+        mine = cycles[splits[bank]:splits[bank + 1]].tolist()
+        edges = [start_cycle - 1, *mine, end_cycle]
+        pairs += [(bank, b - a - 1) for a, b in zip(edges, edges[1:]) if b - a - 1 > 0]
+    return sorted(pairs)
+
+
+def spectrum_multiset(spectrum):
+    """The spectrum's gaps as sorted ``(bank, length)`` pairs."""
+    pairs = []
+    for bank, length in zip(*np.nonzero(spectrum.dense)):
+        pairs += [(int(bank), int(length))] * int(spectrum.dense[bank, length])
+    for bank, length, count in zip(
+        spectrum.over_banks.tolist(),
+        spectrum.over_lengths.tolist(),
+        spectrum.over_counts.tolist(),
+    ):
+        pairs += [(bank, length)] * count
+    return sorted(pairs)
+
+
+def assert_same_spectrum(mine, theirs):
+    assert mine.window == theirs.window
+    for field in ("accesses", "dense", "over_banks", "over_lengths", "over_counts"):
+        assert np.array_equal(getattr(mine, field), getattr(theirs, field)), field
+        assert getattr(mine, field).dtype == np.int64, field
+
+
+def sorted_routing(cycles, splits):
+    """A bank-sorted stream as one direct routing."""
+    num_banks = splits.size - 1
+    banks = np.repeat(np.arange(num_banks), np.diff(splits))
+    return BankRouting.direct(cycles, banks, num_banks)
 
 
 # ---------------------------------------------------------------------------
@@ -112,36 +150,48 @@ class TestKernelDifferential:
     @settings(max_examples=60, deadline=None)
     @given(stream=bank_streams())
     def test_gap_extract(self, backend, stream):
+        """The one-shot scan fills the same spectrum on both backends,
+        and its gaps are the sort-based extraction's."""
         cycles, splits, num_banks, end = stream
-        ref = on_backend("numpy", dispatch.gap_extract, cycles, splits, 0, end)
-        got = on_backend(backend, dispatch.gap_extract, cycles, splits, 0, end)
-        assert gap_multiset(got[0], got[1]) == gap_multiset(ref[0], ref[1])
-        for mine, theirs in zip(got[2:], ref[2:]):
-            assert np.array_equal(mine, theirs)
-            assert mine.dtype == np.int64
+        spectra = {
+            name: on_backend(
+                name, GapSpectrum.scan, [sorted_routing(cycles, splits)], num_banks, 0, end
+            )
+            for name in ("numpy", backend)
+        }
+        assert_same_spectrum(spectra[backend], spectra["numpy"])
+        assert spectrum_multiset(spectra[backend]) == sorted_gap_extraction(
+            cycles, splits, 0, end
+        )
+        assert np.array_equal(spectra[backend].accesses, np.diff(splits))
 
     @settings(max_examples=60, deadline=None)
     @given(stream=bank_streams(), breakevens=breakeven_vectors)
     def test_gap_threshold_batch(self, backend, stream, breakevens):
+        """Thresholding the spectrum equals thresholding every extracted
+        gap, on both backends."""
         cycles, splits, num_banks, end = stream
-        values, banks, *_ = on_backend(
-            "numpy", dispatch.gap_extract, cycles, splits, 0, end
-        )
-        be = np.array(
-            [-1 if b is None else b for b in breakevens], dtype=np.int64
-        )
-        outs = {}
+        gaps = sorted_gap_extraction(cycles, splits, 0, end)
+        expected_useful = np.zeros((len(breakevens), num_banks), dtype=np.int64)
+        expected_sleep = np.zeros((len(breakevens), num_banks), dtype=np.int64)
+        for row, breakeven in enumerate(breakevens):
+            for bank, length in gaps:
+                if breakeven is not None and length > breakeven:
+                    expected_useful[row, bank] += 1
+                    expected_sleep[row, bank] += length - breakeven
         for name in ("numpy", backend):
-            useful = np.zeros((len(breakevens), num_banks), dtype=np.int64)
-            sleep = np.zeros((len(breakevens), num_banks), dtype=np.int64)
-            on_backend(
-                name,
-                dispatch.gap_threshold_batch,
-                values, banks, num_banks, be, useful, sleep,
+            spectrum = on_backend(
+                name, GapSpectrum.scan, [sorted_routing(cycles, splits)], num_banks, 0, end
             )
-            outs[name] = (useful, sleep)
-        assert np.array_equal(outs[backend][0], outs["numpy"][0])
-        assert np.array_equal(outs[backend][1], outs["numpy"][1])
+            table = on_backend(name, spectrum.threshold, breakevens)
+            assert np.array_equal(table.useful, expected_useful)
+            assert np.array_equal(table.sleep, expected_sleep)
+            assert table.idle_intervals.tolist() == [
+                sum(1 for bank, _ in gaps if bank == b) for b in range(num_banks)
+            ]
+            assert table.idle_cycles.tolist() == [
+                sum(length for bank, length in gaps if bank == b) for b in range(num_banks)
+            ]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -156,31 +206,31 @@ class TestKernelDifferential:
         alignment case where every gap closes against carried state.
         """
         cycles, splits, num_banks, end = stream
+        banks = np.repeat(np.arange(num_banks), np.diff(splits))
+        order = np.argsort(cycles, kind="stable")
+        arrival_cycles, arrival_banks = cycles[order], banks[order]
         accs = {
-            name: StreamingGapAccumulator(num_banks, breakevens)
+            name: StreamingGapAccumulator(num_banks)
             for name in ("numpy", backend)
         }
-        # Re-chunk the bank-sorted stream by cycle windows of `chunk`.
+        # Re-chunk the stream, in arrival order, by cycle windows of `chunk`.
         for lo in range(0, end, chunk):
-            hi = min(lo + chunk, end)
-            parts, counts = [], []
-            for b in range(num_banks):
-                mine = cycles[splits[b]:splits[b + 1]]
-                window = mine[(mine >= lo) & (mine < hi)]
-                parts.append(window)
-                counts.append(len(window))
-            chunk_cycles = np.concatenate(parts) if parts else np.empty(0, np.int64)
-            chunk_splits = np.cumsum([0] + counts).astype(np.int64)
+            inside = (arrival_cycles >= lo) & (arrival_cycles < lo + chunk)
+            routing = BankRouting.direct(
+                arrival_cycles[inside], arrival_banks[inside], num_banks
+            )
             for name, acc in accs.items():
-                on_backend(name, acc.update, chunk_cycles, chunk_splits)
+                on_backend(name, acc.update, routing)
+                assert np.array_equal(acc._dense, accs["numpy"]._dense)
+                assert np.array_equal(acc._last, accs["numpy"]._last)
         finals = {name: acc.finalize(end) for name, acc in accs.items()}
-        assert finals[backend] == finals["numpy"]
+        assert_same_spectrum(finals[backend], finals["numpy"])
         one_shot = on_backend(
             backend,
             batch_stats_from_sorted_accesses,
             cycles, splits, breakevens, 0, end,
         )
-        assert finals[backend] == one_shot
+        assert finals[backend].threshold(breakevens).stats() == one_shot
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -245,34 +295,84 @@ class TestErrorParity:
             on_backend(name, fn, *args)
         return str(excinfo.value)
 
+    def _scan(self, kernel, routing, last):
+        dense = np.zeros((last.size, 4), dtype=np.int64)
+        accesses = np.zeros(last.size, dtype=np.int64)
+        return kernel(
+            routing.cycles, routing.index, routing.starts, routing.tables,
+            routing.shift, last, accesses, dense,
+        )
+
     def test_non_monotonic(self, backend):
-        cycles = np.array([5, 5], dtype=np.int64)
-        splits = np.array([0, 2], dtype=np.int64)
+        routing = BankRouting.direct(np.array([5, 5]), np.array([0, 0]), 1)
         messages = {
-            name: self._message(name, dispatch.gap_extract, cycles, splits, 0, 10)
+            name: self._message(
+                name, self._scan, dispatch.gap_extract, routing, np.full(1, -1)
+            )
             for name in ("numpy", backend)
         }
         assert messages[backend] == messages["numpy"]
         assert "strictly increasing" in messages[backend]
 
     def test_outside_window(self, backend):
-        cycles = np.array([12], dtype=np.int64)
-        splits = np.array([0, 1], dtype=np.int64)
+        """Before the window: the one-shot scan starts every bank busy at
+        ``start_cycle - 1``. After it: closing the trailing gaps."""
+        before = BankRouting.direct(np.array([3]), np.array([0]), 1)
+        after = BankRouting.direct(np.array([12]), np.array([0]), 1)
+        for routing, start in ((before, 5), (after, 0)):
+            messages = {
+                name: self._message(name, GapSpectrum.scan, [routing], 1, start, 10)
+                for name in ("numpy", backend)
+            }
+            assert messages[backend] == messages["numpy"]
+            assert "observation window" in messages[backend]
+
+    def test_first_violation_in_arrival_order_wins(self, backend):
+        """Bank 1 repeats a cycle after bank 0 went back before its
+        carried last access: both backends report bank 0's error."""
+        routing = BankRouting.direct(
+            np.array([7, 2, 9, 9]), np.array([1, 0, 1, 1]), 2
+        )
         messages = {
-            name: self._message(name, dispatch.gap_extract, cycles, splits, 0, 10)
+            name: self._message(
+                name, self._scan, dispatch.stream_gap_update, routing,
+                np.array([4, -1], dtype=np.int64),
+            )
             for name in ("numpy", backend)
         }
         assert messages[backend] == messages["numpy"]
-        assert "observation window" in messages[backend]
+        assert "later than" in messages[backend]
+
+    def test_index_or_bank_outside_the_tables(self, backend):
+        """The scan's gather stays in bounds: an index past the tables, a
+        negative one, or a table entry past the tracked banks raises,
+        unless a gap violation comes first in arrival order."""
+        cases = [
+            (np.array([[0, 1, 5]], dtype=np.uint8), [0, 1, 2], [1, 2, 3], "outside"),
+            (np.array([[0, 1, 2]], dtype=np.uint8), [0, 7, 1], [1, 2, 3], "outside"),
+            (np.array([[0, 1, 2]], dtype=np.uint8), [0, -1, 1], [1, 2, 3], "outside"),
+            (np.array([[0, 1, 2]], dtype=np.uint8), [0, 0, 9], [1, 1, 3], "strictly"),
+        ]
+        for tables, index, cycles, expected in cases:
+            routing = BankRouting(
+                np.array(cycles), np.array(index), np.array([0, 3]), tables
+            )
+            messages = {
+                name: self._message(
+                    name, self._scan, dispatch.stream_gap_update, routing, np.full(4, -1)
+                )
+                for name in ("numpy", backend)
+            }
+            assert messages[backend] == messages["numpy"]
+            assert expected in messages[backend]
 
     def test_not_later_than_carry(self, backend):
         messages = {}
-        cycles = np.array([5], dtype=np.int64)
-        splits = np.array([0, 1], dtype=np.int64)
+        routing = BankRouting.direct(np.array([5]), np.array([0]), 1)
         for name in ("numpy", backend):
-            acc = StreamingGapAccumulator(1, [10])
-            on_backend(name, acc.update, cycles, splits)
-            messages[name] = self._message(name, acc.update, cycles, splits)
+            acc = StreamingGapAccumulator(1)
+            on_backend(name, acc.update, routing)
+            messages[name] = self._message(name, acc.update, routing)
         assert messages[backend] == messages["numpy"]
         assert "later than" in messages[backend]
 

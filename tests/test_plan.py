@@ -25,6 +25,8 @@ from repro.core.plan import TracePlan, ensure_plan
 from repro.core.simulator import ReferenceSimulator, simulate
 from repro.errors import SimulationError
 from repro.power.idleness import (
+    BankRouting,
+    GapSpectrum,
     batch_stats_from_sorted_accesses,
     stats_from_access_cycles,
 )
@@ -139,15 +141,53 @@ class TestTracePlanCaching:
         assert boundaries.size == 0
         assert starts.tolist() == [0, len(random_trace)]
 
-    def test_single_bank_skips_the_sort(self, random_trace):
+    def test_single_bank_routes_the_trace_as_is(self, random_trace):
+        """One bank: one run over the trace's own cycle array, every
+        table entry bank 0, and the spectrum is the whole trace's gaps
+        (the bank-sorted stream of the old extraction *is* the trace)."""
         plan = TracePlan(random_trace)
         config = ArchitectureConfig(
             CacheGeometry(8 * 1024, 16), num_banks=1, power_managed=False
         )
-        sorted_cycles, splits = plan.route(config, config.make_policy())
-        # Identity order: the sorted stream *is* the trace's cycle array.
-        assert sorted_cycles is random_trace.cycles
-        assert splits.tolist() == [0, len(random_trace)]
+        [routing] = plan.route(config, config.make_policy())
+        assert np.shares_memory(routing.cycles, random_trace.cycles)
+        assert np.array_equal(routing.cycles, random_trace.cycles)
+        assert not routing.tables.any()
+        [stats] = plan.idle_gaps(config).threshold([50]).stats()
+        assert stats == [
+            stats_from_access_cycles(random_trace.cycles, 50, 0, random_trace.horizon)
+        ]
+
+    def test_route_cuts_tables_to_the_chunk(self):
+        """With one bank per line and many epochs, the per-epoch tables
+        come in runs of at most ``accesses // banks`` rows, and scanning
+        the runs in turn equals scanning them as one."""
+        trace = make_random_trace(seed=5, length=1500, max_gap=400)
+        config = ArchitectureConfig(
+            CacheGeometry(8 * 1024, 16),
+            num_banks=512,
+            policy="probing",
+            update_period_cycles=trace.horizon // 40,
+        )
+        plan = TracePlan(trace)
+        runs = list(plan.route(config, config.make_policy()))
+        assert len(runs) > 1
+        assert all(run.tables.shape[0] <= len(trace) // 512 for run in runs)
+        offsets = np.cumsum([0] + [run.cycles.size for run in runs])
+        whole = BankRouting(
+            trace.cycles,
+            np.concatenate([run.index for run in runs]),
+            np.concatenate(
+                [run.starts[:-1] + offset for run, offset in zip(runs, offsets)]
+                + [[len(trace)]]
+            ),
+            np.concatenate([run.tables for run in runs]),
+            runs[0].shift,
+        )
+        one_run = GapSpectrum.scan([whole], 512, 0, trace.horizon)
+        cut = plan.idle_gaps(config)
+        for field in ("accesses", "dense", "over_banks", "over_lengths", "over_counts"):
+            assert np.array_equal(getattr(cut, field), getattr(one_run, field))
 
     def test_idle_gaps_shared_across_power_axes(self, random_trace):
         plan = TracePlan(random_trace)
@@ -194,8 +234,9 @@ class TestTracePlanCaching:
         # An evicted routing recomputes to the same values.
         first = plan.idle_gaps(configs[0])
         fresh = TracePlan(random_trace).idle_gaps(configs[0])
-        assert np.array_equal(first.gap_values, fresh.gap_values)
-        assert np.array_equal(first.gap_banks, fresh.gap_banks)
+        assert np.array_equal(first.dense, fresh.dense)
+        assert np.array_equal(first.over_lengths, fresh.over_lengths)
+        assert np.array_equal(first.over_counts, fresh.over_counts)
 
     def test_matches_identity_and_equality(self, random_trace):
         plan = TracePlan(random_trace)
@@ -257,7 +298,7 @@ class TestBreakevenGroup:
 
     def test_gap_structure_shared_across_groups(self, lut, random_trace):
         """Separate groups with the same routing (here: a power_managed
-        axis) reuse one cached idle-gap structure."""
+        axis) reuse one cached gap spectrum."""
         from dataclasses import replace
 
         base = ArchitectureConfig(

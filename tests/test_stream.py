@@ -24,6 +24,8 @@ from repro.core.simulator import simulate
 from repro.core.streamsim import simulate_stream, stream_selected
 from repro.errors import SimulationError, TraceError
 from repro.power.idleness import (
+    BankRouting,
+    GapSpectrum,
     StreamingGapAccumulator,
     batch_stats_from_sorted_accesses,
 )
@@ -131,21 +133,17 @@ class TestStreamingGapAccumulator:
             cycles[order], splits, [b for b in breakevens if b is not None], 0, horizon
         )
 
-        accumulator = StreamingGapAccumulator(num_banks, breakevens)
+        accumulator = StreamingGapAccumulator(num_banks)
         pos = 0
         for size in chunk_sizes:
             lo, hi = pos, min(pos + size, n)
             pos = hi
-            chunk_cycles = cycles[lo:hi]
-            chunk_banks = banks[lo:hi]
-            chunk_order = np.argsort(chunk_banks, kind="stable")
-            chunk_splits = np.searchsorted(
-                chunk_banks[chunk_order], np.arange(num_banks + 1)
+            accumulator.update(
+                BankRouting.direct(cycles[lo:hi], banks[lo:hi], num_banks)
             )
-            accumulator.update(chunk_cycles[chunk_order], chunk_splits)
             if pos >= n:
                 break
-        batches = accumulator.finalize(horizon)
+        batches = accumulator.finalize_table(horizon, breakevens).stats()
         finite = [s for b, s in zip(breakevens, batches) if b is not None]
         assert finite == expected
         # Infinite (None) thresholds never sleep but share every other counter.
@@ -165,28 +163,55 @@ class TestStreamingGapAccumulator:
             self.equivalence(seed, num_banks, breakevens, sizes)
 
     def test_rejects_time_travel(self):
-        accumulator = StreamingGapAccumulator(2, [5])
-        accumulator.update(np.array([10]), np.array([0, 1, 1]))
+        accumulator = StreamingGapAccumulator(2)
+        accumulator.update(BankRouting.direct([10], [0], 2))
         with pytest.raises(SimulationError):
-            accumulator.update(np.array([10]), np.array([0, 1, 1]))
+            accumulator.update(BankRouting.direct([10], [0], 2))
 
     def test_rejects_access_past_finalize_window(self):
-        accumulator = StreamingGapAccumulator(1, [5])
-        accumulator.update(np.array([10]), np.array([0, 1]))
+        accumulator = StreamingGapAccumulator(1)
+        accumulator.update(BankRouting.direct([10], [0], 1))
         with pytest.raises(SimulationError):
             accumulator.finalize(10)
 
     def test_rejects_bad_breakeven(self):
         with pytest.raises(SimulationError):
-            StreamingGapAccumulator(1, [0])
+            StreamingGapAccumulator(1).finalize_table(10, [0])
 
     def test_never_accessed_bank_idles_whole_window(self):
-        accumulator = StreamingGapAccumulator(2, [3])
-        accumulator.update(np.array([4]), np.array([0, 1, 1]))
-        [stats] = accumulator.finalize(20)
+        accumulator = StreamingGapAccumulator(2)
+        accumulator.update(BankRouting.direct([4], [0], 2))
+        [stats] = accumulator.finalize_table(20, [3]).stats()
         assert stats[1].idle_cycles == 20
         assert stats[1].sleep_cycles == 17
         assert stats[0].accesses == 1
+
+    def test_overflow_counted_as_it_goes(self, monkeypatch):
+        """Long gaps are counted into the sorted overflow every few
+        chunks, not held to the end; the counts are the one-shot's."""
+        monkeypatch.setattr(StreamingGapAccumulator, "pending_limit", 3)
+        rng = np.random.default_rng(12)
+        cycles = np.sort(rng.choice(200_000, size=60, replace=False)).astype(np.int64)
+        banks = rng.integers(0, 3, size=60)
+        accumulator = StreamingGapAccumulator(3)
+        for lo in range(0, 60, 4):
+            accumulator.update(BankRouting.direct(cycles[lo:lo + 4], banks[lo:lo + 4], 3))
+            assert accumulator._pending_size < 3
+        streamed = accumulator.finalize(200_000)
+        one_shot = GapSpectrum.scan([BankRouting.direct(cycles, banks, 3)], 3, 0, 200_000)
+        assert streamed.over_counts.sum() > 3
+        for field in ("accesses", "dense", "over_banks", "over_lengths", "over_counts"):
+            assert np.array_equal(getattr(streamed, field), getattr(one_shot, field))
+
+    def test_finalize_is_idempotent_for_one_window(self):
+        """Cursors sharing an accumulator each finalize it."""
+        accumulator = StreamingGapAccumulator(1)
+        accumulator.update(BankRouting.direct([4], [0], 1))
+        assert accumulator.finalize(20) is accumulator.finalize(20)
+        with pytest.raises(SimulationError, match="already finalized"):
+            accumulator.finalize(21)
+        with pytest.raises(SimulationError, match="already finalized"):
+            accumulator.update(BankRouting.direct([30], [0], 1))
 
 
 def fuzz_configs(rng) -> ArchitectureConfig:
