@@ -7,9 +7,10 @@ One claim gets measured (and written to ``BENCH_kernels.json``):
   grouped into the two profiles that dominate the repo's benches:
   ``sweep`` (the one-shot arrival-order gap scan of a whole routed
   trace into a gap spectrum, thresholding that spectrum at a breakeven
-  vector, and the LRU rank walk: the BENCH_sweep hot path) and
-  ``stream`` (the same scan carried across hundreds of chunks, and
-  carried LRU segments: the BENCH_stream hot path). Thresholding has
+  vector, and the one-shot cache scan counting a whole trace's hits
+  and flushes from cold stacks: the BENCH_sweep hot path) and
+  ``stream`` (both scans carried across hundreds of chunks: the
+  BENCH_stream hot path). Thresholding has
   one numpy implementation on every backend, so its speedup is about
   1x by design. Every timed pair is first checked bit-identical.
 
@@ -102,11 +103,9 @@ def bench_kernels(params: dict, compiled: str) -> dict:
     cutoff = spectrum_cutoff(num_banks)
     n_lru = params["lru_accesses"]
     ways = params["ways"]
-    set_index = np.sort(rng.integers(0, num_sets, size=n_lru)).astype(np.int64)
+    set_index = rng.integers(0, num_sets, size=n_lru).astype(np.int64)
     lru_tags = rng.integers(0, 64, size=n_lru).astype(np.int64)
-    lru_starts = np.searchsorted(set_index, np.arange(num_sets + 1)).astype(
-        np.int64
-    )
+    lru_starts = np.linspace(0, n_lru, params["epochs"] + 1).astype(np.int64)
 
     # --- stream-profile inputs: carry state across chunks -------------
     window = 4 * params["chunk_accesses"]
@@ -119,10 +118,11 @@ def bench_kernels(params: dict, compiled: str) -> dict:
     ]
     seg_chunks = []
     for _ in range(params["chunks"]):
+        # Arrival order, an update half-way through each chunk.
         m = params["chunk_accesses"]
-        si = np.sort(rng.integers(0, num_sets, size=m)).astype(np.int64)
+        si = rng.integers(0, num_sets, size=m).astype(np.int64)
         st = rng.integers(0, 64, size=m).astype(np.int64)
-        seg_chunks.append((si, st))
+        seg_chunks.append((si, st, np.array([0, m // 2, m], dtype=np.int64)))
 
     def pinned(fn, backend):
         """``fn`` with the process-wide kernel backend pinned to ``backend``."""
@@ -156,7 +156,7 @@ def bench_kernels(params: dict, compiled: str) -> dict:
         return table.useful, table.sleep
 
     def run_lru_walk():
-        return dispatch.lru_walk(lru_tags, lru_starts, ways)
+        return dispatch.lru_walk(set_index, lru_tags, lru_starts, num_sets, ways)
 
     def run_stream_fold():
         last, counts, dense = fresh_state()
@@ -169,10 +169,12 @@ def bench_kernels(params: dict, compiled: str) -> dict:
 
     def run_lru_segments():
         stacks = np.full((num_sets, ways), -1, dtype=np.int64)
-        hits = 0
-        for si, st in seg_chunks:
-            hits += dispatch.lru_segment(si, st, stacks)
-        return hits, stacks
+        hits = flushed = 0
+        for chunk in seg_chunks:
+            chunk_hits, chunk_flushed = dispatch.lru_segment(*chunk, stacks)
+            hits += chunk_hits
+            flushed += chunk_flushed
+        return hits, flushed, stacks
 
     def identical(a, b):
         if isinstance(a, tuple):

@@ -7,15 +7,12 @@ This module feeds it a stream instead: the trace arrives as
 :class:`~repro.core.plan.StreamingPlan` chunk at a time, and the
 engine state that spans chunks is *carried* —
 
-* **hits/flushes** — the fast engine's cache-content trackers, one per
-  (bit split, ways, schedule) identity: direct-mapped geometries carry
-  one tag per set (:class:`~repro.core.fastsim._DirectMappedTracker`,
-  the same tracker that counts a whole trace), set-associative ones
-  the full LRU stacks (:class:`~repro.core.fastsim._LruTracker`, the
-  stack walk of :func:`~repro.core.fastsim._grouped_lru` with an
-  initial state). Both match the one-shot counts exactly because a
-  cache set's contents after any access prefix are history-independent
-  summaries the carried state captures completely;
+* **hits/flushes** — the fast engine's cache-content tracker
+  (:class:`~repro.core.fastsim._CacheTracker`), one per (bit split,
+  ways, schedule) identity: the full ``(num_sets, ways)`` LRU stacks,
+  one way per set when direct-mapped, advanced in arrival order by the
+  same scan that counts a whole trace. It matches the one-shot counts
+  exactly because the stacks are everything the cache remembers;
 * **routing and idleness** — one :class:`_CarriedRouting` per
   distinct routing (:meth:`~repro.core.plan.TracePlan.routing_key`),
   shared by every cursor that routes the same way: its carried
@@ -56,12 +53,7 @@ from dataclasses import replace
 
 from repro.aging.lut import LifetimeLUT
 from repro.core.engine import resolve_engine, supports_streaming, validate_engine
-from repro.core.fastsim import (
-    _DirectMappedTracker,
-    _LruTracker,
-    hits_key,
-    validate_breakeven_group,
-)
+from repro.core.fastsim import _CacheTracker, hits_key, validate_breakeven_group
 from repro.core.plan import StreamingPlan
 from repro.core.results import SimulationResult
 from repro.core.simulator import assemble_group
@@ -74,10 +66,9 @@ def _hit_tracker(plan: StreamingPlan, config):
     """Shared hit/flush tracker for the config's functional identity,
     keyed like the one-shot plan's hit counts (:func:`hits_key`)."""
     geometry = config.geometry
-    key = hits_key(config)
-    if geometry.ways == 1:
-        return plan.persistent(key, lambda: _DirectMappedTracker(geometry.num_sets))
-    return plan.persistent(key, lambda: _LruTracker(geometry.num_sets, geometry.ways))
+    return plan.persistent(
+        hits_key(config), lambda: _CacheTracker(geometry.num_sets, geometry.ways)
+    )
 
 
 class _CarriedRouting:

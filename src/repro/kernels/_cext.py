@@ -94,20 +94,22 @@ def _build() -> tuple[ctypes.CDLL | None, str | None]:
 
 
 _i64 = ctypes.c_int64
-_p64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _ptr = ctypes.c_void_p
 
 _SIGNATURES = {
-    # Raw addresses: the scan runs once per chunk and routing, where
-    # ndpointer's per-argument checks cost more than scanning a small
-    # chunk. gap_scan makes the inputs contiguous and the dispatcher
-    # has checked the carried buffers' dtype and layout.
+    # Raw addresses: the scans run once per chunk (the gap scan once per
+    # chunk and routing), where ndpointer's per-argument checks cost
+    # more than scanning a small chunk. The wrappers below make the
+    # inputs contiguous and the dispatcher has checked the carried
+    # buffers' dtype and layout.
     "repro_gap_scan": (
         _i64,
         [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _i64, _i64, _i64, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr],
     ),
-    "repro_lru_walk": (_i64, [_p64, _p64, _i64, _i64, _p64, _p64]),
-    "repro_lru_segment": (_i64, [_p64, _p64, _i64, _p64, _i64]),
+    "repro_cache_scan": (
+        _i64,
+        [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _i64, _i64, ctypes.POINTER(_i64)],
+    ),
 }
 
 
@@ -143,6 +145,11 @@ def _contig(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
+#: Returned for a run that overflows nothing, so it copies nothing.
+_NO_GAPS = np.empty(0, dtype=np.int64)
+_NO_GAPS.flags.writeable = False
+
+
 # ----------------------------------------------------------------------
 # Backend contract (see repro.kernels.dispatch for semantics)
 # ----------------------------------------------------------------------
@@ -171,26 +178,25 @@ def gap_scan(cycles, index, starts, tables, shift, last, accesses, dense):
         over_banks,
         over_banks + 8 * n,
     )
-    if count < 0:
-        return count, None, None
+    if count <= 0:
+        return count, _NO_GAPS, _NO_GAPS
     return 0, overflow[0, :count].copy(), overflow[1, :count].copy()
 
 
-def lru_walk(tags, starts, ways):
+def cache_scan(index, tags, starts, stacks):
     lib = _library()
-    num_groups = starts.size - 1
-    scratch = np.empty(int(ways), dtype=np.int64)
-    lines_per_group = np.zeros(num_groups, dtype=np.int64)
-    hits = lib.repro_lru_walk(
-        _contig(tags), _contig(starts), num_groups, int(ways), scratch, lines_per_group
+    index, tags, starts = _contig(index), _contig(tags), _contig(starts)
+    num_sets, ways = stacks.shape
+    flushed = _i64(0)
+    hits = lib.repro_cache_scan(
+        index.ctypes.data,
+        tags.ctypes.data,
+        index.size,
+        starts.ctypes.data,
+        starts.size - 1,
+        stacks.ctypes.data,
+        num_sets,
+        ways,
+        ctypes.byref(flushed),
     )
-    return int(hits), lines_per_group
-
-
-def lru_segment(idx, tags, stacks):
-    lib = _library()
-    return int(
-        lib.repro_lru_segment(
-            _contig(idx), _contig(tags), int(idx.size), stacks, stacks.shape[1]
-        )
-    )
+    return hits, flushed.value

@@ -2,10 +2,12 @@
  *
  * C implementations of the hot inner loops behind
  * ``repro.kernels.dispatch``: the arrival-order idle-gap scan that
- * fills ``repro.power.idleness.GapSpectrum`` (one-shot and carried
- * across stream chunks alike), and the LRU walks shared by
- * ``repro.core.fastsim`` and ``repro.core.streamsim``. Three kernels in
- * all. Built on demand by ``repro.kernels._cext`` (cc -O2 -shared) and
+ * fills ``repro.power.idleness.GapSpectrum``, and the arrival-order
+ * cache-content scan behind every hit/flush count of
+ * ``repro.core.fastsim`` and ``repro.core.streamsim``, direct-mapped
+ * and set-associative alike. Both run one-shot over a whole trace and
+ * carried across stream chunks; two kernels in all. Neither sorts.
+ * Built on demand by ``repro.kernels._cext`` (cc -O2 -shared) and
  * loaded through ctypes; counters are int64 buffers, so results are
  * bit-identical to the numpy backend by construction (the differential
  * fuzz suite enforces it).
@@ -111,83 +113,55 @@ REPRO_EXPORT int64_t repro_gap_scan(
     return out;
 }
 
-/* Cold-started LRU walk over contiguous tag groups.
+/* Arrival-order cache-content scan of one epoch-bracketed run.
  *
- * tags is sorted by (group, arrival); group g owns
- * tags[starts[g]:starts[g+1]]. Each group simulates an LRU stack of
- * ``ways`` entries from cold; scratch is a caller-provided buffer of
- * ``ways`` int64s. Writes min(distinct tags, ways) per group (the
- * lines the set retains — each miss allocates, evicting only when
- * full) and returns total hits.
+ * stacks is the carried (num_sets, ways) matrix of per-set recency
+ * stacks, most recent first, with -1 marking an invalid way (tags are
+ * non-negative, so -1 never aliases one); a direct-mapped cache is
+ * ways == 1. Epoch e owns positions starts[e]..starts[e+1]; before
+ * each epoch after the first the cache is flushed: its valid lines are
+ * added to *flushed and every way is invalidated. Access i looks up
+ * tags[i] in set index[i]: a hit rotates the stack above the matched
+ * way, a miss rotates the whole stack, evicting the LRU way.
+ *
+ * Returns the hits, or REPRO_ERR_RANGE (stacks and *flushed
+ * untouched) when a set index falls outside the stacks.
  */
-REPRO_EXPORT int64_t repro_lru_walk(
-    const int64_t *tags, const int64_t *starts, int64_t num_groups,
-    int64_t ways, int64_t *scratch, int64_t *lines_per_group)
+REPRO_EXPORT int64_t repro_cache_scan(
+    const int64_t *index, const int64_t *tags, int64_t n,
+    const int64_t *starts, int64_t n_epochs,
+    int64_t *stacks, int64_t num_sets, int64_t ways, int64_t *flushed)
 {
+    for (int64_t i = 0; i < n; ++i) {
+        if ((uint64_t)index[i] >= (uint64_t)num_sets)
+            return REPRO_ERR_RANGE;
+    }
     int64_t hits = 0;
-    for (int64_t g = 0; g < num_groups; ++g) {
-        int64_t valid = 0;
-        for (int64_t i = starts[g]; i < starts[g + 1]; ++i) {
+    int64_t lines = num_sets * ways;
+    for (int64_t e = 0; e < n_epochs; ++e) {
+        if (e > 0) {
+            int64_t valid = 0;
+            for (int64_t k = 0; k < lines; ++k) {
+                valid += stacks[k] != -1;
+                stacks[k] = -1;
+            }
+            *flushed += valid;
+        }
+        for (int64_t i = starts[e]; i < starts[e + 1]; ++i) {
+            int64_t *st = stacks + index[i] * ways;
             int64_t t = tags[i];
-            int64_t d = -1;
-            for (int64_t w = 0; w < valid; ++w) {
-                if (scratch[w] == t) {
-                    d = w;
+            int64_t depth = ways - 1;
+            for (int64_t w = 0; w < ways; ++w) {
+                if (st[w] == t) {
+                    ++hits;
+                    depth = w;
                     break;
                 }
             }
-            if (d >= 0) {
-                ++hits;
-                for (int64_t w = d; w > 0; --w)
-                    scratch[w] = scratch[w - 1];
-                scratch[0] = t;
-            } else {
-                int64_t limit = valid < ways ? valid : ways - 1;
-                for (int64_t w = limit; w > 0; --w)
-                    scratch[w] = scratch[w - 1];
-                scratch[0] = t;
-                if (valid < ways)
-                    ++valid;
-            }
+            for (int64_t w = depth; w > 0; --w)
+                st[w] = st[w - 1];
+            st[0] = t;
         }
-        lines_per_group[g] = valid;
-    }
-    return hits;
-}
-
-/* Advance carried LRU stacks through one set-sorted chunk segment.
- *
- * idx/tags are sorted by (set, arrival); stacks is the carried
- * (num_sets, ways) recency matrix with -1 marking invalid ways
- * (tags are non-negative, so -1 never aliases). A hit rotates the
- * stack above the matched way; a miss rotates the whole stack,
- * evicting the LRU way. Returns hits.
- */
-REPRO_EXPORT int64_t repro_lru_segment(
-    const int64_t *idx, const int64_t *tags, int64_t n,
-    int64_t *stacks, int64_t ways)
-{
-    int64_t hits = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        int64_t *st = stacks + idx[i] * ways;
-        int64_t t = tags[i];
-        int64_t d = -1;
-        for (int64_t w = 0; w < ways; ++w) {
-            if (st[w] == t) {
-                d = w;
-                break;
-            }
-        }
-        int64_t limit;
-        if (d >= 0) {
-            ++hits;
-            limit = d;
-        } else {
-            limit = ways - 1;
-        }
-        for (int64_t w = limit; w > 0; --w)
-            st[w] = st[w - 1];
-        st[0] = t;
     }
     return hits;
 }

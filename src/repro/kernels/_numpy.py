@@ -25,8 +25,8 @@ from repro.errors import SimulationError
 NAME = "numpy"
 
 
-#: Error codes of :func:`gap_scan`, shared with the C kernel; the
-#: dispatcher maps them onto its messages.
+#: Error codes of :func:`gap_scan` and :func:`cache_scan`, shared with
+#: the C kernels; the dispatcher maps them onto its messages.
 ERR_NONMONOTONIC = -1
 ERR_NOT_LATER = -2
 ERR_RANGE = -3
@@ -48,7 +48,8 @@ def gap_scan(
     :func:`repro.kernels.dispatch.stream_gap_update` for the contract.
     The C kernel scans in arrival order; this one bank-sorts the run
     (a stable argsort of the narrow bank ids, an O(n) radix sort) and
-    counts the same gap multiset with integer ops, so ``dense``,
+    counts the same gap multiset with integer ops (one ``bincount``
+    over ``bank * cutoff + gap`` keys for the dense cells), so ``dense``,
     ``last`` and ``accesses`` end bit-identical, and the overflow gaps
     are the same multiset.
     """
@@ -83,27 +84,37 @@ def gap_scan(
     final[-1] = True
     last[sorted_banks[final]] = sorted_cycles[final]
     accesses += np.bincount(sorted_banks, minlength=num_banks)
-    short = (gaps > 0) & (gaps < cutoff)
-    np.add.at(dense.reshape(-1), sorted_banks[short] * cutoff + gaps[short], 1)
+    # sorted_cycles is spent: it holds each access's dense cell key.
+    keys = sorted_cycles
+    np.multiply(sorted_banks, cutoff, out=keys, dtype=np.int64)
+    keys += gaps
+    counted = np.bincount(keys[(gaps > 0) & (gaps < cutoff)])
+    dense.reshape(-1)[: counted.size] += counted
     long = gaps >= cutoff
-    return 0, sorted_banks[long], gaps[long]
+    return 0, sorted_banks[long].astype(np.int64), gaps[long]
 
 
 def _bank_gaps(cycles: np.ndarray, banks: np.ndarray, last: np.ndarray):
     """A non-empty run bank-sorted: ``(order, sorted_banks,
-    sorted_cycles, first, gaps)``, ``first`` marking each bank's first
+    sorted_cycles, first, gaps)``, the banks in their narrow table
+    dtype, ``first`` marking each bank's first
     access and ``gaps`` each access's gap since its bank's previous one
     (``last`` for the first)."""
     order = np.argsort(banks, kind="stable")
-    sorted_banks = banks[order].astype(np.int64)
+    sorted_banks = banks[order]
     sorted_cycles = cycles[order]
     first = np.empty(order.size, dtype=bool)
     first[0] = True
-    first[1:] = sorted_banks[1:] != sorted_banks[:-1]
-    previous = np.empty(order.size, dtype=np.int64)
-    previous[1:] = sorted_cycles[:-1]
-    previous[first] = last[sorted_banks[first]]
-    return order, sorted_banks, sorted_cycles, first, sorted_cycles - previous - 1
+    np.not_equal(sorted_banks[1:], sorted_banks[:-1], out=first[1:])
+    # Each access's previous cycle, turned into its gap in place: the
+    # run's int64 temporaries are what a large run spends its time
+    # allocating.
+    gaps = np.empty(order.size, dtype=np.int64)
+    gaps[1:] = sorted_cycles[:-1]
+    gaps[first] = last[sorted_banks[first]]
+    np.subtract(sorted_cycles, gaps, out=gaps)
+    gaps -= 1
+    return order, sorted_banks, sorted_cycles, first, gaps
 
 
 def _violation(order: np.ndarray, first: np.ndarray, gaps: np.ndarray) -> int:
@@ -151,46 +162,91 @@ def gap_threshold_batch(
     return useful, sleep
 
 
-def lru_walk(
-    tags: np.ndarray, starts: np.ndarray, ways: int
-) -> tuple[int, np.ndarray]:
-    """Cold-started lockstep LRU over contiguous tag groups.
+def cache_scan(
+    index: np.ndarray, tags: np.ndarray, starts: np.ndarray, stacks: np.ndarray
+) -> tuple[int, int]:
+    """Advance carried cache contents through one epoch-bracketed run.
 
-    ``tags`` is sorted by (group, arrival); group ``g`` owns
-    ``tags[starts[g]:starts[g + 1]]``. The LRU stacks of all groups
-    advance in lockstep, one within-group access *rank* per Python
-    iteration, with the compare/shift work vectorized across every
-    group still active at that rank. Exact because an LRU set's
-    contents are history-independent: after any prefix the set holds
-    precisely its ``ways`` most recently accessed distinct tags.
-
-    Returns ``(hits, lines_per_group)`` with
-    ``lines_per_group[g] = min(distinct tags, ways)`` — each miss
-    allocates one line and evicts only when the set is already full.
+    Returns ``(hits, flushed)``, or ``(ERR_RANGE, 0)`` with ``stacks``
+    untouched when a set index falls outside them; see
+    :func:`repro.kernels.dispatch.lru_segment` for the contract. The C
+    kernel walks the run in arrival order; this one groups it by
+    epoch x set with one stable sort, which keeps each group in arrival
+    order, and walks all groups at once. The groups of the first epoch
+    start from the carried stacks,
+    later ones cold (an update flushed them). Direct-mapped groups
+    compare adjacent tags; set-associative ones advance their LRU
+    stacks in lockstep, one within-group access rank per step. Exact
+    because a set's contents after any access prefix are its ``ways``
+    most recent distinct tags.
     """
-    num_groups = starts.size - 1
-    if num_groups == 0 or starts[-1] == 0:
-        return 0, np.zeros(num_groups, dtype=np.int64)
-    lengths = np.diff(starts)
+    num_sets, ways = stacks.shape
+    n = index.size
+    num_epochs = starts.size - 1
+    if n and (int(index.min()) < 0 or int(index.max()) >= num_sets):
+        return ERR_RANGE, 0
+    if n == 0:
+        flushed = int(np.count_nonzero(stacks != -1)) if num_epochs > 1 else 0
+        if flushed:
+            stacks[:] = -1
+        return 0, flushed
+    # Key each access by epoch x set, in the narrowest dtype that holds
+    # the keys (a radix sort up to 65536 of them).
+    dtype = np.min_scalar_type(num_epochs * num_sets - 1)
+    keys = np.repeat(
+        np.arange(0, num_epochs * num_sets, num_sets, dtype=dtype), np.diff(starts)
+    )
+    keys += index.astype(dtype)
+    order = np.argsort(keys, kind="stable")
+    key_sorted = keys[order]
+    tag_sorted = tags[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(key_sorted[1:], key_sorted[:-1], out=first[1:])
+    group_start = np.flatnonzero(first)
+    group_epoch, group_set = np.divmod(key_sorted[group_start].astype(np.int64), num_sets)
+    warm = group_epoch == 0
+    contents = np.full((group_start.size, ways), -1, dtype=np.int64)
+    contents[warm] = stacks[group_set[warm]]
+    if ways == 1:
+        # One line per set: an access hits iff the group's previous
+        # access (or, first in its group, the line it starts with)
+        # carried the same tag.
+        hits = int(np.count_nonzero(~first[1:] & (tag_sorted[1:] == tag_sorted[:-1])))
+        hits += int(np.count_nonzero(contents[:, 0] == tag_sorted[group_start]))
+        contents[:, 0] = tag_sorted[np.append(group_start[1:], n) - 1]
+    else:
+        hits = _lockstep_lru(tag_sorted, group_start, contents)
+    stacks[group_set[warm]] = contents[warm]
+    flushed = 0
+    if num_epochs > 1:
+        middle = (group_epoch > 0) & (group_epoch < num_epochs - 1)
+        flushed = int(np.count_nonzero(stacks != -1)) + int(
+            np.count_nonzero(contents[middle] != -1)
+        )
+        stacks[:] = -1
+        final = group_epoch == num_epochs - 1
+        stacks[group_set[final]] = contents[final]
+    return hits, flushed
 
-    # Surviving lines: distinct tags per group, capped at the ways.
-    group_of = np.repeat(np.arange(num_groups), lengths)
-    pair_order = np.lexsort((tags, group_of))
-    pair_group = group_of[pair_order]
-    pair_tag = tags[pair_order]
-    n = tags.size
-    first_pair = np.empty(n, dtype=bool)
-    first_pair[0] = True
-    first_pair[1:] = (pair_group[1:] != pair_group[:-1]) | (pair_tag[1:] != pair_tag[:-1])
-    distinct_tags = np.bincount(pair_group[first_pair], minlength=num_groups)
-    lines_per_group = np.minimum(distinct_tags, ways).astype(np.int64)
 
+def _lockstep_lru(tags: np.ndarray, group_start: np.ndarray, contents: np.ndarray) -> int:
+    """Advance each group's LRU stack (a row of ``contents``, mutated in
+    place) through its contiguous, arrival-ordered run of ``tags``;
+    return the hits.
+
+    All stacks advance in lockstep, one within-group access rank per
+    Python iteration, with the compare/shift work vectorized across
+    every group still active at that rank.
+    """
+    ways = contents.shape[1]
+    lengths = np.diff(np.append(group_start, tags.size))
     # Longest groups first, so the groups active at rank r are always a
     # leading slice of the stack matrix.
     by_length = np.argsort(-lengths, kind="stable")
-    starts_by_length = starts[by_length]
+    starts_by_length = group_start[by_length]
     lengths_by_length = lengths[by_length]
-    stacks = np.full((num_groups, ways), -1, dtype=np.int64)  # -1 = invalid
+    stacks = contents[by_length]
     hits = 0
     for rank in range(int(lengths_by_length[0])):
         active = int(np.searchsorted(-lengths_by_length, -rank, side="left"))
@@ -206,45 +262,5 @@ def lru_walk(
             rotate = depth >= way
             live[rotate, way] = live[rotate, way - 1]
         live[:, 0] = current
-    return hits, lines_per_group
-
-
-def lru_segment(
-    idx: np.ndarray, tags: np.ndarray, stacks: np.ndarray
-) -> int:
-    """Advance carried LRU stacks through one set-sorted segment.
-
-    ``idx``/``tags`` are sorted by (set, arrival); ``stacks`` is the
-    carried ``(num_sets, ways)`` recency matrix (``-1`` invalid),
-    mutated in place. Returns the segment's hits.
-    """
-    n = idx.size
-    if n == 0:
-        return 0
-    ways = stacks.shape[1]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = idx[1:] != idx[:-1]
-    starts = np.flatnonzero(new_group)
-    group_sets = idx[starts]
-    lengths = np.diff(np.append(starts, n))
-    by_length = np.argsort(-lengths, kind="stable")
-    sets_bl = group_sets[by_length]
-    starts_bl = starts[by_length]
-    lengths_bl = lengths[by_length]
-    hits = 0
-    for rank in range(int(lengths_bl[0])):
-        active = int(np.searchsorted(-lengths_bl, -rank, side="left"))
-        current = tags[starts_bl[:active] + rank]
-        rows = sets_bl[:active]
-        live = stacks[rows]
-        matches = live == current[:, None]
-        hit_mask = matches.any(axis=1)
-        hits += int(np.count_nonzero(hit_mask))
-        depth = np.where(hit_mask, matches.argmax(axis=1), ways - 1)
-        for way in range(ways - 1, 0, -1):
-            rotate = depth >= way
-            live[rotate, way] = live[rotate, way - 1]
-        live[:, 0] = current
-        stacks[rows] = live
+    contents[by_length] = stacks
     return hits

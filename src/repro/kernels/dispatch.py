@@ -147,6 +147,17 @@ _SCAN_ERRORS = {
 }
 
 
+def _check_brackets(n: int, index: np.ndarray, starts: np.ndarray) -> None:
+    if (
+        index.size != n
+        or starts.size == 0
+        or int(starts[0]) != 0
+        or int(starts[-1]) != n
+        or bool((starts[1:] < starts[:-1]).any())
+    ):
+        raise SimulationError("epoch brackets do not partition the accesses")
+
+
 def _scan(
     kind: str,
     cycles: np.ndarray,
@@ -171,14 +182,7 @@ def _scan(
         raise SimulationError("carried scan state does not match the bank count")
     if tables.dtype.kind != "u" or tables.ndim != 2 or tables.shape[0] != starts.size - 1:
         raise SimulationError("need one unsigned bank table per epoch")
-    n = cycles.size
-    if (
-        index.size != n
-        or int(starts[0]) != 0
-        or int(starts[-1]) != n
-        or bool((starts[1:] < starts[:-1]).any())
-    ):
-        raise SimulationError("epoch brackets do not partition the accesses")
+    _check_brackets(cycles.size, index, starts)
     code: int
     over_banks: np.ndarray
     over_lengths: np.ndarray
@@ -262,23 +266,50 @@ def gap_threshold_batch(
     )
 
 
-def lru_walk(tags: np.ndarray, starts: np.ndarray, ways: int) -> tuple[int, np.ndarray]:
-    """Cold-started LRU over contiguous tag groups.
+def _cache_scan(
+    index: np.ndarray, tag: np.ndarray, starts: np.ndarray, stacks: np.ndarray
+) -> tuple[int, int]:
+    """Run the backend's cache scan. The checks here and the backends'
+    set-index range check keep the C kernel's reads and writes in
+    bounds."""
+    if (
+        stacks.dtype != np.int64
+        or not stacks.flags.c_contiguous
+        or stacks.ndim != 2
+        or stacks.size == 0
+    ):
+        raise SimulationError("stacks must be a C-contiguous (num_sets, ways) int64 array")
+    _check_brackets(tag.size, index, starts)
+    hits, flushed = _impl().cache_scan(index, tag, starts, stacks)
+    if hits < 0:
+        raise SimulationError("a set index is outside the cache's sets")
+    return int(hits), int(flushed)
 
-    ``tags`` is sorted by (group, arrival); group ``g`` owns
-    ``tags[starts[g]:starts[g + 1]]``. Returns ``(hits,
-    lines_per_group)`` where ``lines_per_group[g]`` is the lines the
-    set retains: ``min(distinct tags, ways)``.
+
+def lru_walk(
+    index: np.ndarray, tag: np.ndarray, starts: np.ndarray, num_sets: int, ways: int
+) -> tuple[int, int]:
+    """The one-shot cache walk: :func:`lru_segment` over a whole trace
+    from a cold ``(num_sets, ways)`` cache. Returns ``(hits,
+    flushed)``."""
+    stacks = np.full((int(num_sets), int(ways)), -1, dtype=np.int64)
+    return _cache_scan(index, tag, starts, stacks)
+
+
+def lru_segment(
+    index: np.ndarray, tag: np.ndarray, starts: np.ndarray, stacks: np.ndarray
+) -> tuple[int, int]:
+    """Advance carried cache contents through one run of accesses.
+
+    ``stacks`` is the ``(num_sets, ways)`` int64 matrix of per-set LRU
+    recency stacks, most recent first, ``-1`` an invalid way (tags are
+    non-negative, so it never aliases one); a direct-mapped cache has
+    one way. Epoch ``e`` owns positions ``starts[e]:starts[e + 1]``,
+    and before each epoch after the first an update flushes the cache:
+    its valid lines are counted and every way invalidated. Access
+    ``i`` looks ``tag[i]`` up in set ``index[i]`` in arrival order; a
+    set index outside the stacks raises, leaving them untouched.
+    ``stacks`` advances in place. Returns ``(hits, flushed)``: the
+    run's hits and the lines its flushes invalidated.
     """
-    hits, lines = _impl().lru_walk(tags, starts, int(ways))
-    return int(hits), np.asarray(lines, dtype=np.int64)
-
-
-def lru_segment(idx: np.ndarray, tags: np.ndarray, stacks: np.ndarray) -> int:
-    """Advance carried LRU stacks through one set-sorted segment.
-
-    ``idx``/``tags`` are sorted by (set, arrival); ``stacks`` is the
-    carried ``(num_sets, ways)`` int64 recency matrix (``-1`` invalid),
-    mutated in place. Returns the segment's hits.
-    """
-    return int(_impl().lru_segment(idx, tags, stacks))
+    return _cache_scan(index, tag, starts, stacks)

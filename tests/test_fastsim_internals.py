@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from repro.cache.directmapped import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import AccessOutcome
-from repro.core.fastsim import _DirectMappedTracker
+from repro.core.fastsim import _CacheTracker
 from repro.core.plan import TracePlan
 
 
-def epoch_hits(index: np.ndarray, tag: np.ndarray) -> tuple[int, int]:
-    """Hits and valid lines left by one cold-started direct-mapped epoch."""
-    tracker = _DirectMappedTracker(int(index.max()) + 1 if index.size else 1)
+def epoch_hits(index: np.ndarray, tag: np.ndarray, ways: int = 1) -> tuple[int, int]:
+    """Hits and valid lines left by one cold-started epoch of the cache
+    scan (direct-mapped unless ``ways`` says otherwise)."""
+    tracker = _CacheTracker(int(index.max()) + 1 if index.size else 1, ways)
     tracker.advance(index, tag, np.array([0, index.size]))
-    return tracker.hits, int(np.count_nonzero(tracker.valid))
+    return tracker.hits, int(np.count_nonzero(tracker.stacks != -1))
 
 
 class TestEpochHits:

@@ -7,8 +7,8 @@ including error behavior and carry-state streaming. The hypothesis
 classes below pin that across banks, ways > 1, breakeven vectors
 (including infinite) and one-cycle chunk alignment, switching the
 process-wide backend with ``dispatch.use_backend``; the gap spectrum
-is also held to the sort-based gap extraction it replaced, kept here
-as the oracle. The parallel streaming class pins the grid-chunk
+and the cache scan are also held to the sort-based gap extraction and
+hit counting they replaced, kept here as the oracles. The parallel streaming class pins the grid-chunk
 fan-out of a stream to the serial pass.
 """
 
@@ -92,6 +92,71 @@ breakeven_vectors = st.lists(
     min_size=1,
     max_size=4,
 )
+
+
+@st.composite
+def cache_runs(draw):
+    """``(num_sets, ways, index, tag, updates, cuts)``: arrival-order
+    accesses, the positions updates fire before (repeats make empty
+    epochs; ``len(index)`` flushes after the last access), and chunk
+    cuts from 0 to ``len(index)`` (repeats make empty chunks)."""
+    ways = draw(st.sampled_from([1, 2, 4, 8]))
+    num_sets = draw(st.integers(min_value=1, max_value=4))
+    accesses = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=num_sets - 1),
+                st.integers(min_value=0, max_value=9),
+            ),
+            max_size=80,
+        )
+    )
+    n = len(accesses)
+    index = np.array([s for s, _ in accesses], dtype=np.int64)
+    tag = np.array([t for _, t in accesses], dtype=np.int64)
+    positions = st.lists(st.integers(min_value=0, max_value=n), max_size=5)
+    updates = sorted(draw(positions))
+    cuts = [0, *sorted(draw(positions)), n]
+    return num_sets, ways, index, tag, updates, cuts
+
+
+def sorted_cache_scan(index, tag, starts, stacks):
+    """The sort-based hit counting the cache scan replaced, kept as the
+    oracle. Each epoch segment is stably sorted by set, so every set's
+    accesses are contiguous and in arrival order. A direct-mapped set
+    hits on an adjacent equal tag, its first access comparing against
+    the carried line; a set-associative one walks its carried LRU stack.
+    Before each epoch after the first, the valid lines are counted and
+    the stacks cleared. Returns ``(hits, flushed)``; ``stacks``
+    advances in place."""
+    hits = flushed = 0
+    ways = stacks.shape[1]
+    for epoch in range(starts.size - 1):
+        if epoch > 0:
+            flushed += int(np.count_nonzero(stacks != -1))
+            stacks[:] = -1
+        lo, hi = int(starts[epoch]), int(starts[epoch + 1])
+        if lo == hi:
+            continue
+        order = np.argsort(index[lo:hi], kind="stable")
+        idx, tags = index[lo:hi][order], tag[lo:hi][order]
+        if ways == 1:
+            first = np.ones(idx.size, dtype=bool)
+            first[1:] = idx[1:] != idx[:-1]
+            hits += int(np.count_nonzero(~first[1:] & (tags[1:] == tags[:-1])))
+            hits += int(np.count_nonzero(stacks[idx[first], 0] == tags[first]))
+            last = np.append(first[1:], True)
+            stacks[idx[last], 0] = tags[last]
+            continue
+        for s, t in zip(idx.tolist(), tags.tolist()):
+            row = stacks[s].tolist()
+            if t in row:
+                hits += 1
+                row.remove(t)
+            else:
+                row.pop()
+            stacks[s] = [t, *row]
+    return hits, flushed
 
 
 def on_backend(name, kernel, *args):
@@ -232,57 +297,57 @@ class TestKernelDifferential:
         )
         assert finals[backend].threshold(breakevens).stats() == one_shot
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        tags=st.lists(st.integers(min_value=0, max_value=7), max_size=60),
-        bounds=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
-        ways=st.integers(min_value=1, max_value=8),
-    )
-    def test_lru_walk(self, backend, tags, bounds, ways):
-        tag_arr = np.array(tags, dtype=np.int64)
-        starts = np.array(
-            sorted({0, len(tags), *[b for b in bounds if b <= len(tags)]}),
-            dtype=np.int64,
+    @settings(max_examples=80, deadline=None)
+    @given(run=cache_runs())
+    def test_lru_walk(self, backend, run):
+        """The one-shot walk from cold stacks: both backends count the
+        sort-based oracle's hits and flushes."""
+        num_sets, ways, index, tag, updates, _ = run
+        starts = np.array([0, *updates, index.size], dtype=np.int64)
+        expected = sorted_cache_scan(
+            index, tag, starts, np.full((num_sets, ways), -1, dtype=np.int64)
         )
-        ref = on_backend("numpy", dispatch.lru_walk, tag_arr, starts, ways)
-        got = on_backend(backend, dispatch.lru_walk, tag_arr, starts, ways)
-        assert got[0] == ref[0]
-        assert np.array_equal(got[1], ref[1])
+        for name in ("numpy", backend):
+            got = on_backend(name, dispatch.lru_walk, index, tag, starts, num_sets, ways)
+            assert got == expected, name
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        segments=st.lists(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=3),
-                    st.integers(min_value=0, max_value=9),
-                ),
-                max_size=30,
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        ways=st.integers(min_value=1, max_value=4),
-    )
-    def test_lru_segment_carried_stacks(self, backend, segments, ways):
-        """Carried (num_sets, ways) stacks advance identically per segment."""
-        num_sets = 4
+    @settings(max_examples=80, deadline=None)
+    @given(run=cache_runs())
+    def test_lru_segment_carried_stacks(self, backend, run):
+        """Carried (num_sets, ways) stacks advance identically chunk by
+        chunk on both backends and the oracle, and the chunked totals
+        equal the one-shot walk's."""
+        num_sets, ways, index, tag, updates, cuts = run
         stacks = {
             name: np.full((num_sets, ways), -1, dtype=np.int64)
-            for name in ("numpy", backend)
+            for name in ("oracle", "numpy", backend)
         }
-        for segment in segments:
-            pairs = sorted((s, i) for i, (s, _) in enumerate(segment))
-            idx = np.array([s for s, _ in pairs], dtype=np.int64)
-            tags = np.array(
-                [segment[i][1] for _, i in pairs], dtype=np.int64
-            )
-            hits = {
-                name: on_backend(name, dispatch.lru_segment, idx, tags, stacks[name])
-                for name in ("numpy", backend)
-            }
-            assert hits[backend] == hits["numpy"]
-            assert np.array_equal(stacks[backend], stacks["numpy"])
+        totals = {name: [0, 0] for name in stacks}
+        chunks = list(zip(cuts, cuts[1:]))
+        # An update fires in the chunk holding the access it precedes
+        # (the last chunk for one after every access).
+        owner = [
+            next((k for k, (lo, hi) in enumerate(chunks) if lo <= u < hi), len(chunks) - 1)
+            for u in updates
+        ]
+        for k, (lo, hi) in enumerate(chunks):
+            mine = [u - lo for u, o in zip(updates, owner) if o == k]
+            starts = np.array([0, *mine, hi - lo], dtype=np.int64)
+            segment = (index[lo:hi], tag[lo:hi], starts)
+            for name in stacks:
+                if name == "oracle":
+                    got = sorted_cache_scan(*segment, stacks[name])
+                else:
+                    got = on_backend(name, dispatch.lru_segment, *segment, stacks[name])
+                totals[name][0] += got[0]
+                totals[name][1] += got[1]
+            assert np.array_equal(stacks[backend], stacks["oracle"])
+            assert np.array_equal(stacks["numpy"], stacks["oracle"])
+        assert totals[backend] == totals["numpy"] == totals["oracle"]
+        whole = np.array([0, *updates, index.size], dtype=np.int64)
+        assert tuple(totals["numpy"]) == on_backend(
+            "numpy", dispatch.lru_walk, index, tag, whole, num_sets, ways
+        )
 
 
 @needs_compiled
@@ -365,6 +430,24 @@ class TestErrorParity:
             }
             assert messages[backend] == messages["numpy"]
             assert expected in messages[backend]
+
+    def test_set_index_outside_the_stacks(self, backend):
+        """An index past the sets, or a negative one, raises the same
+        error on both backends and writes nothing: not the stacks, not
+        the memory past them."""
+        for index in ([0, 1, 3], [2, -1, 0], [3]):
+            messages = {}
+            for name in ("numpy", backend):
+                buffer = np.full(3 * 2 + 4, 7, dtype=np.int64)
+                stacks = buffer[:6].reshape(3, 2)
+                index_arr = np.array(index, dtype=np.int64)
+                starts = np.array([0, 1, index_arr.size], dtype=np.int64)
+                messages[name] = self._message(
+                    name, dispatch.lru_segment, index_arr, index_arr * 0 + 5, starts, stacks
+                )
+                assert (buffer == 7).all(), name
+            assert messages[backend] == messages["numpy"]
+            assert "outside the cache's sets" in messages[backend]
 
     def test_not_later_than_carry(self, backend):
         messages = {}

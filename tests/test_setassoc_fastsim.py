@@ -1,6 +1,6 @@
 """Differential tests for the set-associative fast-engine path.
 
-The fast engine's LRU lockstep simulation must agree *exactly* with the
+The fast engine's LRU cache scan must agree *exactly* with the
 event-by-event reference engine (which walks the behavioral
 :class:`~repro.cache.banked.BankedCache` /
 :class:`~repro.cache.setassoc.SetAssociativeCache` models) on every
@@ -20,7 +20,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import AccessOutcome
 from repro.core.config import ArchitectureConfig
-from repro.core.fastsim import _grouped_lru
+from repro.core.fastsim import _CacheTracker
 from repro.core.simulator import ReferenceSimulator, simulate
 from repro.trace.trace import Trace
 from tests.conftest import make_random_trace
@@ -32,8 +32,7 @@ WAYS = [2, 4, 8]
 
 def epoch_hits_lru(index, tag, ways):
     """Hits and surviving lines of one cold-started LRU epoch."""
-    hits, lines_per_set, _ = _grouped_lru(index, tag, ways)
-    return hits, int(lines_per_set.sum())
+    return epoch_hits(index, tag, ways)
 
 
 class TestGroupedLRUKernel:
@@ -92,14 +91,19 @@ class TestGroupedLRUKernel:
         assert epoch_hits_lru(index, tag, ways) == expected
 
     def test_grouped_keys_isolate_groups(self):
-        """Identical tag streams under different keys never share LRU
-        state (the engine relies on this to fuse epochs)."""
-        keys = np.array([0, 1, 0, 1], dtype=np.int64)
+        """Identical tag streams in different sets, or on either side of
+        an update, never share LRU state: the scan walks every epoch of
+        a trace in one call."""
+        index = np.array([0, 1, 0, 1], dtype=np.int64)
         tag = np.array([7, 7, 7, 7], dtype=np.int64)
-        hits, lines, group_keys = _grouped_lru(keys, tag, 2)
-        assert hits == 2
-        assert lines.tolist() == [1, 1]
-        assert group_keys.tolist() == [0, 1]
+        tracker = _CacheTracker(2, 2)
+        tracker.advance(index, tag, np.array([0, 4]))
+        assert tracker.hits == 2
+        assert (tracker.stacks[:, 0] == 7).all()
+        assert (tracker.stacks[:, 1] == -1).all()
+        tracker = _CacheTracker(2, 2)
+        tracker.advance(index, tag, np.array([0, 2, 4]))
+        assert (tracker.hits, tracker.flush_invalidations) == (0, 2)
 
 
 class TestSetAssociativeEngineEquivalence:
