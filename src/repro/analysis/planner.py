@@ -527,53 +527,57 @@ class ResultCache(Protocol):
     def __setitem__(self, index: int, result: Any) -> None: ...
 
 
+Evaluator = Callable[
+    [list[int], Callable[[Sequence[int], Sequence[Any]], None]], object
+]
+
+
+def _through_cache(
+    evaluate: Evaluator, cache: ResultCache
+) -> Callable[[Sequence[int]], list[Any]]:
+    """Evaluate points missing from ``cache`` as one batch, writing
+    each result as it arrives; return every point's result in order."""
+
+    def run(indices: Sequence[int]) -> list[Any]:
+        chosen = [int(i) for i in indices]
+        fresh = [i for i in chosen if i not in cache]
+        if fresh:
+
+            def record(positions: Sequence[int], results: Sequence[Any]) -> None:
+                for position, result in zip(positions, results):
+                    cache[fresh[position]] = result
+
+            evaluate(fresh, record)
+        return [cache[i] for i in chosen]
+
+    return run
+
+
 def run_search(
     grid: PlannedGrid,
     search: SearchSpec,
-    simulate: Callable[
-        [list[int], Callable[[Sequence[int], Sequence[Any]], None]], object
-    ],
-    estimate: Callable[[int], Any],
+    simulate: Evaluator,
+    estimate: Evaluator,
     simulated: ResultCache,
     estimated: ResultCache,
 ) -> SearchOutcome:
     """Run ``search``'s strategy over ``grid``, evaluating through caches.
 
-    ``simulate(indices, on_result)`` simulates the grid points at
-    ``indices`` as one batch and reports results as they come, a group
-    at a time, as ``on_result(positions, results)``; it is called only
-    for points not already in ``simulated``, whose entries are written
-    as results arrive. ``estimate(index)`` estimates one point missing
-    from ``estimated``. A sweep passes dicts; a campaign passes views of its
-    store keyed by each point's simulate- and estimate-fidelity keys,
-    so a rerun reuses every stored result and persists every new one.
+    ``simulate(indices, on_result)`` and ``estimate(indices,
+    on_result)`` evaluate the grid points at ``indices`` as one batch,
+    at full and estimate fidelity, and report results as they come, a
+    group at a time, as ``on_result(positions, results)``. Each is
+    called only for points not already in its cache (``simulated`` or
+    ``estimated``), whose entries are written as results arrive. A
+    sweep passes dicts; a campaign passes views of its store keyed by
+    each point's simulate- and estimate-fidelity keys, so a rerun
+    reuses every stored result and persists every new one.
     """
-
-    def run_simulate(indices: Sequence[int]) -> list[Any]:
-        chosen = [int(i) for i in indices]
-        fresh = [i for i in chosen if i not in simulated]
-        if fresh:
-
-            def record(positions: Sequence[int], results: Sequence[Any]) -> None:
-                for position, result in zip(positions, results):
-                    simulated[fresh[position]] = result
-
-            simulate(fresh, record)
-        return [simulated[i] for i in chosen]
-
-    def run_estimate(indices: Sequence[int]) -> list[Any]:
-        results: list[Any] = []
-        for index in (int(i) for i in indices):
-            if index in estimated:
-                result = estimated[index]
-            else:
-                result = estimate(index)
-                estimated[index] = result
-            results.append(result)
-        return results
-
     context = PlanContext(
-        grid=grid, search=search, simulate=run_simulate, estimate=run_estimate
+        grid=grid,
+        search=search,
+        simulate=_through_cache(simulate, simulated),
+        estimate=_through_cache(estimate, estimated),
     )
     return get_strategy(search.strategy).select(context)
 

@@ -52,7 +52,7 @@ from repro.analysis.planner import (
     run_search,
 )
 from repro.core.config import ArchitectureConfig
-from repro.core.engine import get_engine, resolve_engine, validate_engine
+from repro.core.engine import resolve_engine, validate_engine
 from repro.core.plan import TracePlan
 from repro.core.pool import worker_pool, worker_state
 from repro.core.results import SimulationResult
@@ -452,10 +452,11 @@ def search_sweep(
 
     ``search`` selects and tunes the strategy (a
     :class:`~repro.analysis.planner.SearchSpec`, a bare strategy name,
-    or ``None`` for exhaustive). Estimates come from the ``"estimate"``
-    fidelity tier (:mod:`repro.estimate`); simulations run through
-    :func:`simulate_selected` with the usual plan sharing, breakeven
-    batching over the surviving subset, and ``parallel`` fan-out.
+    or ``None`` for exhaustive). Both tiers run through
+    :func:`simulate_selected` on one shared plan, batched by breakeven
+    group: estimates on the ``"estimate"`` engine (:mod:`repro.estimate`),
+    serially, and simulations on ``engine`` over the surviving subset,
+    with the ``parallel`` fan-out.
     Simulated points are bit-identical to a full :func:`sweep`'s points
     at the same grid positions.
     """
@@ -472,26 +473,31 @@ def search_sweep(
     simulated: dict[int, SimulationResult] = {}
     estimated: dict[int, SimulationResult] = {}
 
-    def simulate_points(indices, on_result):
-        simulate_selected(
-            base,
-            trace,
-            grid.names,
-            [grid.combos[i] for i in indices],
-            group_ids=grid.subset_group_ids(indices),
-            lut=shared_lut,
-            engine=engine,
-            parallel=parallel,
-            plan=plan,
-            on_result=on_result,
-        )
+    def evaluator(tier: str, workers: int | None):
+        def evaluate(indices, on_result):
+            simulate_selected(
+                base,
+                trace,
+                grid.names,
+                [grid.combos[i] for i in indices],
+                group_ids=grid.subset_group_ids(indices),
+                lut=shared_lut,
+                engine=tier,
+                parallel=workers,
+                plan=plan,
+                on_result=on_result,
+            )
 
-    def estimate_point(index):
-        config = replace(base, **grid.parameters(index))
-        return get_engine("estimate").run(config, trace, lut=shared_lut, plan=plan)
+        return evaluate
 
+    # Estimates are arithmetic on the shared plan's profiles: serial.
     outcome = run_search(
-        grid, spec, simulate_points, estimate_point, simulated, estimated
+        grid,
+        spec,
+        evaluator(engine, parallel),
+        evaluator("estimate", None),
+        simulated,
+        estimated,
     )
     return SearchSweepResult(
         search=spec,

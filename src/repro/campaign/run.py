@@ -283,8 +283,10 @@ def _simulate_points(
     parallel: int | None,
     on_result,
     plan: TracePlan | None = None,
+    engine: str | None = None,
 ) -> None:
-    """Simulate the grid points at ``indices`` from one trace's source."""
+    """Evaluate the grid points at ``indices`` from one trace's source,
+    on ``engine`` (the spec's when ``None``)."""
     simulate_selected(
         spec.base,
         source,
@@ -292,11 +294,29 @@ def _simulate_points(
         [grid.combos[i] for i in indices],
         group_ids=grid.subset_group_ids(indices),
         lut=lut,
-        engine=spec.engine,
+        engine=spec.engine if engine is None else engine,
         parallel=parallel,
         plan=plan,
         on_result=on_result,
     )
+
+
+def _once_per_key(keys: list[tuple[str, str]], evaluate):
+    """``evaluate`` over the first index of each distinct store key in
+    a batch: an axis value repeated in a spec names one stored point,
+    which is evaluated (and counted) once, as on the exhaustive path."""
+
+    def run(indices: list[int], on_result) -> None:
+        first: dict[tuple[str, str], int] = {}
+        for position, index in enumerate(indices):
+            first.setdefault(keys[index], position)
+        positions = list(first.values())
+        evaluate(
+            [indices[p] for p in positions],
+            lambda done, results: on_result([positions[d] for d in done], results),
+        )
+
+    return run
 
 
 def _search_trace(
@@ -317,9 +337,9 @@ def _search_trace(
     exhaustive runs of one spec share simulated records, and a later
     exhaustive run only fills in the points the strategy pruned.
     ``counts`` accumulates the fresh simulations and estimates.
+    Estimates run serially on the shared plan, batched by breakeven
+    group like simulations, and are persisted group by group.
     """
-    from repro.core.engine import get_engine
-
     if all(key in store for key in keys):
         return
     trace = points[0].trace.build()
@@ -329,18 +349,20 @@ def _search_trace(
         _simulate_points(spec, grid, trace, indices, lut, parallel, on_result, plan)
         counts["simulated"] += len(indices)
 
-    def estimate(index: int):
-        counts["estimated"] += 1
-        estimator = get_engine("estimate")
-        return estimator.run(points[index].config, trace, lut=lut, plan=plan)
+    def estimate(indices: list[int], on_result) -> None:
+        _simulate_points(
+            spec, grid, trace, indices, lut, None, on_result, plan, engine="estimate"
+        )
+        counts["estimated"] += len(indices)
 
+    estimate_keys = [point.key_at("estimate") for point in points]
     run_search(
         grid,
         search,
-        simulate,
-        estimate,
+        _once_per_key(keys, simulate),
+        _once_per_key(estimate_keys, estimate),
         _StoreView(store, keys, lut),
-        _StoreView(store, [point.key_at("estimate") for point in points], lut),
+        _StoreView(store, estimate_keys, lut),
     )
 
 

@@ -8,10 +8,12 @@ the two simulation engines are guaranteed to simulate the same machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 from repro.cache.geometry import CacheGeometry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.indexing.policies import IndexingPolicy, make_policy
 from repro.indexing.update import UpdateSchedule
 from repro.power.breakeven import breakeven_cycles
@@ -132,3 +134,26 @@ class ArchitectureConfig:
             update_period_cycles=None,
             update_events=None,
         )
+
+
+#: Every config field a breakeven group shares: all but the breakeven.
+_group_fields = attrgetter(
+    *(f.name for f in fields(ArchitectureConfig) if f.name != "breakeven_override")
+)
+
+
+def validate_breakeven_group(configs: Sequence[ArchitectureConfig]) -> None:
+    """Reject groups whose configs differ in anything but the breakeven.
+
+    The group contract of every ``run_group`` path (the fast and
+    streaming engines and the estimator), so it is enforced identically
+    on all of them: each config must be an ``ArchitectureConfig`` of
+    the first one's type with every other field equal to its.
+    """
+    base = configs[0]
+    shared = _group_fields(base)
+    for other in configs[1:]:
+        if type(other) is not type(base) or _group_fields(other) != shared:
+            raise SimulationError(
+                "breakeven group configs must differ only in breakeven_override"
+            )

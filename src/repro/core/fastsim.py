@@ -43,17 +43,14 @@ The kernels run on the dispatcher's process-wide backend
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from repro.core.config import ArchitectureConfig
+from repro.core.config import ArchitectureConfig, validate_breakeven_group
 from repro.core.engine import Engine, register_engine
 from repro.core.plan import TracePlan, ensure_plan
 from repro.core.results import SimulationResult
 from repro.core.simulator import _effective_breakeven, assemble_group
 from repro.aging.lut import LifetimeLUT
-from repro.errors import SimulationError
 from repro.kernels import dispatch as kernels
 from repro.trace.trace import Trace
 
@@ -146,21 +143,6 @@ def plan_counts(plan: TracePlan, config) -> tuple[int, int, int]:
         ),
     )
     return len(boundaries), hits, flush_invalidations
-
-
-def validate_breakeven_group(configs) -> None:
-    """Reject groups whose configs differ in anything but the breakeven.
-
-    Shared by :func:`run_breakeven_group` and the streaming
-    :class:`~repro.core.streamsim.StreamCursor`, so the group contract
-    is enforced identically on both paths.
-    """
-    base = configs[0]
-    for other in configs[1:]:
-        if replace(other, breakeven_override=base.breakeven_override) != base:
-            raise SimulationError(
-                "breakeven group configs must differ only in breakeven_override"
-            )
 
 
 def run_breakeven_group(

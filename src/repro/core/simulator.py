@@ -70,10 +70,10 @@ def assemble_result(
     counters twice — in particular, from a deserialized
     :class:`~repro.core.serialize.ResultRecord` — reproduces every
     field bit-identically (given the same LUT). This is the
-    single-config funnel of the record reader, the reference and
-    fine-grain engines and the estimator; the fast engine's breakeven
-    groups go through :func:`assemble_group`, which is held to this
-    function field by field. ``energy_pj`` is builtin ``sum()`` over
+    single-config funnel of the record reader and the reference and
+    fine-grain engines; the breakeven groups of the fast and streaming
+    engines and of the estimator go through :func:`assemble_group`,
+    which is held to this function field by field. ``energy_pj`` is builtin ``sum()`` over
     the banks' totals in bank order, and the group path sums the same
     Python floats the same way: ``sum()`` is compensated on Python
     3.12 and plain on 3.10, so any other order or reduction would
@@ -131,14 +131,18 @@ def assemble_group(
     updates_applied: int,
     flush_invalidations: int,
     lut: LifetimeLUT | None,
+    fidelity: str = "simulate",
+    flushes: int | None = None,
 ) -> list[SimulationResult]:
     """The results of a breakeven group, derived as one table.
 
     The configs differ only in ``breakeven_override`` (the callers
-    enforce :func:`~repro.core.fastsim.validate_breakeven_group`), so
+    enforce :func:`~repro.core.config.validate_breakeven_group`), so
     they share every counter but their per-bank idleness:
     ``idleness`` holds one row of its useful/sleep matrices per
-    config, in order. Every update flushed the cache once.
+    config, in order. ``flushes`` is the cache's flush count; by
+    default every update flushed the cache once (the estimator passes
+    its own prediction, 0 for an empty trace).
 
     Energy, lifetimes and the built-in eager metrics come from
     :func:`~repro.core.metrics.derive_group`: one energy model and one
@@ -149,13 +153,17 @@ def assemble_group(
     for bit, on Python versions whose ``sum()`` is compensated (3.12)
     and on those whose ``sum()`` is not. A plugin metric runs through
     its ``compute`` per config (see
-    :func:`~repro.core.metrics.group_metrics`).
+    :func:`~repro.core.metrics.group_metrics`). ``fidelity`` tags every
+    result, as in :func:`assemble_result` (``"estimate"`` for the
+    estimator's synthesized counters).
     """
     if not configs:
         return []
+    if flushes is None:
+        flushes = updates_applied
     # One CacheStats per result: it is mutable, so results share none.
     cache_stats = [
-        CacheStats(hits=hits, misses=accesses - hits, flushes=updates_applied)
+        CacheStats(hits=hits, misses=accesses - hits, flushes=flushes)
         for _ in configs
     ]
     bank_stats = [tuple(row) for row in idleness.stats()]
@@ -187,6 +195,7 @@ def assemble_group(
             baseline_energy_pj=derived.baseline,
             lifetime=derived.reports[i],
             metrics=metrics[i],
+            fidelity=fidelity,
         )
         for i, config in enumerate(configs)
     ]

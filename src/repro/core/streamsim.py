@@ -52,8 +52,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.aging.lut import LifetimeLUT
+from repro.core.config import validate_breakeven_group
 from repro.core.engine import resolve_engine, supports_streaming, validate_engine
-from repro.core.fastsim import _CacheTracker, hits_key, validate_breakeven_group
+from repro.core.fastsim import _CacheTracker, hits_key
 from repro.core.plan import StreamingPlan
 from repro.core.results import SimulationResult
 from repro.core.simulator import assemble_group

@@ -12,12 +12,15 @@ makes estimator-guided search (:mod:`repro.analysis.planner`) able to
 screen hundreds of configurations before paying for a single
 simulation.
 
-Estimated results flow through the exact same assembly funnel as
-simulated ones (:func:`repro.core.simulator.assemble_result`), so the
+A breakeven group (configs differing only in ``breakeven_override``)
+is estimated as one table and assembled through the same group path as
+simulated groups (:func:`repro.core.simulator.assemble_group`), so the
 energy model, lifetime LUT and every registered metric are applied
 identically — only the integer activity counters are synthesized
-instead of measured. Results and records carry ``fidelity="estimate"``
-and are keyed separately in every store (see
+instead of measured. ``EstimateEngine.run_group`` is that path behind
+the engine interface, so every estimated grid runs through the sweep
+executor batched by group. Results and records carry
+``fidelity="estimate"`` and are keyed separately in every store (see
 :func:`repro.campaign.codec.config_result_hash`).
 
 The package is deliberately isolated from the replay machinery:

@@ -1,12 +1,17 @@
 """The closed-form analytical model behind the ``estimate`` engine.
 
 Inputs: one :class:`~repro.trace.stats.TraceProfile` (per trace ×
-geometry × bank count) and the :class:`ArchitectureConfig` under
-evaluation. Output: a :class:`SimulationResult` whose integer activity
-counters are *synthesized* rather than measured, assembled through the
-standard :func:`repro.core.simulator.assemble_result` funnel so energy,
-lifetime and registered metrics derive exactly as they would for a
-simulated run.
+geometry × bank count) and a breakeven group of
+:class:`ArchitectureConfig` objects (configs differing only in
+``breakeven_override``). Output: one :class:`SimulationResult` per
+config whose integer activity counters are *synthesized* rather than
+measured. :func:`estimate_group` derives the breakeven-independent
+counters once per group, fills one
+:class:`~repro.power.idleness.IdlenessTable` and assembles it through
+:func:`repro.core.simulator.assemble_group`, the fast engine's group
+path, so energy, lifetime and registered metrics derive exactly as
+they would for a simulated group. :func:`estimate_result` and
+:func:`synthesize_bank_stats` are its one-config views.
 
 Modeling assumptions (each one a deliberate closed-form trade):
 
@@ -37,11 +42,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.aging.lut import LifetimeLUT
 from repro.cache.stats import CacheStats
-from repro.core.config import ArchitectureConfig
+from repro.core.config import ArchitectureConfig, validate_breakeven_group
 from repro.core.results import SimulationResult
-from repro.power.idleness import BankIdleStats
+from repro.errors import ConfigurationError
+from repro.power.idleness import BankIdleStats, IdlenessTable
 from repro.trace.stats import TraceProfile
 
 #: Fidelity tag carried by everything this model produces.
@@ -93,46 +101,72 @@ def effective_bank_shares(
     )
 
 
-def _histogram_response(
-    histogram: tuple[tuple[int, int, int], ...], breakeven: float
-) -> tuple[float, float, float, float]:
-    """``(intervals, useful, idle, sleep)`` implied by one gap histogram.
+def _histogram_responses(
+    histograms: tuple[tuple[tuple[int, int, int], ...], ...],
+    breakevens: list[float],
+) -> tuple[list[float], np.ndarray, list[float], np.ndarray]:
+    """``(intervals, useful, idle, sleep)`` implied by per-bank gap
+    histograms: ``intervals`` and ``idle`` per bank, ``useful`` and
+    ``sleep`` as ``(breakevens, banks)`` matrices.
 
     Each log2 bucket is collapsed to its mean gap length: all ``count``
     gaps sleep ``mean - breakeven`` cycles if the mean clears the
     breakeven, else none do. Buckets are a factor of two wide, so the
     collapse can only misjudge gaps within 2x of the breakeven — the
     window gaps that dominate sleepable idleness sit far above it.
+
+    Every sum runs over a bank's buckets in order from ``0.0``, as a
+    scalar loop over one histogram would: ``sleep`` is a sequential
+    ``np.add.accumulate`` (which never sums pairwise), into which an
+    unqualified bucket adds an exact ``0.0``, and ``useful`` counts
+    integers, exact in any order.
     """
-    intervals = 0.0
-    idle = 0.0
-    useful = 0.0
-    sleep = 0.0
-    for _, count, total in histogram:
-        intervals += count
-        idle += total
-        mean = total / count
-        if mean > breakeven:
-            useful += count
-            sleep += count * (mean - breakeven)
+    width = max(1, max((len(h) for h in histograms), default=0))
+    counts = np.zeros((len(histograms), width), dtype=np.int64)
+    means = np.zeros((len(histograms), width))
+    intervals: list[float] = []
+    idle: list[float] = []
+    for b, histogram in enumerate(histograms):
+        bank_intervals = 0.0
+        bank_idle = 0.0
+        for j, (_, count, total) in enumerate(histogram):
+            bank_intervals += count
+            bank_idle += total
+            counts[b, j] = count
+            means[b, j] = total / count
+        intervals.append(bank_intervals)
+        idle.append(bank_idle)
+    thresholds = np.asarray(breakevens, dtype=np.float64)[:, None, None]
+    clears = means > thresholds  # breakevens are >= 1; padding means are 0
+    useful = np.where(clears, counts, 0).sum(axis=2).astype(np.float64)
+    excess = np.where(clears, counts * (means - thresholds), 0.0)
+    sleep = np.add.accumulate(excess, axis=2)[:, :, -1]
     return intervals, useful, idle, sleep
 
 
-def synthesize_bank_stats(
-    profile: TraceProfile, config: ArchitectureConfig
-) -> list[BankIdleStats]:
-    """Per-bank idleness counters predicted from the profile.
+def _idleness_table(
+    profile: TraceProfile, configs: list[ArchitectureConfig], updates: int
+) -> IdlenessTable:
+    """Per-bank idleness counters of a breakeven group, predicted from
+    the profile: one row per config.
 
-    Counters are clamped into feasibility (``sleep <= idle <= total``,
-    ``useful <= intervals``) so the downstream energy model — which
-    rejects impossible counter combinations — always accepts them.
+    Everything but ``useful`` and ``sleep`` is independent of the
+    breakeven and is derived once. Counters are clamped into
+    feasibility (``sleep <= idle <= total``, ``useful <= intervals``)
+    so the downstream energy model — which rejects impossible counter
+    combinations — always accepts them. The clamp makes
+    ``idle_intervals`` a per-row matrix: a bank predicting no whole
+    interval still counts the one it sleeps through.
     """
+    base = configs[0]
     horizon = profile.horizon
     num_banks = len(profile.bank_shares)
-    updates = predicted_updates(config, horizon)
-    shares = effective_bank_shares(profile, config, updates)
+    shares = effective_bank_shares(profile, base, updates)
     counts = _largest_remainder(shares, profile.accesses)
-    breakeven = float(config.breakeven()) if config.power_managed else float(horizon + 1)
+    if base.power_managed:
+        breakevens = [float(config.breakeven()) for config in configs]
+    else:
+        breakevens = [float(horizon + 1)] * len(configs)
 
     histograms = profile.bank_gap_histograms
     if len(histograms) != num_banks:
@@ -144,43 +178,59 @@ def synthesize_bank_stats(
             else ()
             for c in counts
         )
-    responses = [_histogram_response(h, breakeven) for h in histograms]
-    averaged = tuple(
-        sum(r[i] for r in responses) / num_banks for i in range(4)
-    )
+    intervals, useful, idle, sleep = _histogram_responses(histograms, breakevens)
     # Dynamic policies progressively decouple a bank from its static
     # index slice, so its gap structure drifts toward the average bank's.
-    blend = updates / (updates + 1.0) if config.policy != "static" and updates else 0.0
+    # The bank averages are builtin sum() in bank order (compensated on
+    # Python 3.12), as the one-config model always summed them.
+    blend = updates / (updates + 1.0) if base.policy != "static" and updates else 0.0
+    keep = 1.0 - blend
+    intervals_mean = sum(intervals) / num_banks
+    idle_mean = sum(idle) / num_banks
+    intervals = [keep * own + blend * intervals_mean for own in intervals]
+    idle = [keep * own + blend * idle_mean for own in idle]
+    useful_mean = [sum(row) / num_banks for row in useful.tolist()]
+    sleep_mean = [sum(row) / num_banks for row in sleep.tolist()]
+    useful = keep * useful + blend * np.asarray(useful_mean)[:, None]
+    sleep = keep * sleep + blend * np.asarray(sleep_mean)[:, None]
+    if updates and horizon > 0:
+        # Each update forces the bank awake; when it lands inside a
+        # sleeping gap it splits it, costing one extra warm-up.
+        asleep = sleep > 0
+        interrupted = updates * np.minimum(1.0, sleep / horizon)
+        thresholds = np.asarray(breakevens)[:, None]
+        sleep = np.where(asleep, np.maximum(0.0, sleep - interrupted * thresholds), sleep)
+        useful = np.where(asleep, useful + interrupted, useful)
 
-    stats: list[BankIdleStats] = []
-    for b, accesses in enumerate(counts):
-        own = responses[b]
-        intervals, useful, idle, sleep = (
-            (1.0 - blend) * own[i] + blend * averaged[i] for i in range(4)
-        )
-        if updates and horizon > 0 and sleep > 0:
-            # Each update forces the bank awake; when it lands inside a
-            # sleeping gap it splits it, costing one extra warm-up.
-            interrupted = updates * min(1.0, sleep / horizon)
-            sleep = max(0.0, sleep - interrupted * breakeven)
-            useful += interrupted
-        idle_cycles = min(int(round(idle)), max(0, horizon - accesses))
-        sleep_cycles = min(int(round(sleep)), idle_cycles)
-        useful_intervals = min(int(round(useful)), max(1, int(round(intervals))))
-        if sleep_cycles <= 0:
-            useful_intervals = 0
-        stats.append(
-            BankIdleStats(
-                accesses=accesses,
-                idle_intervals=max(useful_intervals, int(round(intervals))),
-                useful_intervals=useful_intervals,
-                idle_cycles=idle_cycles,
-                sleep_cycles=sleep_cycles,
-                transitions=useful_intervals,
-                total_cycles=horizon,
-            )
-        )
-    return stats
+    # Rounding is round-half-even in both round() and np.rint.
+    whole = np.asarray([int(round(value)) for value in intervals], dtype=np.int64)
+    idle_cycles = np.asarray(
+        [
+            min(int(round(value)), max(0, horizon - accesses))
+            for value, accesses in zip(idle, counts)
+        ],
+        dtype=np.int64,
+    )
+    sleep_cycles = np.minimum(np.rint(sleep).astype(np.int64), idle_cycles)
+    useful_intervals = np.minimum(np.rint(useful).astype(np.int64), np.maximum(1, whole))
+    useful_intervals[sleep_cycles <= 0] = 0
+    return IdlenessTable(
+        window=horizon,
+        accesses=np.asarray(counts, dtype=np.int64),
+        idle_intervals=np.maximum(useful_intervals, whole),
+        idle_cycles=idle_cycles,
+        useful=useful_intervals,
+        sleep=sleep_cycles,
+    )
+
+
+def synthesize_bank_stats(
+    profile: TraceProfile, config: ArchitectureConfig
+) -> list[BankIdleStats]:
+    """Per-bank idleness counters predicted from the profile: the
+    one-config view of the group model (see :func:`estimate_group`)."""
+    updates = predicted_updates(config, profile.horizon)
+    return _idleness_table(profile, [config], updates).stats()[0]
 
 
 def predicted_cache_stats(
@@ -227,38 +277,59 @@ def predicted_cache_stats(
     )
 
 
+def estimate_group(
+    configs: list[ArchitectureConfig],
+    profile: TraceProfile,
+    lut: LifetimeLUT | None = None,
+    trace_name: str = "",
+) -> list[SimulationResult]:
+    """Predict the results of a breakeven group from ``profile`` alone.
+
+    The configs differ only in ``breakeven_override``
+    (:func:`~repro.core.config.validate_breakeven_group`), so the group
+    shares its update count, bank shares and access counts, per-bank
+    interval and idle blends and cache stats; only the useful intervals
+    and sleep cycles are evaluated per breakeven. The synthesized
+    counters fill one :class:`~repro.power.idleness.IdlenessTable`, and
+    :func:`~repro.core.simulator.assemble_group` derives energy,
+    lifetime and every registered metric exactly as for a simulated
+    group. Each result (and any record written from it) carries
+    ``fidelity="estimate"`` and equals :func:`estimate_result` of its
+    config alone.
+    """
+    from repro.core.simulator import assemble_group
+
+    if not configs:
+        return []
+    base = configs[0]
+    if len(profile.bank_shares) != base.num_banks:
+        raise ConfigurationError(
+            f"profile was computed for {len(profile.bank_shares)} banks, "
+            f"config has {base.num_banks}"
+        )
+    validate_breakeven_group(configs)
+    cache_stats, updates, invalidations = predicted_cache_stats(profile, base)
+    return assemble_group(
+        configs,
+        trace_name,
+        profile.horizon,
+        _idleness_table(profile, configs, updates),
+        cache_stats.hits,
+        cache_stats.accesses,
+        updates,
+        invalidations,
+        lut,
+        fidelity=ESTIMATE_FIDELITY,
+        flushes=cache_stats.flushes,
+    )
+
+
 def estimate_result(
     config: ArchitectureConfig,
     profile: TraceProfile,
     lut: LifetimeLUT | None = None,
     trace_name: str = "",
 ) -> SimulationResult:
-    """Predict the full result for ``config`` from ``profile`` alone.
-
-    The synthesized counters go through the standard assembly funnel,
-    so energy and lifetime derive from the same models a simulation
-    uses; the result (and any record written from it) carries
-    ``fidelity="estimate"``.
-    """
-    from repro.core.simulator import assemble_result
-    from repro.errors import ConfigurationError
-
-    if len(profile.bank_shares) != config.num_banks:
-        raise ConfigurationError(
-            f"profile was computed for {len(profile.bank_shares)} banks, "
-            f"config has {config.num_banks}"
-        )
-    bank_stats = synthesize_bank_stats(profile, config)
-    cache_stats, updates, invalidations = predicted_cache_stats(profile, config)
-    return assemble_result(
-        config=config,
-        trace_name=trace_name,
-        horizon=profile.horizon,
-        bank_stats=bank_stats,
-        cache_stats=cache_stats,
-        updates_applied=updates,
-        flush_invalidations=invalidations,
-        lut=lut,
-        template="banked",
-        fidelity=ESTIMATE_FIDELITY,
-    )
+    """Predict the full result for ``config`` from ``profile`` alone:
+    the one-config view of :func:`estimate_group`."""
+    return estimate_group([config], profile, lut=lut, trace_name=trace_name)[0]

@@ -10,8 +10,6 @@ their absolute values.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.aging.lut import LifetimeLUT
@@ -74,29 +72,26 @@ def validate_workload(
     points sharing each axis value — which axes the model tracks well
     and which it does not).
     """
-    from repro.core.engine import get_engine
-
     grid = plan_grid(axes)
     shared_lut = lut if lut is not None else LifetimeLUT.default()
     plan = TracePlan(trace)
-    simulated = simulate_selected(
-        base,
-        trace,
-        grid.names,
-        grid.combos,
-        group_ids=grid.group_ids,
-        lut=shared_lut,
-        engine=engine,
-        parallel=parallel,
-        plan=plan,
-    )
-    estimator = get_engine("estimate")
-    estimated = [
-        estimator.run(
-            replace(base, **grid.parameters(i)), trace, lut=shared_lut, plan=plan
+
+    def evaluate(tier: str, workers: int | None) -> list:
+        return simulate_selected(
+            base,
+            trace,
+            grid.names,
+            grid.combos,
+            group_ids=grid.group_ids,
+            lut=shared_lut,
+            engine=tier,
+            parallel=workers,
+            plan=plan,
         )
-        for i in range(len(grid))
-    ]
+
+    simulated = evaluate(engine, parallel)
+    # Estimates are arithmetic on the shared plan's profiles: serial.
+    estimated = evaluate("estimate", None)
 
     report: dict = {
         "trace": trace.name,

@@ -292,12 +292,15 @@ class IdlenessTable:
     the breakeven-dependent two: ``useful`` (useful intervals, which
     equal transitions) and ``sleep`` (sleep cycles) are
     ``(configs, banks)`` int64 matrices, one row per breakeven in the
-    group's order; ``accesses``, ``idle_intervals`` and ``idle_cycles``
-    are ``(banks,)`` vectors; ``window`` is every bank's
-    ``total_cycles``. :meth:`stats` expands it into the per-bank
-    :class:`BankIdleStats` lists, and
-    :func:`~repro.core.simulator.assemble_group` derives a group's
-    energy and lifetimes straight from the columns.
+    group's order; ``accesses`` and ``idle_cycles`` are ``(banks,)``
+    vectors; ``window`` is every bank's ``total_cycles``.
+    ``idle_intervals`` broadcasts to ``(configs, banks)``: the
+    simulators' measured gaps are one ``(banks,)`` vector, and the
+    estimator gives a matrix, because it clamps the intervals to the
+    useful intervals it predicts per breakeven.
+    :meth:`stats` expands it into the per-bank :class:`BankIdleStats`
+    lists, and :func:`~repro.core.simulator.assemble_group` derives a
+    group's energy and lifetimes straight from the columns.
     """
 
     window: int
@@ -311,24 +314,22 @@ class IdlenessTable:
         """One :class:`BankIdleStats` list per breakeven row, one entry
         per bank."""
         window = self.window
-        shared = list(
-            zip(
-                self.accesses.tolist(),
-                self.idle_intervals.tolist(),
-                self.idle_cycles.tolist(),
-            )
-        )
+        accesses = self.accesses.tolist()
+        cycles = self.idle_cycles.tolist()
+        intervals = np.broadcast_to(self.idle_intervals, self.useful.shape).tolist()
         # Positional, in field order: (accesses, idle_intervals,
         # useful_intervals, idle_cycles, sleep_cycles, transitions,
         # total_cycles); transitions equal useful intervals.
         return [
             [
-                BankIdleStats(accesses, intervals, useful, cycles, sleep, useful, window)
-                for (accesses, intervals, cycles), useful, sleep in zip(
-                    shared, useful_row, sleep_row
+                BankIdleStats(bank_accesses, idle, useful, idle_cycles, sleep, useful, window)
+                for bank_accesses, idle, idle_cycles, useful, sleep in zip(
+                    accesses, interval_row, cycles, useful_row, sleep_row
                 )
             ]
-            for useful_row, sleep_row in zip(self.useful.tolist(), self.sleep.tolist())
+            for interval_row, useful_row, sleep_row in zip(
+                intervals, self.useful.tolist(), self.sleep.tolist()
+            )
         ]
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.errors import TraceError
+from repro.power.idleness import BankRouting, GapSpectrum
 from repro.trace.trace import Trace
 from repro.utils.bitops import log2_exact, mask
 
@@ -136,67 +137,44 @@ def summarize_trace(trace: Trace, geometry: CacheGeometry) -> TraceSummary:
     )
 
 
-def _gap_histograms(
-    gaps: np.ndarray, labels: np.ndarray, num_labels: int
+def _spectrum_histograms(
+    spectrum: GapSpectrum,
 ) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Bucket positive ``gaps`` by ``floor(log2(gap))``, per label.
+    """Bucket each bank's gaps of ``spectrum`` by ``floor(log2(gap))``.
 
-    Returns, for each label in ``range(num_labels)``, sorted
-    ``(log2_bucket, count, total_cycles)`` triples; the count and the
-    exact cycle mass per bucket together let downstream models evaluate
-    ``sum(max(0, gap - T))`` for any threshold ``T`` without keeping the
-    gaps themselves. Totals are int64 sums, exact for any trace.
+    Returns, for each bank, sorted ``(log2_bucket, count, total_cycles)``
+    triples; the count and the exact cycle mass per bucket together let
+    downstream models evaluate ``sum(max(0, gap - T))`` for any
+    threshold ``T`` without keeping the gaps themselves. The dense cells
+    sum per power-of-two column range and the overflow triples add into
+    their buckets, all in int64: exact for any trace.
     """
-    positive = gaps > 0
-    gaps = gaps[positive]
-    labels = labels[positive]
-    if not gaps.size:
-        return tuple(() for _ in range(num_labels))
-    buckets = np.floor(np.log2(gaps.astype(np.float64))).astype(np.int64)
-    width = int(buckets.max()) + 1
-    cells = labels * width + buckets
-    counts = np.bincount(cells, minlength=num_labels * width)
-    totals = np.zeros(num_labels * width, dtype=np.int64)
-    np.add.at(totals, cells, gaps)
-    histograms: list[list[tuple[int, int, int]]] = [[] for _ in range(num_labels)]
-    occupied = np.flatnonzero(counts)
-    for cell, count, total in zip(
-        occupied.tolist(), counts[occupied].tolist(), totals[occupied].tolist()
-    ):
-        label, bucket = divmod(cell, width)
-        histograms[label].append((bucket, count, total))
-    return tuple(tuple(triples) for triples in histograms)
-
-
-def _bank_gap_histograms(
-    cycles: np.ndarray, bank: np.ndarray, counts: np.ndarray, horizon: int
-) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per-bank idle-gap histograms, mirroring the accountant's gaps.
-
-    Every bank is busy at cycle -1 (warm start, like the accountant) and
-    idle between its own accesses; the window closes at ``horizon``. A
-    bank with no accesses therefore contributes one gap of ``horizon``.
-    ``counts`` holds each bank's accesses.
-    """
-    num_banks = counts.size
-    # Narrow bank ids make the stable argsort a radix sort.
-    order = np.argsort(bank.astype(np.min_scalar_type(num_banks - 1)), kind="stable")
-    sorted_cycles = cycles[order]
-    ends = np.cumsum(counts)
-    used = counts > 0
-    # Each access closes the gap since its bank's previous access (or
-    # cycle -1); each bank's last access (or cycle -1) opens the
-    # trailing gap that the horizon closes.
-    previous = np.empty_like(sorted_cycles)
-    previous[1:] = sorted_cycles[:-1]
-    previous[(ends - counts)[used]] = -1
-    last = np.full(num_banks, -1, dtype=np.int64)
-    last[used] = sorted_cycles[ends[used] - 1]
-    banks = np.arange(num_banks, dtype=np.int64)
-    return _gap_histograms(
-        np.concatenate((sorted_cycles - previous - 1, horizon - last - 1)),
-        np.concatenate((np.repeat(banks, counts), banks)),
-        num_banks,
+    num_banks, cutoff = spectrum.dense.shape
+    lengths = spectrum.over_lengths
+    # Exact floor(log2): frexp's exponent, stepped down where the
+    # float conversion rounded a length up to the next power of two.
+    over_buckets = np.frexp(lengths.astype(np.float64))[1].astype(np.int64) - 1
+    over_buckets -= np.left_shift(1, over_buckets) > lengths
+    # Dense cells g in [1, cutoff): bucket k spans columns [2**k, 2**(k+1)).
+    edges = 1 << np.arange((cutoff - 1).bit_length(), dtype=np.int64)
+    width = max(edges.size, int(over_buckets.max()) + 1 if lengths.size else 0)
+    counts = np.zeros((num_banks, width), dtype=np.int64)
+    totals = np.zeros((num_banks, width), dtype=np.int64)
+    if edges.size:
+        dense = spectrum.dense
+        counts[:, : edges.size] = np.add.reduceat(dense, edges, axis=1)
+        totals[:, : edges.size] = np.add.reduceat(
+            dense * np.arange(cutoff, dtype=np.int64), edges, axis=1
+        )
+    np.add.at(counts, (spectrum.over_banks, over_buckets), spectrum.over_counts)
+    np.add.at(totals, (spectrum.over_banks, over_buckets), spectrum.over_counts * lengths)
+    return tuple(
+        tuple(
+            (bucket, count, total)
+            for bucket, (count, total) in enumerate(zip(count_row, total_row))
+            if count
+        )
+        for count_row, total_row in zip(counts.tolist(), totals.tolist())
     )
 
 
@@ -205,34 +183,48 @@ def profile_trace(
     geometry: CacheGeometry,
     num_banks: int = 4,
     summary: TraceSummary | None = None,
+    gaps: GapSpectrum | None = None,
 ) -> TraceProfile:
     """Characterize ``trace`` as seen by ``geometry`` split into banks.
 
     ``summary`` is :func:`summarize_trace` of the same trace and
     geometry; pass it to profile several bank counts without redoing
-    the bank-independent passes. The profile is the same either way.
+    the bank-independent passes. ``gaps`` must be the trace's idle-gap
+    spectrum under the static bank split, as a plan's
+    :meth:`~repro.core.plan.TracePlan.idle_gaps` of a static config
+    gives it (the estimate engine's path); only its bank count and
+    window are checked, so a dynamic routing's spectrum would pass
+    unnoticed. Without it, one arrival-order scan of the static split
+    computes it. The profile is the same either way.
     """
     if num_banks < 1 or geometry.num_sets % num_banks:
         raise TraceError(f"cannot split {geometry.num_sets} sets into {num_banks} banks")
     if summary is None:
         summary = summarize_trace(trace, geometry)
     accesses = len(trace)
-    bank = summary.set_index >> (geometry.index_bits - log2_exact(num_banks))
-    counts = np.bincount(bank, minlength=num_banks)
+    if gaps is None:
+        table = np.arange(num_banks, dtype=np.min_scalar_type(num_banks - 1))
+        routing = BankRouting(
+            trace.cycles,
+            summary.set_index,
+            np.array([0, accesses], dtype=np.int64),
+            table[None, :],
+            geometry.index_bits - log2_exact(num_banks),
+        )
+        gaps = GapSpectrum.scan([routing], num_banks, 0, trace.horizon)
+    elif gaps.num_banks != num_banks or gaps.window != trace.horizon:
+        raise TraceError("the gap spectrum is not this trace's split into these banks")
+    counts = gaps.accesses.tolist()
     return TraceProfile(
         accesses=accesses,
         horizon=trace.horizon,
         access_density=trace.access_density if accesses else 0.0,
         distinct_lines=summary.distinct_lines,
         footprint_bytes=summary.distinct_line_addresses * geometry.line_size,
-        bank_shares=tuple(
-            float(c) / accesses if accesses else 0.0 for c in counts
-        ),
+        bank_shares=tuple(c / accesses if accesses else 0.0 for c in counts),
         gap_percentiles=dict(summary.gap_percentiles),
         reuse_distance_median=summary.reuse_distance_median,
-        bank_gap_histograms=_bank_gap_histograms(
-            trace.cycles, bank, counts, trace.horizon
-        ),
+        bank_gap_histograms=_spectrum_histograms(gaps),
     )
 
 

@@ -52,7 +52,7 @@ from repro.core.simulator import simulate
 from repro.errors import ConfigurationError, ReproWarning
 from repro.estimate import estimate_result
 from repro.estimate.model import (
-    _histogram_response,
+    _histogram_responses,
     predicted_updates,
     synthesize_bank_stats,
 )
@@ -85,11 +85,11 @@ class TestEstimatorModel:
         # bucket of one 10-cycle gap. Breakeven 100: only the big
         # bucket sleeps, 2 * (300 - 100) cycles.
         histogram = ((8, 2, 600), (3, 1, 10))
-        intervals, useful, idle, sleep = _histogram_response(histogram, 100.0)
-        assert intervals == 3
-        assert useful == 2
-        assert idle == 610
-        assert sleep == pytest.approx(400.0)
+        intervals, useful, idle, sleep = _histogram_responses((histogram,), [100.0])
+        assert intervals == [3]
+        assert useful.tolist() == [[2]]
+        assert idle == [610]
+        assert sleep.tolist() == [[pytest.approx(400.0)]]
 
     def test_synthesized_counters_are_feasible(self, trace):
         for policy, period in [("static", None), ("probing", 4096)]:
@@ -374,7 +374,9 @@ def sim_counter(monkeypatch):
     original = campaign_run.simulate_selected
 
     def counting(base, trace, names, combos, **kwargs):
-        counted["points"] += len(combos)
+        # Estimates run through the same executor; count simulations.
+        if kwargs.get("engine") != "estimate":
+            counted["points"] += len(combos)
         return original(base, trace, names, combos, **kwargs)
 
     monkeypatch.setattr(campaign_run, "simulate_selected", counting)

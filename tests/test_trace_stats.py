@@ -186,10 +186,10 @@ class TestSharedSummary:
             calls["summaries"].append(geometry)
             return real_summary(trace, geometry)
 
-        def profile_spy(trace, geometry, num_banks=4, summary=None):
-            assert summary is not None
+        def profile_spy(trace, geometry, num_banks=4, summary=None, gaps=None):
+            assert summary is not None and gaps is not None
             calls["profiles"].append(num_banks)
-            return real_profile(trace, geometry, num_banks, summary)
+            return real_profile(trace, geometry, num_banks, summary, gaps)
 
         monkeypatch.setattr(engine_module, "summarize_trace", summary_spy)
         monkeypatch.setattr(engine_module, "profile_trace", profile_spy)
