@@ -599,8 +599,8 @@ def _cmd_lint(args) -> int:
     return lint_main(lint_args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: every command and its options."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Partitioned Cache Architectures for "
@@ -863,8 +863,12 @@ def main(argv: list[str] | None = None) -> int:
         help="extra column: a metric value recomputed from the stored "
         "counters (repeatable; see `repro metrics`)",
     )
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point."""
+    args = build_parser().parse_args(argv)
     commands = {
         "headline": _cmd_headline,
         "cell": _cmd_cell,

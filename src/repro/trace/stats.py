@@ -115,12 +115,12 @@ def summarize_trace(trace: Trace, geometry: CacheGeometry) -> TraceSummary:
     )
 
     gaps = np.diff(trace.cycles)
-    percentiles = {
-        q: float(np.percentile(gaps, q)) if gaps.size else 0.0 for q in (50, 90, 99)
-    }
+    quantiles = np.percentile(gaps, [50, 90, 99]).tolist() if gaps.size else [0.0] * 3
+    percentiles = dict(zip((50, 90, 99), quantiles))
 
-    # Reuse distance (in accesses) per line address: sort by (line, pos).
-    order = np.lexsort((np.arange(len(trace)), line_addresses))
+    # Reuse distance (in accesses) per line address: a stable sort by
+    # line keeps each line's accesses in trace order.
+    order = np.argsort(line_addresses, kind="stable")
     sorted_lines = line_addresses[order]
     positions = np.asarray(order, dtype=np.int64)
     same = sorted_lines[1:] == sorted_lines[:-1]

@@ -41,7 +41,9 @@ Sources
   with ``numpy.load(mmap_mode="r")``: chunk slices touch only their own
   pages, so the load itself is out-of-core;
 * :meth:`repro.trace.generator.WorkloadGenerator.stream` — the chunked
-  synthetic generator (bit-identical to ``generate()``).
+  synthetic generator (bit-identical to ``generate()``): it synthesizes
+  each chunk's windows as one vectorized block, so a chunk costs a
+  fixed number of array operations however many windows it spans.
 
 :func:`open_trace_stream` dispatches on path shape, mirroring
 :func:`repro.trace.io.load_trace`.
@@ -140,18 +142,22 @@ def _window_pieces(
     """Re-chunk a piecewise access stream into aligned cycle windows.
 
     ``pieces`` yields ``(cycles, addresses)`` array pairs in cycle order
-    with arbitrary piece boundaries (per generator window, per file read
+    with arbitrary piece boundaries (per generator block, per file read
     buffer, ...); the output is the canonical chunk sequence: one chunk
     per ``chunk_cycles``-aligned window that contains at least one
-    access. Only the current window's accesses are buffered.
+    access. Only the current window's accesses are buffered, and a
+    window that one piece fills alone is passed on without a copy.
     """
     buf_cycles: list[np.ndarray] = []
     buf_addresses: list[np.ndarray] = []
     window = -1
 
     def flush() -> TraceChunk:
-        cycles = np.concatenate(buf_cycles)
-        addresses = np.concatenate(buf_addresses)
+        if len(buf_cycles) == 1:
+            cycles, addresses = buf_cycles[0], buf_addresses[0]
+        else:
+            cycles = np.concatenate(buf_cycles)
+            addresses = np.concatenate(buf_addresses)
         buf_cycles.clear()
         buf_addresses.clear()
         return _validated_chunk(
@@ -367,8 +373,14 @@ class MmapTraceStream(TraceStream):
 class SyntheticTraceStream(TraceStream):
     """Chunked synthetic workload — the generator without the concatenate.
 
-    Built by :meth:`repro.trace.generator.WorkloadGenerator.stream`;
-    every pass re-derives the generator's named RNG streams, so repeated
+    Built by :meth:`repro.trace.generator.WorkloadGenerator.stream`.
+    Each pass asks the generator for one piece per ``chunk_cycles``
+    range: the windows starting in it, synthesized as one block with
+    each region's walk carried from the previous block. When
+    ``chunk_cycles`` is a multiple of the generator's ``window_cycles``
+    a piece is exactly one chunk and passes through unchanged; otherwise
+    :func:`_window_pieces` cuts and joins pieces at chunk boundaries.
+    Every pass re-derives the generator's named RNG streams, so repeated
     ``chunks()`` iterations (one per simulated configuration, say) are
     bit-identical to each other and to ``generate(profile)``.
     """
@@ -382,7 +394,8 @@ class SyntheticTraceStream(TraceStream):
 
     def chunks(self) -> Iterator[TraceChunk]:
         yield from _window_pieces(
-            self.generator._window_arrays(self.profile), self.chunk_cycles
+            self.generator._window_arrays(self.profile, self.chunk_cycles),
+            self.chunk_cycles,
         )
 
 

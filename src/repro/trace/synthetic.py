@@ -1,14 +1,16 @@
 """Low-level address-pattern walkers.
 
 Each busy (window, region) pair of a schedule is filled with a concrete
-access pattern. MediaBench kernels are loop-dominated, so the default
-walker is a strided loop over a working subset of the region's lines,
-with a per-region *tag generation* that advances slowly — modelling a
-program moving to a fresh buffer and producing realistic compulsory
-misses while keeping hit rates high.
+access pattern. MediaBench kernels are loop-dominated, so the walker is
+a strided loop over a working subset of the region's lines, with a
+per-region *tag generation* that advances slowly — modelling a program
+moving to a fresh buffer and producing realistic compulsory misses
+while keeping hit rates high.
 
-All walkers return numpy arrays of cache-line indices local to the
-region; the generator turns them into byte addresses.
+A :class:`RegionWalker` holds a region's drawn loop parameters; the
+generator (:meth:`repro.trace.generator.WorkloadGenerator._window_arrays`)
+walks every region at once, carrying each one's position and tag
+generation, and turns the line offsets into byte addresses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.errors import ConfigurationError
 
 @dataclass
 class RegionWalker:
-    """Per-region walker state.
+    """Per-region loop parameters.
 
     Attributes
     ----------
@@ -34,16 +36,13 @@ class RegionWalker:
         Loop stride in lines (coprime with the working set so the walk
         visits every line).
     position:
-        Current position within the working set.
-    tag_generation:
-        Current tag counter for the region.
+        Starting position within the working set.
     """
 
     region_lines: int
     working_lines: int
     stride: int = 1
     position: int = 0
-    tag_generation: int = 0
 
     def __post_init__(self) -> None:
         if self.region_lines < 1:
@@ -54,18 +53,6 @@ class RegionWalker:
             )
         if self.stride < 1:
             raise ConfigurationError("stride must be >= 1")
-
-    def walk(self, count: int) -> np.ndarray:
-        """Return the next ``count`` line offsets of the strided loop."""
-        if count < 0:
-            raise ConfigurationError("count must be non-negative")
-        steps = self.position + self.stride * np.arange(count, dtype=np.int64)
-        self.position = int((self.position + self.stride * count) % self.working_lines)
-        return steps % self.working_lines
-
-    def advance_generation(self) -> None:
-        """Move to a fresh buffer: subsequent accesses get a new tag."""
-        self.tag_generation += 1
 
 
 def make_walkers(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import json
+
 import pytest
 
 from repro.cli import main
@@ -239,3 +242,79 @@ class TestCampaignCLI:
         assert "error:" in capsys.readouterr().err
         assert main(["campaign", "run", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Every command that synthesizes a workload runs with its defaults
+# ----------------------------------------------------------------------
+def leaf_commands(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """Each runnable command path of an argparse tree."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from leaf_commands(child, (*path, name))
+            return
+    yield path
+
+
+SMOKE_SPEC = {
+    "name": "smoke",
+    "traces": [{"kind": "synthetic", "params": {"benchmark": "sha", "num_windows": 20}}],
+    "base": {"geometry": {"size_bytes": 8192, "line_size": 16}},
+}
+
+#: The commands that synthesize a workload, each with the arguments of
+#: its smoke run: its required positionals and its tiny-size flags
+#: (``--quick``, ``--windows``), nothing else. ``{spec}`` is a spec
+#: file naming a 20-window synthetic trace.
+SYNTHESIZING = {
+    ("table1",): ["--quick", "table1"],
+    ("table2",): ["--quick", "table2"],
+    ("table3",): ["--quick", "table3"],
+    ("table4",): ["--quick", "table4"],
+    ("headline",): ["--quick", "headline"],
+    ("profile",): ["profile", "dijkstra"],
+    ("trace", "stats"): ["trace", "stats", "dijkstra", "--windows", "20"],
+    ("sweep",): ["sweep", "--windows", "20"],
+    ("estimate", "validate"): ["estimate", "validate", "--windows", "20"],
+    ("campaign", "run"): ["campaign", "run", "{spec}"],
+}
+
+#: The commands that synthesize nothing themselves.
+NOT_SYNTHESIZING = {
+    ("cell",), ("arch",), ("policies",), ("engines",), ("metrics",), ("lint",),
+    ("campaign", "show"), ("campaign", "migrate"),
+    # Coverage comes from the spec's keys, not from its traces.
+    ("campaign", "status"),
+    # A long-running service, and its client: the service's drain is
+    # the campaign runner smoked above.
+    ("campaign", "serve"), ("campaign", "submit"),
+}
+
+
+def test_every_command_is_classified():
+    from repro.cli import build_parser
+
+    assert set(leaf_commands(build_parser())) == set(SYNTHESIZING) | NOT_SYNTHESIZING
+
+
+@pytest.mark.parametrize("path", sorted(SYNTHESIZING), ids=" ".join)
+def test_synthesizing_command_runs_with_defaults(path, capsys, monkeypatch, tmp_path):
+    from repro.trace.generator import WorkloadGenerator
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SMOKE_SPEC))
+    built = []
+    init = WorkloadGenerator.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkloadGenerator, "__init__", spy)
+    monkeypatch.chdir(tmp_path)
+    code = main([arg.replace("{spec}", str(spec)) for arg in SYNTHESIZING[path]])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 2 and err.startswith("error: ")), err
+    assert "Traceback" not in err
+    assert built, "the command synthesized no workload"

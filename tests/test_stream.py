@@ -388,14 +388,20 @@ class TestStreamSweep:
             assert_results_identical(a.result, b.result, context=a.parameters)
 
     def test_synthetic_stream_bit_identical_to_generate(self):
+        """Both equal the per-window loop oracle, whatever the chunking."""
+        from tests.test_workloads import oracle_arrays
+
         geometry = CacheGeometry(8 * 1024, 16)
         generator = WorkloadGenerator(geometry, num_windows=25, master_seed=13)
         profile = profile_for("adpcm.dec")
+        cycles, addresses = oracle_arrays(generator, profile)
         trace = generator.generate(profile)
-        for chunk_cycles in (100, 1024, 5000):
+        assert np.array_equal(trace.cycles, cycles)
+        assert np.array_equal(trace.addresses, addresses)
+        for chunk_cycles in (1, 97, 100, 777, 1024, 5000, 32768):
             rebuilt = stream_to_trace(generator.stream(profile, chunk_cycles))
-            assert np.array_equal(rebuilt.cycles, trace.cycles)
-            assert np.array_equal(rebuilt.addresses, trace.addresses)
+            assert np.array_equal(rebuilt.cycles, cycles)
+            assert np.array_equal(rebuilt.addresses, addresses)
             assert rebuilt.horizon == trace.horizon
 
     def test_repeated_passes_identical(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,66 @@ class TestSharedSummary:
         assert len(result.outcome.estimated) == 540
         assert calls["summaries"] == [GEOMETRY]
         assert calls["profiles"] == [2, 4, 8, 16]
+
+
+# ----------------------------------------------------------------------
+# Pinned summaries of the grid-memory benchmark's traces
+# ----------------------------------------------------------------------
+#: (sha256 of set_index, its dtype, distinct line addresses, distinct
+#: lines, float.hex of the 50/90/99 gap percentiles, float.hex of the
+#: median reuse distance) of each 240-window trace.
+SUMMARY_PINS = {
+    ("dijkstra", 1, 2011): (
+        "a84f5bd968cb413cf95abb4227fce7ac04b9190d459c47c7c9ad901f321ced7a",
+        "uint16", 3216, 704,
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.0000000000000p+2"),
+        "0x1.2000000000000p+8",
+    ),
+    ("adpcm.dec", 1, 2011): (
+        "d97c286240b427a5cd525d045265d5b10da80b3ad36da2ee803369198958ef05",
+        "uint16", 1264, 352,
+        ("0x1.0000000000000p+1", "0x1.0000000000000p+2", "0x1.0000000000000p+2"),
+        "0x1.8000000000000p+7",
+    ),
+    ("sha", 4, 2011): (
+        "4d70186321eca35ed25fd1d14746e9b8618f2e0f9ed92ddcc51e277fa72c885e",
+        "uint8", 384, 128,
+        ("0x1.0000000000000p+1", "0x1.0000000000000p+2", "0x1.0000000000000p+2"),
+        "0x1.2000000000000p+5",
+    ),
+    ("dijkstra", 1, 7919): (
+        "06e1d4f58d4df4bbec80c6bc4e3ea6de4235e7d5c929c6d6fe3267d46774e865",
+        "uint16", 2384, 704,
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.0000000000000p+2"),
+        "0x1.2000000000000p+8",
+    ),
+    ("adpcm.dec", 1, 7919): (
+        "e896aa0eeca365300b7498737292ed429dbf3b4e480d4f472bc3c6dcaf8a6a62",
+        "uint16", 1552, 288,
+        ("0x1.0000000000000p+1", "0x1.0000000000000p+2", "0x1.0000000000000p+2"),
+        "0x1.2000000000000p+7",
+    ),
+    ("sha", 4, 7919): (
+        "18a990cf1dca1112aa1d3b13701e67e6342b7e9e6448b2316fe65c901d36de75",
+        "uint8", 460, 132,
+        ("0x1.0000000000000p+1", "0x1.0000000000000p+2", "0x1.0000000000000p+3"),
+        "0x1.2000000000000p+5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, ways, seed", sorted(SUMMARY_PINS))
+def test_summary_pinned_bit_for_bit(name, ways, seed):
+    geometry = CacheGeometry(16 * 1024, 16, ways)
+    trace = WorkloadGenerator(geometry, num_windows=240, master_seed=seed).generate(
+        profile_for(name)
+    )
+    summary = summarize_trace(trace, geometry)
+    assert (
+        hashlib.sha256(summary.set_index.tobytes()).hexdigest(),
+        str(summary.set_index.dtype),
+        summary.distinct_line_addresses,
+        summary.distinct_lines,
+        tuple(summary.gap_percentiles[q].hex() for q in (50, 90, 99)),
+        summary.reuse_distance_median.hex(),
+    ) == SUMMARY_PINS[name, ways, seed]
